@@ -47,6 +47,16 @@ class MarginalReport:
     max_offdiag: float
     diagonal_probs: list[float]
 
+    @classmethod
+    def from_matrix(cls, register: str, rho: np.ndarray) -> "MarginalReport":
+        """Diagonality metrics of a single register's 2x2 reduced state."""
+        return cls(
+            register=register,
+            matrix=rho,
+            max_offdiag=float(abs(rho[0, 1])),
+            diagonal_probs=[float(rho[0, 0].real), float(rho[1, 1].real)],
+        )
+
 
 def branch_decompose(state: StateVector) -> BranchTable:
     """Probability and normalized substate for every populated memory string."""
@@ -59,20 +69,17 @@ def branch_decompose(state: StateVector) -> BranchTable:
     other_axes = tuple(ax for ax in range(n) if ax not in mem_axes)
     weights = np.sum(np.abs(psi) ** 2, axis=other_axes)
 
+    # np.nonzero walks in C order, so labels come out sorted.
     entries: dict[str, BranchEntry] = {}
-    for flat in range(weights.size):
-        bits = tuple((flat >> (layout.n_memories - 1 - j)) & 1
-                     for j in range(layout.n_memories))
+    for bits in zip(*np.nonzero(weights > PRUNE_THRESHOLD)):
         p = float(weights[bits])
-        if p <= PRUNE_THRESHOLD:
-            continue
         index = [slice(None)] * n
         for axis, bit in zip(mem_axes, bits):
             index[axis] = bit
         sub = psi[tuple(index)].reshape(-1) / np.sqrt(p)
         label = "".join(str(b) for b in bits)
         entries[label] = BranchEntry(p, StateVector(_RESIDUAL_LAYOUT, sub))
-    return BranchTable(dict(sorted(entries.items())))
+    return BranchTable(entries)
 
 
 def memory_marginal(state: StateVector, k: int) -> MarginalReport:
@@ -82,13 +89,7 @@ def memory_marginal(state: StateVector, k: int) -> MarginalReport:
             f"memory slot M{k} not in layout (1..{state.layout.n_memories})"
         )
     name = f"M{k}"
-    rho = validate_density_matrix(partial_trace(state, {name}, state.layout))
-    return MarginalReport(
-        register=name,
-        matrix=rho,
-        max_offdiag=float(abs(rho[0, 1])),
-        diagonal_probs=[float(rho[0, 0].real), float(rho[1, 1].real)],
-    )
+    return MarginalReport.from_matrix(name, register_marginal(state, {name}))
 
 
 def register_marginal(state: StateVector, regs) -> np.ndarray:
@@ -98,7 +99,6 @@ def register_marginal(state: StateVector, regs) -> np.ndarray:
 
 def outcome_probability(state: StateVector, register: str, outcome: int) -> float:
     """Born probability of reading ``outcome`` on a single register."""
-    state.layout.position(register)
     return state.probability(register, outcome)
 
 

@@ -137,7 +137,7 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_IO
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:  # a scenario file not in UTF-8
         print(f"parse error: {exc}", file=stderr)
         return EXIT_PARSE
     except BranchsimError as exc:

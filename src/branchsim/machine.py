@@ -6,14 +6,17 @@ slot in iteration order, then system, then policy.  ``format(i, "0Nb")``
 therefore prints a basis label in register order, so state dumps look
 exactly like ket strings.
 
-Gate application never materializes a global unitary: every operation is
-a strided in-place update over amplitude pairs selected by control and
-target bit masks.  The explicit Kronecker-built unitary exists only in
-the verification oracle.
+Every register is addressed one way: as an axis of the amplitude vector
+viewed as a ``[2] * n`` tensor, axis ``layout.position(name)``.  Gate
+application never materializes a global unitary: a controlled gate fixes
+the control axis and updates the target axis's two slices of that view
+in place.  The explicit Kronecker-built unitary exists only in the
+verification oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -27,7 +30,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .gates import IDENTITY, GateSpec
+from .gates import IDENTITY, PAULI_X, GateSpec
 from .linalg import DEFAULT_TOLERANCES, QUBIT_CAP, as_matrix, check_unitary
 
 if TYPE_CHECKING:
@@ -39,8 +42,6 @@ MAX_ITERATIONS = QUBIT_CAP - 3  # control + system + policy occupy three qubits
 PROJECTION_FLOOR = 1e-12
 
 INIT_MODES = ("uncorrelated", "correlated_c_to_p", "copy_c_to_p_from_zero")
-
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,6 @@ class RegisterLayout:
             if 1 <= k <= self.n_memories:
                 return self.memories[k - 1]
         raise LayoutError(f"unknown register id {name!r}")
-
-    def shift(self, name: str) -> int:
-        """Bit shift of a register within an integer basis index."""
-        return self.total_qubits - 1 - self.position(name)
-
-    def bit(self, index: int, name: str) -> int:
-        return (index >> self.shift(name)) & 1
 
 
 def build_layout(n_iterations: int) -> RegisterLayout:
@@ -144,8 +138,10 @@ class StateVector:
         """Born weight of ``register`` reading ``outcome``."""
         if outcome not in (0, 1):
             raise ValidationError(f"outcome must be 0 or 1, got {outcome}")
-        sel = _bit_mask(self.layout.total_qubits, self.layout.shift(register), outcome)
-        return float(np.sum(np.abs(self.amplitudes[sel]) ** 2))
+        n = self.layout.total_qubits
+        psi = self.amplitudes.reshape([2] * n)
+        sel = _axis_slice(n, {self.layout.position(register): outcome})
+        return float(np.sum(np.abs(psi[sel]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -176,6 +172,14 @@ class IterationSpec:
         return self.r0 is not None
 
 
+def _norm_sq(a: complex, b: complex) -> float:
+    """|a|^2 + |b|^2, or inf where a finite amplitude's square overflows."""
+    try:
+        return abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class InitSpec:
     """Initial amplitudes for control and policy, plus the wiring mode.
@@ -204,10 +208,10 @@ class InitSpec:
             if not (np.isfinite(z.real) and np.isfinite(z.imag)):
                 raise ValidationError(f"{label} must be finite")
         tol = DEFAULT_TOLERANCES.norm
-        c_norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        c_norm = _norm_sq(self.alpha, self.beta)
         if abs(c_norm - 1.0) > tol:
             raise ValidationError(f"|alpha|^2 + |beta|^2 = {c_norm!r}, expected 1")
-        p_norm = abs(self.gamma) ** 2 + abs(self.delta) ** 2
+        p_norm = _norm_sq(self.gamma, self.delta)
         if abs(p_norm - 1.0) > tol:
             raise ValidationError(f"|gamma|^2 + |delta|^2 = {p_norm!r}, expected 1")
         if self.mode not in INIT_MODES:
@@ -219,47 +223,47 @@ class InitSpec:
                 )
 
 
-def _bit_mask(n_qubits: int, shift: int, value: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits)
-    return ((idx >> shift) & 1) == value
+def _axis_slice(n_qubits: int, fixed: dict[int, int]) -> tuple:
+    """Basic index of the ``[2] * n_qubits`` view fixing ``{axis: value}``."""
+    return tuple(fixed.get(axis, slice(None)) for axis in range(n_qubits))
 
 
 def _apply_gate(
     amps: np.ndarray,
     n_qubits: int,
-    target_shift: int,
+    target_axis: int,
     gate: np.ndarray,
-    control_shift: int | None = None,
-    control_value: int = 1,
+    control_axis: int,
+    control_value: int,
 ) -> None:
-    """In-place strided 2x2 update on the target qubit.
+    """In-place 2x2 update of the target axis where the control reads a value.
 
-    Pairs amplitudes whose indices differ only in the target bit; with a
-    control, only pairs whose control bit equals ``control_value`` move.
+    Views ``amps`` as a ``[2] * n_qubits`` tensor; fixing the control axis
+    to ``control_value`` and the target axis to 0 or 1 gives two basic
+    slices that pair amplitudes differing only in the target bit.  Both
+    slices are views, so the update writes straight into ``amps``, which
+    must therefore be C-contiguous (a fresh copy or kron product is).
     """
-    idx = np.arange(amps.size)
-    lo = ((idx >> target_shift) & 1) == 0
-    if control_shift is not None:
-        lo &= ((idx >> control_shift) & 1) == control_value
-    i0 = idx[lo]
-    i1 = i0 | (1 << target_shift)
-    a0 = amps[i0]
-    a1 = amps[i1]
-    amps[i0] = gate[0, 0] * a0 + gate[0, 1] * a1
-    amps[i1] = gate[1, 0] * a0 + gate[1, 1] * a1
+    psi = amps.reshape([2] * n_qubits)
+    lo = _axis_slice(n_qubits, {control_axis: control_value, target_axis: 0})
+    hi = _axis_slice(n_qubits, {control_axis: control_value, target_axis: 1})
+    a0, a1 = psi[lo], psi[hi]
+    new0 = gate[0, 0] * a0 + gate[0, 1] * a1
+    psi[hi] = gate[1, 0] * a0 + gate[1, 1] * a1
+    psi[lo] = new0
 
 
 def _controlled_update(
     amps: np.ndarray, layout: RegisterLayout, control: str, target: str,
     g0: GateSpec, g1: GateSpec,
 ) -> None:
-    n = layout.total_qubits
+    """Apply g0/g1 to ``target`` where ``control`` reads 0/1; skip identities."""
     for value, gate in ((0, g0), (1, g1)):
         if gate.is_identity:
             continue
         _apply_gate(
-            amps, n, layout.shift(target), gate.matrix(),
-            control_shift=layout.shift(control), control_value=value,
+            amps, layout.total_qubits, layout.position(target), gate.matrix(),
+            layout.position(control), value,
         )
 
 
@@ -274,10 +278,7 @@ def initialize(spec: InitSpec, layout: RegisterLayout) -> StateVector:
         amps = np.kron(amps, vec_m)
     amps = np.kron(np.kron(amps, vec_s), vec_p)
     if spec.mode in ("correlated_c_to_p", "copy_c_to_p_from_zero"):
-        _apply_gate(
-            amps, layout.total_qubits, layout.shift("P"), _X,
-            control_shift=layout.shift("C"), control_value=1,
-        )
+        _controlled_update(amps, layout, "C", "P", IDENTITY, PAULI_X)
     return StateVector(layout, amps)
 
 
@@ -300,10 +301,7 @@ def write_memory(state: StateVector, k: int) -> StateVector:
     if k < 1 or k > layout.n_memories:
         raise LayoutError(f"memory slot M{k} not in layout (1..{layout.n_memories})")
     amps = state.amplitudes.copy()
-    _apply_gate(
-        amps, layout.total_qubits, layout.shift(f"M{k}"), _X,
-        control_shift=layout.shift("C"), control_value=1,
-    )
+    _controlled_update(amps, layout, "C", f"M{k}", IDENTITY, PAULI_X)
     return StateVector(layout, amps, state.consumed_slots)
 
 
@@ -314,14 +312,10 @@ def _iteration_core(state: StateVector, k: int, spec: IterationSpec) -> np.ndarr
     if k in state.consumed_slots:
         raise ValidationError(f"memory slot M{k} was already consumed by an iteration")
     amps = state.amplitudes.copy()
-    n = layout.total_qubits
     # Order is load-bearing: feedback must see the policy state *before*
     # this round's policy update.
     _controlled_update(amps, layout, "C", "S", spec.u0, spec.u1)
-    _apply_gate(
-        amps, n, layout.shift(f"M{k}"), _X,
-        control_shift=layout.shift("C"), control_value=1,
-    )
+    _controlled_update(amps, layout, "C", f"M{k}", IDENTITY, PAULI_X)
     _controlled_update(amps, layout, "P", "S", spec.f0, spec.f1)
     _controlled_update(amps, layout, f"M{k}", "P", spec.v0, spec.v1)
     return amps
@@ -354,6 +348,13 @@ def run(scenario: "Scenario") -> StateVector:
     return state
 
 
+def seeded_generator(seed: int) -> np.random.Generator:
+    """Counter-based Philox generator keyed on a non-negative integer seed."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def measure_control(
     state: StateVector, rng_seed: int, force: int | None = None
 ) -> tuple[int, StateVector, float]:
@@ -367,7 +368,7 @@ def measure_control(
     p1 = state.probability("C", 1)
     p0 = state.probability("C", 0)
     if force is None:
-        rng = np.random.Generator(np.random.Philox(rng_seed))
+        rng = seeded_generator(rng_seed)
         outcome = 1 if rng.random() < p1 else 0
     else:
         if force not in (0, 1):
@@ -378,11 +379,10 @@ def measure_control(
         raise ProjectionError(
             f"outcome {outcome} has probability {prob:.3e}; cannot project"
         )
-    sel = _bit_mask(
-        state.layout.total_qubits, state.layout.shift("C"), 1 - outcome
-    )
+    n = state.layout.total_qubits
     amps = state.amplitudes.copy()
-    amps[sel] = 0.0
+    other = _axis_slice(n, {state.layout.position("C"): 1 - outcome})
+    amps.reshape([2] * n)[other] = 0.0
     amps /= np.sqrt(prob)
     return outcome, StateVector(state.layout, amps, state.consumed_slots), prob
 

@@ -98,16 +98,9 @@ def build_report(
             }
         elif request.kind == "marginal":
             reg = request.registers[0]
-            if reg.startswith("M"):
-                rep = analysis.memory_marginal(state, int(reg[1:]))
-            else:
-                rho = analysis.register_marginal(state, {reg})
-                rep = analysis.MarginalReport(
-                    register=reg,
-                    matrix=rho,
-                    max_offdiag=float(abs(rho[0, 1])),
-                    diagonal_probs=[float(rho[0, 0].real), float(rho[1, 1].real)],
-                )
+            rep = analysis.MarginalReport.from_matrix(
+                reg, analysis.register_marginal(state, {reg})
+            )
             marginals.append({
                 "register": rep.register,
                 "matrix": _q_matrix(rep.matrix),

@@ -2,7 +2,7 @@
 
 The oracle here is deliberately naive: controlled gates are materialized
 as explicit Kronecker-built global unitaries and applied by matrix
-arithmetic, never through the engine's strided kernels.  Agreement
+arithmetic, never through the engine's tensor-axis kernels.  Agreement
 between the two routes is the core correctness check.
 """
 
@@ -28,6 +28,7 @@ from .machine import (
     iterate,
     iterate_extended,
     measure_control,
+    seeded_generator,
 )
 from .scenario import Scenario, builtin_scenario
 
@@ -477,7 +478,7 @@ def run_checks(
     results = []
     for name in selected:
         # fresh generator per check: draws are independent of suite filtering
-        rng = np.random.Generator(np.random.Philox(seed))
+        rng = seeded_generator(seed)
         deviation, tolerance = CHECKS[name](rng, tolerances)
         results.append(
             CheckResult(name, passed=deviation <= tolerance,

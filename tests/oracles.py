@@ -1,7 +1,7 @@
 """Brute-force oracles for the test suite.
 
 Everything here goes through explicit dense matrices, np.kron chains,
-and matrix-vector products; none of the engine's strided kernels are
+and matrix-vector products; none of the engine's tensor-axis kernels are
 involved.  Register positions are derived independently from the
 documented convention: C owns the most significant bit, then M1..Mn,
 then S, then P.

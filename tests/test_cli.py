@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,14 @@ from branchsim.cli import (
     main,
 )
 from branchsim.report import parse_report
-from branchsim.scenario import builtin_scenario, emit_scenario, parse_scenario
+from branchsim.scenario import (
+    builtin_scenario,
+    builtin_scenarios,
+    emit_scenario,
+    parse_scenario,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_run_example_ghz_branch_table(capsys):
@@ -75,6 +83,43 @@ def test_run_output_byte_identical(capsys):
     first = capsys.readouterr().out
     assert main(["run", "--example", "rotations-nofeedback"]) == EXIT_OK
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
+def test_run_example_matches_golden_report(name, capsys):
+    assert main(["run", "--example", name]) == EXIT_OK
+    golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def _pauli_doc(**changes) -> bytes:
+    doc = json.loads(emit_scenario(builtin_scenario("pauli-flips")))
+    doc.update(changes)
+    return json.dumps(doc).encode("utf-8")
+
+
+_INIT = json.loads(emit_scenario(builtin_scenario("pauli-flips")))["init"]
+
+
+@pytest.mark.parametrize("content, argv", [
+    pytest.param(_pauli_doc(measure={"seed": -1}), ["run"],
+                 id="negative-measure-seed"),
+    pytest.param(_pauli_doc(measure={"seed": 3}), ["run", "--seed", "-1"],
+                 id="negative-seed-flag"),
+    pytest.param(None, ["verify", "--seed", "-1"], id="negative-verify-seed"),
+    pytest.param(_pauli_doc(init={**_INIT, "alpha": 1e308, "beta": 1e308}),
+                 ["run"], id="overflowing-amplitudes"),
+    pytest.param(b"[" * 100_000, ["run"], id="deep-nesting"),
+    pytest.param(b"[" + b"1" * 5_000 + b"]", ["run"], id="oversized-integer"),
+    pytest.param(b'{"name": "\xff"}', ["run"], id="not-utf8"),
+])
+def test_malformed_input_ends_in_exit_code(tmp_path, capsys, content, argv):
+    if content is not None:
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        argv = argv + ["--scenario", str(path)]
+    assert main(argv) in (EXIT_PARSE, EXIT_VALIDATION)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_run_bad_tolerance_key(capsys):

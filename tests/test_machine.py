@@ -22,6 +22,7 @@ from branchsim import (
     iterate,
     iterate_extended,
     measure_control,
+    raw_gate,
     real_rotation,
     run,
     rx,
@@ -30,7 +31,7 @@ from branchsim import (
 from branchsim.gates import PAULI_X, PAULI_Z
 from branchsim.machine import StateVector
 
-from oracles import haar_unitary, random_pair
+from oracles import controlled_matrix, haar_unitary, positions, random_pair
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -44,7 +45,8 @@ def test_build_layout_three_iterations():
     assert layout.register_names() == ("C", "M1", "M2", "M3", "S", "P")
     assert [layout.position(r) for r in layout.register_names()] == [0, 1, 2, 3, 4, 5]
     # C owns the most significant bit
-    assert layout.shift("C") == 5 and layout.shift("P") == 0
+    assert layout.position("C") == 0
+    assert layout.position("P") == layout.total_qubits - 1
 
 
 def test_build_layout_single_iteration():
@@ -150,6 +152,24 @@ def test_apply_controlled_same_register_rejected():
     state = initialize(InitSpec(alpha=1, beta=0), layout)
     with pytest.raises(LayoutError):
         apply_controlled(state, "S", "S", IDENTITY, PAULI_X)
+
+
+_REGISTERS_3 = ("C", "M1", "M2", "M3", "S", "P")
+
+
+@pytest.mark.parametrize("control, target", [
+    (c, t) for c in _REGISTERS_3 for t in _REGISTERS_3 if c != t
+])
+def test_apply_controlled_matches_kron_oracle_on_every_register_pair(control, target):
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=64) + 1j * rng.normal(size=64)
+    amps /= np.linalg.norm(amps)
+    g0, g1 = haar_unitary(rng), haar_unitary(rng)
+    state = StateVector(build_layout(3), amps)
+    out = apply_controlled(state, control, target, raw_gate(g0), raw_gate(g1))
+    pos = positions(3)
+    expected = controlled_matrix(6, pos[control], pos[target], g0, g1) @ amps
+    np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
 
 def test_write_memory_entangles_control_and_slot():
@@ -272,8 +292,6 @@ def test_iterate_extended_with_identity_r_equals_iterate():
     layout = build_layout(1)
     alpha, beta = random_pair(rng)
     state = initialize(InitSpec(alpha=alpha, beta=beta), layout)
-    from branchsim import raw_gate
-
     spec = IterationSpec(
         u0=raw_gate(haar_unitary(rng)), u1=raw_gate(haar_unitary(rng)),
         f0=raw_gate(haar_unitary(rng)), f1=raw_gate(haar_unitary(rng)),
@@ -471,8 +489,6 @@ def test_state_vector_rejects_nan():
 
 def test_canonical_runs_only_populate_uniform_memory_strings():
     rng = np.random.default_rng(8)
-    from branchsim import raw_gate
-
     for _ in range(5):
         n = int(rng.integers(1, 4))
         alpha, beta = random_pair(rng)
