@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from .errors import BranchsimError, ParseError
 from .linalg import Tolerances
@@ -30,7 +29,10 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_VERIFY = 4
 
-_TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
+# The Tolerances fields each subcommand actually reads; any other key is
+# rejected rather than silently ignored.
+_RUN_TOLERANCE_KEYS = ("norm",)
+_VERIFY_TOLERANCE_KEYS = ("norm", "diagonality")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, metavar="INT",
                        help="override the measurement seed")
     run_p.add_argument("--tolerance", action="append", default=[], metavar="K=V",
-                       help="override a named tolerance (repeatable)")
+                       help="override a tolerance, K one of "
+                       f"{', '.join(_RUN_TOLERANCE_KEYS)} (repeatable)")
 
     ex_p = sub.add_parser("examples", help="list the built-in scenarios")
     ex_p.add_argument("--emit", metavar="NAME",
@@ -60,18 +63,19 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--only", metavar="SUITE",
                        help="run one suite: golden, oracle, or properties")
     ver_p.add_argument("--tolerance", action="append", default=[], metavar="K=V",
-                       help="override a named tolerance (repeatable)")
+                       help="override a tolerance, K one of "
+                       f"{', '.join(_VERIFY_TOLERANCE_KEYS)} (repeatable)")
     return parser
 
 
-def _parse_tolerances(pairs: list[str]) -> Tolerances:
+def _parse_tolerances(pairs: list[str], keys: tuple[str, ...]) -> Tolerances:
     overrides = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
-        if not sep or key not in _TOLERANCE_KEYS:
+        if not sep or key not in keys:
             raise ParseError(
-                f"bad tolerance {pair!r}; expected one of "
-                f"{_TOLERANCE_KEYS} as K=V"
+                f"bad tolerance {pair!r}; this command reads only "
+                f"{', '.join(keys)}, as K=V"
             )
         try:
             overrides[key] = float(value)
@@ -81,7 +85,7 @@ def _parse_tolerances(pairs: list[str]) -> Tolerances:
 
 
 def _cmd_run(args, stdout, stderr) -> int:
-    tolerances = _parse_tolerances(args.tolerance)
+    tolerances = _parse_tolerances(args.tolerance, _RUN_TOLERANCE_KEYS)
     if args.scenario is not None:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read())
@@ -110,7 +114,7 @@ def _cmd_examples(args, stdout, stderr) -> int:
 
 
 def _cmd_verify(args, stdout, stderr) -> int:
-    tolerances = _parse_tolerances(args.tolerance)
+    tolerances = _parse_tolerances(args.tolerance, _VERIFY_TOLERANCE_KEYS)
     results = run_checks(only=args.only, seed=args.seed, tolerances=tolerances)
     for res in results:
         verdict = "PASS" if res.passed else "FAIL"

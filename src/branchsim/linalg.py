@@ -85,7 +85,9 @@ def partial_trace(state_or_rho, keep, layout: "RegisterLayout") -> np.ndarray:
 
     Accepts a pure state (StateVector or amplitude vector) or a density
     matrix over the full layout.  The kept registers are ordered by their
-    layout position regardless of the order of ``keep``.
+    layout position regardless of the order of ``keep``.  A result with
+    more than 2**QUBIT_CAP entries raises ``CapacityError`` before any
+    allocation.
     """
     names = layout.register_names()
     keep = set(keep)
@@ -94,6 +96,11 @@ def partial_trace(state_or_rho, keep, layout: "RegisterLayout") -> np.ndarray:
     unknown = keep - set(names)
     if unknown:
         raise LayoutError(f"unknown register id(s): {sorted(unknown)}")
+    if 4 ** len(keep) > (1 << QUBIT_CAP):
+        raise CapacityError(
+            f"marginal over {len(keep)} registers has {4 ** len(keep)} "
+            f"entries; cap is 2**{QUBIT_CAP}"
+        )
     n = layout.total_qubits
     keep_axes = sorted(layout.position(r) for r in keep)
     trace_axes = [ax for ax in range(n) if ax not in keep_axes]
@@ -108,8 +115,10 @@ def partial_trace(state_or_rho, keep, layout: "RegisterLayout") -> np.ndarray:
         if amps.size != (1 << n):
             raise ShapeError(f"state has {amps.size} amplitudes, layout wants {1 << n}")
         psi = np.asarray(amps, dtype=np.complex128).reshape([2] * n)
-        rho = np.tensordot(psi, psi.conj(), axes=(trace_axes, trace_axes))
-        return rho.reshape(d_keep, d_keep)
+        # Kept axes first, then one matmul: rho = M M^dagger with
+        # M[kept, traced].  Only M (and its conjugate) is ever copied.
+        m = np.moveaxis(psi, keep_axes, range(len(keep_axes))).reshape(d_keep, -1)
+        return m @ m.conj().T
 
     rho = as_matrix(state_or_rho)
     if rho.shape[0] != (1 << n):

@@ -12,6 +12,11 @@ application never materializes a global unitary: a controlled gate fixes
 the control axis and updates the target axis's two slices of that view
 in place.  The explicit Kronecker-built unitary exists only in the
 verification oracle.
+
+``run`` grows the state as the paper's machine does: it starts with no
+memory slots, and before round k it appends a fresh M_k in |0> as a new
+axis, so a round never touches amplitudes of slots that do not exist
+yet.  The final state is exactly the one the full layout would give.
 """
 
 from __future__ import annotations
@@ -338,12 +343,30 @@ def iterate_extended(state: StateVector, k: int, spec: IterationSpec) -> StateVe
     return StateVector(state.layout, amps, state.consumed_slots | {k})
 
 
+def _append_slot(state: StateVector) -> StateVector:
+    """The same state with one more memory slot, M_{n+1}, in |0>.
+
+    The new axis sits just before S, so in the ``(2 << n, 2, 4)`` view of
+    the grown amplitudes (C and M1..Mn, the new slot, then S and P) the
+    old amplitudes fill the new-slot-0 plane and the rest stays zero.
+    """
+    n = state.layout.n_memories
+    amps = np.zeros(2 << state.layout.total_qubits, dtype=np.complex128)
+    amps.reshape(2 << n, 2, 4)[:, 0, :] = state.amplitudes.reshape(2 << n, 4)
+    return StateVector(build_layout(n + 1), amps, state.consumed_slots)
+
+
 def run(scenario: "Scenario") -> StateVector:
-    """Initialize, then fold every iteration in order over a fresh layout."""
-    layout = build_layout(len(scenario.iterations))
-    state = initialize(scenario.init, layout)
+    """Initialize with no memory, then per round add slot M_k and run it.
+
+    Growing the layout one slot per round gives exactly the amplitudes of
+    folding every round over the full ``build_layout(n)`` state, whose
+    untouched slots would still read |0>, at a fraction of the work.
+    """
+    state = initialize(scenario.init, build_layout(0))
     for k, spec in enumerate(scenario.iterations, start=1):
         step = iterate_extended if spec.extended else iterate
+        state = _append_slot(state)
         state = step(state, k, spec)
     return state
 

@@ -17,7 +17,7 @@ from . import analysis, machine
 from .errors import ParseError, ValidationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .machine import StateVector
-from .scenario import Scenario
+from .scenario import Scenario, load_json
 
 ZERO_FLOOR = 1e-12
 
@@ -150,10 +150,7 @@ def emit_report(report: RunReport) -> str:
 
 def parse_report(text: str) -> RunReport:
     """Inverse of emit_report; parse(emit(r)) == r."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from exc
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("report document must be a JSON object")
     for field in ("scenario_name", "final_norm", "branch_table", "marginals",

@@ -77,12 +77,20 @@ class Scenario:
         return "extended" if any(it.extended for it in self.iterations) else "canonical"
 
 
+def _to_float(value: int | float, path: str) -> float:
+    """``float(value)``, with an integer beyond the float range a ParseError."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParseError("number is outside the floating-point range", path) from exc
+
+
 def parse_angle(value, path: str) -> tuple[float, str | None]:
     """Radians from a number or an exact 'M*pi/N' style string."""
     if isinstance(value, bool):
         raise ParseError("angle must be a number or a pi expression", path)
     if isinstance(value, (int, float)):
-        return float(value), None
+        return _to_float(value, path), None
     if isinstance(value, str):
         m = _ANGLE_RE.match(value.replace(" ", ""))
         if not m:
@@ -98,13 +106,13 @@ def _parse_complex(value, path: str) -> complex:
     if isinstance(value, bool):
         raise ParseError("expected a number or [re, im] pair", path)
     if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
+        return complex(_to_float(value, path), 0.0)
     if (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
-        return complex(float(value[0]), float(value[1]))
+        return complex(_to_float(value[0], path), _to_float(value[1], path))
     raise ParseError("expected a number or [re, im] pair", path)
 
 
@@ -163,14 +171,19 @@ def _parse_analysis(obj, path: str) -> AnalysisRequest:
     raise ParseError(f"unknown analysis request {obj!r}", path)
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document; gates are resolved eagerly."""
+def load_json(text: str):
+    """``json.loads`` with every decoding failure raised as ``ParseError``."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from exc
     except (ValueError, RecursionError) as exc:  # oversized int, deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario document; gates are resolved eagerly."""
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
     for field in ("name", "init", "iterations"):

@@ -1,9 +1,13 @@
+import copy
+import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from branchsim.cli import (
     EXIT_IO,
@@ -109,6 +113,11 @@ _INIT = json.loads(emit_scenario(builtin_scenario("pauli-flips")))["init"]
     pytest.param(None, ["verify", "--seed", "-1"], id="negative-verify-seed"),
     pytest.param(_pauli_doc(init={**_INIT, "alpha": 1e308, "beta": 1e308}),
                  ["run"], id="overflowing-amplitudes"),
+    pytest.param(_pauli_doc(init={**_INIT, "alpha": 10**400}),
+                 ["run"], id="amplitude-beyond-float-range"),
+    pytest.param(_pauli_doc(iterations=[{"u0": {"named": "rx", "angle": -10**400},
+                                         "u1": {"named": "identity"}}]),
+                 ["run"], id="angle-beyond-float-range"),
     pytest.param(b"[" * 100_000, ["run"], id="deep-nesting"),
     pytest.param(b"[" + b"1" * 5_000 + b"]", ["run"], id="oversized-integer"),
     pytest.param(b'{"name": "\xff"}', ["run"], id="not-utf8"),
@@ -125,6 +134,80 @@ def test_malformed_input_ends_in_exit_code(tmp_path, capsys, content, argv):
 def test_run_bad_tolerance_key(capsys):
     assert main(["run", "--example", "pauli-flips",
                  "--tolerance", "bogus=1"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["run", "--example", "pauli-flips"], "unitarity"),
+    (["run", "--example", "pauli-flips"], "diagonality"),
+    (["verify", "--only", "golden"], "hermiticity"),
+    (["verify", "--only", "golden"], "unitarity"),
+], ids=["run-unitarity", "run-diagonality", "verify-hermiticity", "verify-unitarity"])
+def test_tolerance_the_command_does_not_read_is_rejected(capsys, argv, unread):
+    assert main(argv + ["--tolerance", f"{unread}=1"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert unread in err and "norm" in err
+
+
+# Values a hand-edited or hostile scenario document might carry.
+_ODD_VALUES = st.one_of(
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, 1e308, -1e308, 2**70, -2**70, 10**400,
+        -1, 0, True, None, "", "pi/0", "3*pi/", "-pi/-2", "0*pi", "M99", "Q",
+        [], {}, [1.0], [0.6, 0.8, 0.0], ["C", "C"], ["M1", "M99"],
+        {"named": "rx"}, {"named": "bogus"}, {"named": "rx", "angle": "pi"},
+        {"raw": [[1, 0], [0, 1]]}, {"raw": [[1, 1], [1, 1]]},
+        {"marginal": "M99"}, {"witness": ["C", "S"]}, {"seed": -5},
+    ]),
+    st.floats(),
+    st.integers(),
+    st.text(max_size=6),
+)
+_FIELD_NAMES = st.sampled_from([
+    "name", "init", "iterations", "analyses", "measure", "alpha", "beta",
+    "gamma", "delta", "mode", "system_init", "u0", "u1", "f0", "f1", "v0",
+    "v1", "r0", "r1", "named", "angle", "raw", "seed", "marginal", "witness",
+    "bogus",
+])
+_BUILTIN_DOCS = [json.loads(emit_scenario(s)) for s in builtin_scenarios()]
+
+
+def _slots(doc) -> list:
+    """Every (container, key) pair in a JSON document, depth first."""
+    out = []
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            out.append((node, key))
+            stack.append(child)
+    return out
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_builtin_documents_end_in_an_exit_code(tmp_path, data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_BUILTIN_DOCS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "add":
+            dicts = [doc] + [c[k] for c, k in _slots(doc) if isinstance(c[k], dict)]
+            target = data.draw(st.sampled_from(dicts))
+            target[data.draw(_FIELD_NAMES)] = copy.deepcopy(data.draw(_ODD_VALUES))
+            continue
+        container, key = data.draw(st.sampled_from(_slots(doc)))
+        if action == "replace":
+            container[key] = copy.deepcopy(data.draw(_ODD_VALUES))
+        else:
+            del container[key]
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    stderr = io.StringIO()
+    code = main(["run", "--scenario", str(path)], stdout=io.StringIO(), stderr=stderr)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION)
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_run_seed_flag_overrides_measure_seed(tmp_path, capsys):

@@ -152,6 +152,35 @@ def test_partial_trace_is_normalized_and_hermitian():
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
 
 
+def test_partial_trace_pure_state_equals_tensordot_exactly():
+    rng = np.random.default_rng(12)
+    layout = build_layout(2)
+    amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+    amps /= np.linalg.norm(amps)
+    psi = amps.reshape([2] * 5)
+    names = layout.register_names()
+    for mask in range(1, 1 << 5):
+        keep = {names[ax] for ax in range(5) if mask >> ax & 1}
+        kept = sorted(layout.position(r) for r in keep)
+        traced = [ax for ax in range(5) if ax not in kept]
+        d = 1 << len(kept)
+        expected = np.tensordot(psi, psi.conj(), axes=(traced, traced)).reshape(d, d)
+        assert np.array_equal(partial_trace(amps, keep, layout), expected), keep
+
+
+def test_partial_trace_refuses_oversized_marginal_before_allocating():
+    layout = build_layout(12)  # 15 qubits: all registers give a 4**15 matrix
+    names = set(layout.register_names())
+    amps = np.zeros(1 << 15, dtype=complex)
+    amps[0] = 1.0
+    with pytest.raises(CapacityError):
+        partial_trace(amps, names, layout)
+    with pytest.raises(CapacityError):
+        partial_trace(np.zeros((1, 1)), names, layout)  # density input
+    rho = partial_trace(amps, {f"M{k}" for k in range(1, 11)}, layout)
+    assert rho.shape == (1024, 1024)  # 4**10 entries: exactly at the cap
+
+
 @pytest.mark.parametrize(
     "rho,expected",
     [

@@ -18,6 +18,7 @@ from branchsim import (
     build_controlled_dilation,
     build_layout,
     builtin_scenario,
+    builtin_scenarios,
     initialize,
     iterate,
     iterate_extended,
@@ -30,6 +31,7 @@ from branchsim import (
 )
 from branchsim.gates import PAULI_X, PAULI_Z
 from branchsim.machine import StateVector
+from branchsim.verify import random_canonical_scenario, random_extended_scenario
 
 from oracles import controlled_matrix, haar_unitary, positions, random_pair
 
@@ -352,6 +354,31 @@ def test_run_rotations_nofeedback_factors_system():
 def test_run_marks_all_slots_consumed():
     state = run(builtin_scenario("pauli-flips"))
     assert state.consumed_slots == frozenset({1, 2, 3})
+
+
+def _full_layout_fold(scenario):
+    """The run over all n memory slots from the start, as before growth."""
+    state = initialize(scenario.init, build_layout(len(scenario.iterations)))
+    for k, spec in enumerate(scenario.iterations, start=1):
+        step = iterate_extended if spec.extended else iterate
+        state = step(state, k, spec)
+    return state
+
+
+def _growth_cases():
+    rng = np.random.default_rng(31)
+    for n in range(7):
+        yield random_canonical_scenario(rng, n)
+        yield random_extended_scenario(rng, n)
+    yield from builtin_scenarios()
+
+
+def test_run_grown_state_equals_full_layout_fold_exactly():
+    for scenario in _growth_cases():
+        grown, full = run(scenario), _full_layout_fold(scenario)
+        assert grown.layout == full.layout
+        assert grown.consumed_slots == full.consumed_slots
+        assert np.array_equal(grown.amplitudes, full.amplitudes), scenario.name
 
 
 # ---------------------------------------------------------------------------

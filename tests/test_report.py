@@ -1,6 +1,7 @@
 import pytest
 
 from branchsim import (
+    ParseError,
     build_report,
     builtin_scenario,
     emit_report,
@@ -80,3 +81,10 @@ def test_report_measurement_seed_determinism():
     assert r1.measurement["outcome"] in (0, 1)
     r3 = build_report(scenario, state, seed_override=8)
     assert r3.measurement["probability"] == 0.5
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "1" + "0" * 5_000],
+                         ids=["deep-nesting", "oversized-integer"])
+def test_parse_report_maps_every_json_failure_to_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_report(text)
