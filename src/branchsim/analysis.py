@@ -120,9 +120,19 @@ def fidelity(rho, sigma) -> float:
     if purity(rho) >= PURITY_ONE or purity(sigma) >= PURITY_ONE:
         return max(float(np.real(np.trace(rho @ sigma))), 0.0)
     w, v = np.linalg.eigh(rho)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (v * np.sqrt(_eigen_floor(w))) @ v.conj().T
     inner = np.linalg.eigvalsh(root @ sigma @ root)
-    return float(np.sum(np.sqrt(np.clip(inner, 0.0, None))) ** 2)
+    return float(np.sum(np.sqrt(_eigen_floor(inner))) ** 2)
+
+
+def _eigen_floor(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues with rounding noise (<= dim * eps * max) set to zero.
+
+    A rank-deficient matrix carries its zero eigenvalues as +-1e-17 noise;
+    their square roots (~3e-9) would otherwise reach the fidelity.
+    """
+    floor = w.size * np.finfo(np.float64).eps * max(float(np.max(w)), 0.0)
+    return np.where(w <= floor, 0.0, w)
 
 
 def _pair_marginals(rho_pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -324,3 +324,17 @@ def test_fidelity_pure_case_is_overlap():
 def test_fidelity_identical_states_is_one():
     rho = np.diag([0.25, 0.25, 0.25, 0.25])
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_fidelity_is_stable_under_rounding_noise_on_rank_deficient_pairs():
+    # diag(p, 0, 0, 1-p) is a classically correlated pair; its zero
+    # eigenvalues come out of any computation as +-1e-17 noise, which must
+    # not move the fidelity with the product of its marginals.
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        p = rng.uniform(0.05, 0.95)
+        rho = np.diag([p, 0.0, 0.0, 1.0 - p]).astype(complex)
+        product = np.kron(np.diag([p, 1.0 - p]), np.diag([p, 1.0 - p]))
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        noisy = rho + 0.5e-17 * (h + h.conj().T)
+        assert abs(fidelity(noisy, product) - fidelity(rho, product)) < 1e-12
