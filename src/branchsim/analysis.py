@@ -2,7 +2,8 @@
 
 Branches are labeled by the concatenated memory bit string; projecting
 onto a string and renormalizing yields the branch's pure substate over
-the remaining (control, system, policy) registers.
+the remaining (control, system, policy) registers.  A state stores one
+row per populated memory string, so the decomposition reads its rows.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import LayoutError, ValidationError
 from .linalg import partial_trace, purity, validate_density_matrix
-from .machine import RegisterLayout, StateVector
+from .machine import RegisterLayout, StateVector, check_normalized
 
 # Branch entries below this weight are floating-point dust and omitted.
 PRUNE_THRESHOLD = 1e-12
@@ -29,7 +30,12 @@ _RESIDUAL_LAYOUT = RegisterLayout(
 @dataclass(frozen=True)
 class BranchEntry:
     probability: float
-    substate: StateVector  # over (C, S, P), normalized
+    amplitudes: np.ndarray  # normalized, over (C, S, P) in ket order
+
+    @property
+    def substate(self) -> StateVector:
+        """The branch's pure state over (C, S, P), built on request."""
+        return StateVector(_RESIDUAL_LAYOUT, self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -63,22 +69,18 @@ def branch_decompose(state: StateVector) -> BranchTable:
     layout = state.layout
     if layout.n_memories == 0:
         raise LayoutError("state has no memory slots to decompose over")
-    n = layout.total_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    mem_axes = list(layout.memories)
-    other_axes = tuple(ax for ax in range(n) if ax not in mem_axes)
-    weights = np.sum(np.abs(psi) ** 2, axis=other_axes)
-
-    # np.nonzero walks in C order, so labels come out sorted.
-    entries: dict[str, BranchEntry] = {}
-    for bits in zip(*np.nonzero(weights > PRUNE_THRESHOLD)):
-        p = float(weights[bits])
-        index = [slice(None)] * n
-        for axis, bit in zip(mem_axes, bits):
-            index[axis] = bit
-        sub = psi[tuple(index)].reshape(-1) / np.sqrt(p)
-        label = "".join(str(b) for b in bits)
-        entries[label] = BranchEntry(p, StateVector(_RESIDUAL_LAYOUT, sub))
+    # (S, P) sums within each C half first: the dense vector's summation order
+    weights = np.sum(np.sum(np.abs(state.residual) ** 2, axis=(2, 3)), axis=1)
+    keep = weights > PRUNE_THRESHOLD
+    probs = weights[keep]
+    subs = state.residual[keep].reshape(-1, 8) / np.sqrt(probs)[:, None]
+    check_normalized(subs)
+    subs.flags.writeable = False
+    # rows are sorted, so labels come out sorted.
+    entries = {
+        format(row, f"0{layout.n_memories}b"): BranchEntry(float(p), sub)
+        for row, p, sub in zip(state.rows[keep].tolist(), probs, subs)
+    }
     return BranchTable(entries)
 
 

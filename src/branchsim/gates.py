@@ -63,7 +63,19 @@ class GateSpec:
         return self.kind == "identity"
 
     def matrix(self) -> np.ndarray:
-        """Resolve to a 2x2 unitary; raw matrices are unitarity-checked."""
+        """Resolve to a read-only 2x2 unitary; raw matrices are unitarity-checked.
+
+        The engine asks for a gate's matrix at every application, so the
+        first result (and its check) is kept on the instance.
+        """
+        m = self.__dict__.get("_matrix")
+        if m is None:
+            m = self._resolve()
+            m.flags.writeable = False
+            object.__setattr__(self, "_matrix", m)
+        return m
+
+    def _resolve(self) -> np.ndarray:
         if self.kind in _FIXED:
             return _FIXED[self.kind].copy()
         if self.kind == "raw":

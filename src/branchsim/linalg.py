@@ -83,8 +83,9 @@ def unitarity_deviation(m) -> float:
 def partial_trace(state_or_rho, keep, layout: "RegisterLayout") -> np.ndarray:
     """Reduced density matrix over ``keep`` registers, in layout order.
 
-    Accepts a pure state (StateVector or amplitude vector) or a density
-    matrix over the full layout.  The kept registers are ordered by their
+    Accepts a pure state (a StateVector's branch table, or a dense
+    amplitude vector, read as a table with every row populated) or a
+    density matrix over the full layout.  The kept registers are ordered by their
     layout position regardless of the order of ``keep``.  A result with
     more than 2**QUBIT_CAP entries raises ``CapacityError`` before any
     allocation.
@@ -102,27 +103,23 @@ def partial_trace(state_or_rho, keep, layout: "RegisterLayout") -> np.ndarray:
             f"entries; cap is 2**{QUBIT_CAP}"
         )
     n = layout.total_qubits
-    keep_axes = sorted(layout.position(r) for r in keep)
-    trace_axes = [ax for ax in range(n) if ax not in keep_axes]
-    d_keep = 1 << len(keep_axes)
-
-    amps = getattr(state_or_rho, "amplitudes", None)
-    if amps is None:
-        arr = np.asarray(state_or_rho, dtype=np.complex128)
-        if arr.ndim == 1:
-            amps = arr
-    if amps is not None:
-        if amps.size != (1 << n):
-            raise ShapeError(f"state has {amps.size} amplitudes, layout wants {1 << n}")
-        psi = np.asarray(amps, dtype=np.complex128).reshape([2] * n)
-        # Kept axes first, then one matmul: rho = M M^dagger with
-        # M[kept, traced].  Only M (and its conjugate) is ever copied.
-        m = np.moveaxis(psi, keep_axes, range(len(keep_axes))).reshape(d_keep, -1)
-        return m @ m.conj().T
+    residual = getattr(state_or_rho, "residual", None)
+    if residual is not None:
+        return _pure_marginal(state_or_rho.rows, residual, keep, layout)
+    arr = np.asarray(state_or_rho, dtype=np.complex128)
+    if arr.ndim == 1:
+        if arr.size != (1 << n):
+            raise ShapeError(f"state has {arr.size} amplitudes, layout wants {1 << n}")
+        # every memory string as a row: (memory string, C, S, P)
+        table = arr.reshape(2, -1, 2, 2).transpose(1, 0, 2, 3)
+        return _pure_marginal(np.arange(table.shape[0]), table, keep, layout)
 
     rho = as_matrix(state_or_rho)
     if rho.shape[0] != (1 << n):
         raise ShapeError(f"density matrix dim {rho.shape[0]}, layout wants {1 << n}")
+    keep_axes = sorted(layout.position(r) for r in keep)
+    trace_axes = [ax for ax in range(n) if ax not in keep_axes]
+    d_keep = 1 << len(keep_axes)
     tensor = rho.reshape([2] * (2 * n))
     # Sublist einsum: traced ket/bra axes share a subscript, kept bra axes
     # get offset subscripts so they survive into the output.
@@ -131,6 +128,41 @@ def partial_trace(state_or_rho, keep, layout: "RegisterLayout") -> np.ndarray:
     out_subs = keep_axes + [ax + n for ax in keep_axes]
     reduced = np.einsum(tensor, ket_subs + bra_subs, out_subs)
     return reduced.reshape(d_keep, d_keep)
+
+
+def _pure_marginal(rows, residual, keep, layout: "RegisterLayout") -> np.ndarray:
+    """rho = M M^dagger with M[kept, traced] built from the populated rows only.
+
+    Each row's memory bits split into a kept part and a traced part; the
+    traced memory axis runs over the traced parts that occur, in
+    ascending order, so with every row populated M is exactly the dense
+    state's kept-axes-first reshape.
+    """
+    n = layout.n_memories
+    kept = [k for k in range(1, n + 1) if f"M{k}" in keep]
+    # x axes: C, traced memories, kept memories, S, P
+    if not kept:  # every memory is traced: each row is its own traced label
+        x = np.moveaxis(residual, 1, 0)[:, :, None]
+    else:
+        # move the kept bits out of each label, highest first, so the
+        # positions of the lower ones stay put
+        traced_mem = np.asarray(rows, dtype=np.int64)
+        kept_mem = np.zeros_like(traced_mem)
+        for k in kept:
+            pos = n - k
+            kept_mem = (kept_mem << 1) | ((traced_mem >> pos) & 1)
+            traced_mem = ((traced_mem >> (pos + 1)) << pos) | (traced_mem & ((1 << pos) - 1))
+        # column of each traced label among those that occur, in ascending order
+        present = np.zeros(1 << (n - len(kept)), dtype=bool)
+        present[traced_mem] = True
+        column = np.cumsum(present) - 1
+        x = np.zeros((2, column[-1] + 1, 1 << len(kept), 2, 2), dtype=np.complex128)
+        x[:, column[traced_mem], kept_mem] = np.moveaxis(residual, 1, 0)
+    x_axes = {"C": 0, "S": 3, "P": 4}
+    kept_axes = sorted([2] + [ax for r, ax in x_axes.items() if r in keep])
+    traced_axes = sorted([1] + [ax for r, ax in x_axes.items() if r not in keep])
+    m = x.transpose(kept_axes + traced_axes).reshape(1 << len(keep), -1)
+    return m @ m.conj().T
 
 
 def purity(rho) -> float:

@@ -6,23 +6,42 @@ slot in iteration order, then system, then policy.  ``format(i, "0Nb")``
 therefore prints a basis label in register order, so state dumps look
 exactly like ket strings.
 
-Every register is addressed one way: as an axis of the amplitude vector
-viewed as a ``[2] * n`` tensor, axis ``layout.position(name)``.  Gate
-application never materializes a global unitary: a controlled gate fixes
-the control axis and updates the target axis's two slices of that view
-in place.  The explicit Kronecker-built unitary exists only in the
-verification oracle.
+State layout (a branch table).  Memory registers are only ever CNOT
+targets of the control or controls themselves, so a state is stored as
+the sorted ``int64`` array ``rows`` of its populated memory strings (M1
+the most significant bit of each label) and an ``(len(rows), 2, 2, 2)``
+complex ``residual`` over (C, S, P): ``residual[i, c, s, p]`` is the
+amplitude of ``|c, rows[i], s, p>``.  A memory string whose amplitudes
+are all exactly zero has no row, so a canonical run holds two rows
+(0^k and 1^k) however many rounds it has.  Gates are 2x2 updates of
+two basic slices of an array axis, never a global unitary (the explicit
+Kronecker-built unitary exists only in the verification oracle):
 
-``run`` grows the state as the paper's machine does: it starts with no
-memory slots, and before round k it appends a fresh M_k in |0> as a new
-axis, so a round never touches amplitudes of slots that do not exist
-yet.  The final state is exactly the one the full layout would give.
+- a gate among C, S and P updates the residual's axes;
+- a gate with a memory control or target first expands the rows on that
+  memory's bit: rows that differ only in that bit become one entry of a
+  block with an explicit axis for the bit (an absent partner counts as
+  zero); the update runs on the block's axes, and collapsing the block
+  drops the rows left exactly zero.
+
+A round expands once, on its slot M_k, so its five gates (controlled-U,
+memory write, feedback, policy update, steering) are axis updates of
+one block: the write splits each row by C and the policy update fixes
+the M_k axis, exactly as on the dense tensor.  ``run`` grows the state
+as the paper's machine does: it starts with no memory slots, and round
+k appends M_k in |0> by shifting every row label left by one bit.  The
+final state is exactly the one the full layout would give.
+
+``StateVector.amplitudes`` is the dense ``2**total_qubits`` vector.  It
+is built on first use and cached (16 bytes per basis state, 16 MiB at
+the 20-qubit cap), for the verification oracle and the tests; ``run``
+and the report never build it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -111,42 +130,113 @@ def build_layout(n_iterations: int) -> RegisterLayout:
     )
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized global pure state over a register layout.
+# Axis of each non-memory register in the (rows, C, S, P) residual.
+_RESIDUAL_AXIS = {"C": 1, "S": 2, "P": 3}
 
-    ``consumed_slots`` records which memory slots have been used by
-    iterations; the engine refuses to run an iteration against a slot
-    that has already been consumed.
+
+def check_normalized(blocks: np.ndarray) -> None:
+    """Raise unless every row of the 2-D ``blocks`` is finite with unit norm."""
+    if not np.isfinite(blocks).all():
+        raise ValidationError("state contains non-finite amplitudes")
+    dev = np.abs(np.linalg.norm(blocks, axis=1) - 1.0)
+    if dev.size and dev.max() > DEFAULT_TOLERANCES.norm:
+        raise ValidationError(f"state norm deviates from 1 by {dev.max():.3e}")
+
+
+class StateVector:
+    """Normalized global pure state over a register layout, as a branch table.
+
+    Build it from a dense vector, ``StateVector(layout, amplitudes)``, or
+    from ``rows=`` and ``residual=`` (see the module docstring); either
+    way the state is checked once for finiteness and unit norm, and its
+    arrays are read-only.  ``consumed_slots`` records which memory slots
+    have been used by iterations; the engine refuses to run an iteration
+    against a slot that has already been consumed.
     """
 
-    layout: RegisterLayout
-    amplitudes: np.ndarray
-    consumed_slots: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ("layout", "rows", "residual", "consumed_slots", "_dense")
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", amps)
-        dim = 1 << self.layout.total_qubits
-        if amps.shape != (dim,):
-            raise ShapeError(f"expected {dim} amplitudes, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps)):
-            raise ValidationError("state contains non-finite amplitudes")
-        dev = abs(self.norm() - 1.0)
-        if dev > DEFAULT_TOLERANCES.norm:
-            raise ValidationError(f"state norm deviates from 1 by {dev:.3e}")
+    def __init__(
+        self,
+        layout: RegisterLayout,
+        amplitudes=None,
+        consumed_slots: frozenset[int] = frozenset(),
+        *,
+        rows=None,
+        residual=None,
+    ):
+        if amplitudes is not None and rows is None and residual is None:
+            rows, residual = _rows_of_dense(layout, amplitudes)
+        elif amplitudes is not None or rows is None or residual is None:
+            raise ValidationError("give either amplitudes, or rows and residual")
+        rows = np.asarray(rows, dtype=np.int64).view()
+        residual = np.asarray(residual, dtype=np.complex128).view()
+        if rows.ndim != 1 or residual.shape != (rows.size, 2, 2, 2):
+            raise ShapeError(
+                f"expected rows (r,) and residual (r, 2, 2, 2), got "
+                f"{rows.shape} and {residual.shape}"
+            )
+        if rows.size and (
+            rows[0] < 0
+            or rows[-1] >= 1 << layout.n_memories
+            or (rows[1:] <= rows[:-1]).any()
+        ):
+            raise ShapeError("rows must be distinct sorted memory strings of the layout")
+        check_normalized(residual.reshape(1, -1))
+        rows.flags.writeable = False
+        residual.flags.writeable = False
+        self.layout = layout
+        self.rows = rows
+        self.residual = residual
+        self.consumed_slots = frozenset(consumed_slots)
+        self._dense = None
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense, read-only amplitude vector, built on first use."""
+        if self._dense is None:
+            self._dense = _dense_view(self.layout, self.rows, self.residual)
+        return self._dense
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.residual))
 
     def probability(self, register: str, outcome: int) -> float:
         """Born weight of ``register`` reading ``outcome``."""
         if outcome not in (0, 1):
             raise ValidationError(f"outcome must be 0 or 1, got {outcome}")
-        n = self.layout.total_qubits
-        psi = self.amplitudes.reshape([2] * n)
-        sel = _axis_slice(n, {self.layout.position(register): outcome})
-        return float(np.sum(np.abs(psi[sel]) ** 2))
+        self.layout.position(register)
+        if register in _RESIDUAL_AXIS:
+            part = self.residual.take(outcome, axis=_RESIDUAL_AXIS[register])
+        else:
+            bit = _memory_bit(self.layout, register)
+            part = self.residual[((self.rows & bit) != 0) == bool(outcome)]
+        return float(np.sum(np.abs(part) ** 2))
+
+
+def _rows_of_dense(layout: RegisterLayout, amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """Populated rows and their residuals of a dense amplitude vector."""
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    dim = 1 << layout.total_qubits
+    if amps.shape != (dim,):
+        raise ShapeError(f"expected {dim} amplitudes, got shape {amps.shape}")
+    table = amps.reshape(2, -1, 4).transpose(1, 0, 2)  # (memory string, C, S and P)
+    rows = np.flatnonzero(np.any(table != 0, axis=(1, 2)))
+    return rows, table[rows].reshape(-1, 2, 2, 2)
+
+
+def _dense_view(layout: RegisterLayout, rows: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Read-only dense vector of a branch table; zero off its rows."""
+    if layout.total_qubits > QUBIT_CAP:
+        raise CapacityError(
+            f"a dense vector of {layout.total_qubits} qubits exceeds the "
+            f"2**{QUBIT_CAP} cap"
+        )
+    dense = np.zeros((2, 1 << layout.n_memories, 4), dtype=np.complex128)
+    dense[:, rows, :] = residual.reshape(-1, 2, 4).transpose(1, 0, 2)
+    flat = dense.reshape(-1)
+    flat.flags.writeable = False
+    return flat
 
 
 @dataclass(frozen=True)
@@ -228,63 +318,109 @@ class InitSpec:
                 )
 
 
-def _axis_slice(n_qubits: int, fixed: dict[int, int]) -> tuple:
-    """Basic index of the ``[2] * n_qubits`` view fixing ``{axis: value}``."""
-    return tuple(fixed.get(axis, slice(None)) for axis in range(n_qubits))
+def _memory_bit(layout: RegisterLayout, memory: str) -> int:
+    """The bit of memory register ``memory`` in a row label (M1 the highest)."""
+    return 1 << (layout.system - 1 - layout.position(memory))
 
 
 def _apply_gate(
-    amps: np.ndarray,
-    n_qubits: int,
-    target_axis: int,
-    gate: np.ndarray,
-    control_axis: int,
+    block: np.ndarray, target_axis: int, gate: np.ndarray, control_axis: int,
     control_value: int,
 ) -> None:
-    """In-place 2x2 update of the target axis where the control reads a value.
+    """In-place 2x2 update of the target axis where the control axis reads a value.
 
-    Views ``amps`` as a ``[2] * n_qubits`` tensor; fixing the control axis
-    to ``control_value`` and the target axis to 0 or 1 gives two basic
+    Fixing the control axis and the target axis to 0 or 1 gives two basic
     slices that pair amplitudes differing only in the target bit.  Both
-    slices are views, so the update writes straight into ``amps``, which
-    must therefore be C-contiguous (a fresh copy or kron product is).
+    slices are views, so the update writes straight into ``block``.
     """
-    psi = amps.reshape([2] * n_qubits)
-    lo = _axis_slice(n_qubits, {control_axis: control_value, target_axis: 0})
-    hi = _axis_slice(n_qubits, {control_axis: control_value, target_axis: 1})
-    a0, a1 = psi[lo], psi[hi]
+    index = [slice(None)] * block.ndim
+    index[control_axis], index[target_axis] = control_value, 0
+    lo = tuple(index)
+    index[target_axis] = 1
+    hi = tuple(index)
+    a0, a1 = block[lo], block[hi]
     new0 = gate[0, 0] * a0 + gate[0, 1] * a1
-    psi[hi] = gate[1, 0] * a0 + gate[1, 1] * a1
-    psi[lo] = new0
+    block[hi] = gate[1, 0] * a0 + gate[1, 1] * a1
+    block[lo] = new0
+
+
+def _controlled_pair(
+    block: np.ndarray, control_axis: int, target_axis: int, g0: GateSpec, g1: GateSpec
+) -> None:
+    """Apply g0/g1 to the target axis where the control axis reads 0/1; skip identities."""
+    for value, gate in ((0, g0), (1, g1)):
+        if not gate.is_identity:
+            _apply_gate(block, target_axis, gate.matrix(), control_axis, value)
+
+
+def _expand_rows(rows: np.ndarray, residual: np.ndarray, bits: list[int]):
+    """Rows grouped on some memory bits, each bit made an explicit axis.
+
+    Returns the sorted labels with those bits clear and a block of shape
+    ``(labels, 2, ..., 2, 2, 2, 2)``: one axis per bit, in the order
+    given, then C, S, P.  A combination with no row is zero.
+    """
+    low = rows & ~sum(bits)
+    labels = np.unique(low)
+    block = np.zeros((labels.size,) + (2,) * (len(bits) + 3), dtype=np.complex128)
+    index = [np.searchsorted(labels, low)]
+    index += [((rows & bit) != 0).astype(np.intp) for bit in bits]
+    block[tuple(index)] = residual
+    return labels, block
+
+
+def _collapse_rows(labels: np.ndarray, block: np.ndarray, bits: list[int]):
+    """Inverse of ``_expand_rows``: sorted rows, rows exactly zero dropped."""
+    offsets = np.zeros(1, dtype=np.int64)
+    for bit in bits:
+        offsets = (offsets[:, None] | np.array([0, bit], dtype=np.int64)).reshape(-1)
+    rows = (labels[:, None] | offsets).reshape(-1)
+    residual = block.reshape(-1, 2, 2, 2)
+    if (rows[1:] < rows[:-1]).any():
+        order = np.argsort(rows, kind="stable")
+        rows, residual = rows[order], residual[order]
+    keep = (residual != 0).any(axis=(1, 2, 3))
+    if keep.all():
+        return rows, residual
+    return rows[keep], residual[keep]
 
 
 def _controlled_update(
-    amps: np.ndarray, layout: RegisterLayout, control: str, target: str,
-    g0: GateSpec, g1: GateSpec,
-) -> None:
-    """Apply g0/g1 to ``target`` where ``control`` reads 0/1; skip identities."""
-    for value, gate in ((0, g0), (1, g1)):
-        if gate.is_identity:
-            continue
-        _apply_gate(
-            amps, layout.total_qubits, layout.position(target), gate.matrix(),
-            layout.position(control), value,
-        )
+    rows: np.ndarray, residual: np.ndarray, layout: RegisterLayout,
+    control: str, target: str, g0: GateSpec, g1: GateSpec,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply g0/g1 to ``target`` where ``control`` reads 0/1; skip identities.
+
+    Each memory register among the two becomes an axis of the block that
+    ``_expand_rows`` builds (none for a gate among C, S and P).  Returns
+    the rows and residual of the result; the inputs are not modified.
+    """
+    if g0.is_identity and g1.is_identity:
+        return rows, residual
+    memories = [r for r in (control, target) if r not in _RESIDUAL_AXIS]
+    axis = {r: 1 + i for i, r in enumerate(memories)}
+    axis.update((r, a + len(memories)) for r, a in _RESIDUAL_AXIS.items())
+    bits = [_memory_bit(layout, r) for r in memories]
+    labels, block = _expand_rows(rows, residual, bits)
+    _controlled_pair(block, axis[control], axis[target], g0, g1)
+    return _collapse_rows(labels, block, bits)
 
 
 def initialize(spec: InitSpec, layout: RegisterLayout) -> StateVector:
-    """Product-state preparation followed by the optional C->P wiring."""
+    """Product-state preparation followed by the optional C->P wiring.
+
+    Every memory slot starts in |0>, so the state is the single row 0.
+    """
     vec_c = np.array([spec.alpha, spec.beta], dtype=np.complex128)
-    vec_m = np.array([1, 0], dtype=np.complex128)
     vec_s = spec.system_init.matrix() @ np.array([1, 0], dtype=np.complex128)
     vec_p = np.array([spec.gamma, spec.delta], dtype=np.complex128)
-    amps = vec_c
-    for _ in range(layout.n_memories):
-        amps = np.kron(amps, vec_m)
-    amps = np.kron(np.kron(amps, vec_s), vec_p)
+    rows = np.zeros(1, dtype=np.int64)
+    residual = np.kron(np.kron(vec_c, vec_s), vec_p).reshape(1, 2, 2, 2)
     if spec.mode in ("correlated_c_to_p", "copy_c_to_p_from_zero"):
-        _controlled_update(amps, layout, "C", "P", IDENTITY, PAULI_X)
-    return StateVector(layout, amps)
+        rows, residual = _controlled_update(
+            rows, residual, layout, "C", "P", IDENTITY, PAULI_X
+        )
+    return StateVector(layout, rows=rows, residual=residual)
 
 
 def apply_controlled(
@@ -295,9 +431,12 @@ def apply_controlled(
         raise LayoutError(f"control and target are the same register {control!r}")
     state.layout.position(control)
     state.layout.position(target)
-    amps = state.amplitudes.copy()
-    _controlled_update(amps, state.layout, control, target, g0, g1)
-    return StateVector(state.layout, amps, state.consumed_slots)
+    rows, residual = _controlled_update(
+        state.rows, state.residual, state.layout, control, target, g0, g1
+    )
+    return StateVector(
+        state.layout, consumed_slots=state.consumed_slots, rows=rows, residual=residual
+    )
 
 
 def write_memory(state: StateVector, k: int) -> StateVector:
@@ -305,68 +444,76 @@ def write_memory(state: StateVector, k: int) -> StateVector:
     layout = state.layout
     if k < 1 or k > layout.n_memories:
         raise LayoutError(f"memory slot M{k} not in layout (1..{layout.n_memories})")
-    amps = state.amplitudes.copy()
-    _controlled_update(amps, layout, "C", f"M{k}", IDENTITY, PAULI_X)
-    return StateVector(layout, amps, state.consumed_slots)
+    rows, residual = _controlled_update(
+        state.rows, state.residual, layout, "C", f"M{k}", IDENTITY, PAULI_X
+    )
+    return StateVector(
+        layout, consumed_slots=state.consumed_slots, rows=rows, residual=residual
+    )
 
 
-def _iteration_core(state: StateVector, k: int, spec: IterationSpec) -> np.ndarray:
-    layout = state.layout
-    if k < 1 or k > layout.n_memories:
-        raise LayoutError(f"memory slot M{k} not in layout (1..{layout.n_memories})")
+# Axes of the block a round works on: (labels, M_k, C, S, P).
+_ROUND_AXIS = {"M": 1, "C": 2, "S": 3, "P": 4}
+
+
+def _round(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
+    """Round k on slot M_k; a layout ending at M_{k-1} first grows by M_k.
+
+    The round expands the rows on M_k's bit, so every gate of the round
+    is an axis update of one block; collapsing it drops the rows left
+    exactly zero.
+    """
+    layout, rows = state.layout, state.rows
+    if k == layout.n_memories + 1:
+        layout, rows = build_layout(k), rows << 1  # M_k in |0>: a new lowest bit
+    elif k < 1 or k > layout.n_memories:
+        raise LayoutError(
+            f"memory slot M{k} neither in layout (1..{layout.n_memories}) "
+            "nor the next slot"
+        )
     if k in state.consumed_slots:
         raise ValidationError(f"memory slot M{k} was already consumed by an iteration")
-    amps = state.amplitudes.copy()
+    bits = [_memory_bit(layout, f"M{k}")]
+    labels, block = _expand_rows(rows, state.residual, bits)
     # Order is load-bearing: feedback must see the policy state *before*
     # this round's policy update.
-    _controlled_update(amps, layout, "C", "S", spec.u0, spec.u1)
-    _controlled_update(amps, layout, "C", f"M{k}", IDENTITY, PAULI_X)
-    _controlled_update(amps, layout, "P", "S", spec.f0, spec.f1)
-    _controlled_update(amps, layout, f"M{k}", "P", spec.v0, spec.v1)
-    return amps
+    steps = [("C", "S", spec.u0, spec.u1), ("C", "M", IDENTITY, PAULI_X),
+             ("P", "S", spec.f0, spec.f1), ("M", "P", spec.v0, spec.v1)]
+    if spec.extended:
+        steps.append(("P", "C", spec.r0, spec.r1))
+    for control, target, g0, g1 in steps:
+        _controlled_pair(block, _ROUND_AXIS[control], _ROUND_AXIS[target], g0, g1)
+    rows, residual = _collapse_rows(labels, block, bits)
+    return StateVector(
+        layout, consumed_slots=state.consumed_slots | {k}, rows=rows, residual=residual
+    )
 
 
 def iterate(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
     """One canonical round: controlled-U, memory write, feedback, update."""
     if spec.extended:
         raise ModeError("spec carries an r pair; use iterate_extended")
-    amps = _iteration_core(state, k, spec)
-    return StateVector(state.layout, amps, state.consumed_slots | {k})
+    return _round(state, k, spec)
 
 
 def iterate_extended(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
     """Canonical round followed by policy-controlled steering of the control."""
     if not spec.extended:
         raise ModeError("spec has no r pair; use iterate for canonical rounds")
-    amps = _iteration_core(state, k, spec)
-    _controlled_update(amps, state.layout, "P", "C", spec.r0, spec.r1)
-    return StateVector(state.layout, amps, state.consumed_slots | {k})
-
-
-def _append_slot(state: StateVector) -> StateVector:
-    """The same state with one more memory slot, M_{n+1}, in |0>.
-
-    The new axis sits just before S, so in the ``(2 << n, 2, 4)`` view of
-    the grown amplitudes (C and M1..Mn, the new slot, then S and P) the
-    old amplitudes fill the new-slot-0 plane and the rest stays zero.
-    """
-    n = state.layout.n_memories
-    amps = np.zeros(2 << state.layout.total_qubits, dtype=np.complex128)
-    amps.reshape(2 << n, 2, 4)[:, 0, :] = state.amplitudes.reshape(2 << n, 4)
-    return StateVector(build_layout(n + 1), amps, state.consumed_slots)
+    return _round(state, k, spec)
 
 
 def run(scenario: "Scenario") -> StateVector:
-    """Initialize with no memory, then per round add slot M_k and run it.
+    """Initialize with no memory, then let round k append and use slot M_k.
 
     Growing the layout one slot per round gives exactly the amplitudes of
     folding every round over the full ``build_layout(n)`` state, whose
-    untouched slots would still read |0>, at a fraction of the work.
+    untouched slots would still read |0>, and each round validates the
+    state once.
     """
     state = initialize(scenario.init, build_layout(0))
     for k, spec in enumerate(scenario.iterations, start=1):
         step = iterate_extended if spec.extended else iterate
-        state = _append_slot(state)
         state = step(state, k, spec)
     return state
 
@@ -402,12 +549,15 @@ def measure_control(
         raise ProjectionError(
             f"outcome {outcome} has probability {prob:.3e}; cannot project"
         )
-    n = state.layout.total_qubits
-    amps = state.amplitudes.copy()
-    other = _axis_slice(n, {state.layout.position("C"): 1 - outcome})
-    amps.reshape([2] * n)[other] = 0.0
-    amps /= np.sqrt(prob)
-    return outcome, StateVector(state.layout, amps, state.consumed_slots), prob
+    keep = np.any(state.residual[:, outcome] != 0, axis=(1, 2))
+    residual = state.residual[keep]  # rows the projection zeroes are dropped
+    residual[:, 1 - outcome] = 0.0
+    residual /= np.sqrt(prob)
+    collapsed = StateVector(
+        state.layout, consumed_slots=state.consumed_slots,
+        rows=state.rows[keep], residual=residual,
+    )
+    return outcome, collapsed, prob
 
 
 def build_controlled_dilation(u0, u1, env_dims: Sequence[int]) -> np.ndarray:

@@ -90,7 +90,7 @@ def build_report(
                 total += entry.probability
                 branch_table[label] = {
                     "probability": _q(entry.probability),
-                    "substate": [_q_pair(z) for z in entry.substate.amplitudes],
+                    "substate": [_q_pair(z) for z in entry.amplitudes],
                 }
             dev = abs(total - 1.0)
             checks["branch_probability_sum"] = {

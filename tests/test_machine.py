@@ -1,8 +1,10 @@
+import io
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchsim import (
     CapacityError,
@@ -29,11 +31,17 @@ from branchsim import (
     rx,
     write_memory,
 )
+from branchsim import cli, machine
 from branchsim.gates import PAULI_X, PAULI_Z
-from branchsim.machine import StateVector
-from branchsim.verify import random_canonical_scenario, random_extended_scenario
+from branchsim.machine import INIT_MODES, StateVector
+from branchsim.scenario import AnalysisRequest, MeasureRequest, emit_scenario
+from branchsim.verify import (
+    random_canonical_scenario,
+    random_extended_scenario,
+    random_gate,
+)
 
-from oracles import controlled_matrix, haar_unitary, positions, random_pair
+from oracles import controlled_matrix, dense_fold, haar_unitary, positions, random_pair
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -381,6 +389,87 @@ def test_run_grown_state_equals_full_layout_fold_exactly():
         assert np.array_equal(grown.amplitudes, full.amplitudes), scenario.name
 
 
+_GATE_FIELDS = ("u0", "u1", "f0", "f1", "v0", "v1", "r0", "r1")
+
+
+@st.composite
+def _fold_scenarios(draw):
+    """Canonical or extended rounds, any init mode, some gates identity."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 6))
+    scenario = random_canonical_scenario(rng, n, draw(st.sampled_from(INIT_MODES)))
+    extended = draw(st.booleans())
+    rounds = []
+    for spec in scenario.iterations:
+        if extended:
+            spec = replace(spec, r0=random_gate(rng), r1=random_gate(rng))
+        fields = _GATE_FIELDS if extended else _GATE_FIELDS[:6]
+        skipped = draw(st.lists(st.sampled_from(fields), unique=True))
+        rounds.append(replace(spec, **{f: IDENTITY for f in skipped}))
+    return replace(scenario, iterations=tuple(rounds))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fold_scenarios())
+def test_run_equals_dense_tensor_axis_fold_exactly(scenario):
+    assert np.array_equal(run(scenario).amplitudes, dense_fold(scenario))
+
+
+def test_builtins_equal_dense_tensor_axis_fold_exactly():
+    for scenario in builtin_scenarios():
+        assert np.array_equal(run(scenario).amplitudes, dense_fold(scenario)), scenario.name
+
+
+def test_dense_amplitudes_round_trip_exactly():
+    rng = np.random.default_rng(17)
+    layout = build_layout(3)
+    single = np.zeros(64, dtype=complex)  # one populated memory string, 101
+    single.reshape(2, 8, 4)[:, 0b101, :] = haar_unitary(rng, 8)[:, 0].reshape(2, 4)
+    full = rng.normal(size=64) + 1j * rng.normal(size=64)
+    full /= np.linalg.norm(full)
+    for amps, n_rows in ((single, 1), (full, 8)):
+        state = StateVector(layout, amps)
+        assert state.rows.size == n_rows
+        assert np.array_equal(state.amplitudes, amps)
+        assert not state.amplitudes.flags.writeable
+
+
+def test_canonical_rounds_keep_two_rows():
+    rng = np.random.default_rng(19)
+    scenario = random_canonical_scenario(rng, 17)
+    state = initialize(scenario.init, build_layout(0))
+    for k, spec in enumerate(scenario.iterations, start=1):
+        state = iterate(state, k, spec)
+        assert state.rows.tolist() == [0, (1 << k) - 1]
+        assert state.residual.shape == (2, 2, 2, 2)
+
+
+def test_run_command_never_builds_the_dense_vector(tmp_path, monkeypatch):
+    rng = np.random.default_rng(23)
+    scenario = replace(
+        random_canonical_scenario(rng, 17),
+        analyses=(
+            AnalysisRequest("branches"), AnalysisRequest("marginal", ("M1",)),
+            AnalysisRequest("marginal", ("S",)), AnalysisRequest("outcome", ("S",)),
+            AnalysisRequest("separability", ("S",)),
+            AnalysisRequest("witness", ("C", "M1")),
+        ),
+        measure=MeasureRequest(seed=3),
+    )
+    path = tmp_path / "deep.json"
+    path.write_text(emit_scenario(scenario), encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("the dense vector was built")
+
+    monkeypatch.setattr(machine, "_dense_view", refuse)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["run", "--scenario", str(path)], stdout=out, stderr=err) == 0
+    report = out.getvalue()
+    assert f'"{"0" * 17}"' in report and f'"{"1" * 17}"' in report
+    assert err.getvalue() == ""
+
+
 # ---------------------------------------------------------------------------
 # measurement
 
@@ -398,6 +487,21 @@ def test_measure_control_on_ghz_collapses_to_basis_states():
     expected1[63] = 1
     np.testing.assert_allclose(collapsed1.amplitudes, expected1, atol=1e-12)
     assert abs(np.vdot(collapsed0.amplitudes, collapsed1.amplitudes)) < 1e-12
+
+
+def test_measure_control_drops_the_rows_it_zeroes():
+    rng = np.random.default_rng(29)
+    state = run(random_canonical_scenario(rng, 4))
+    assert state.rows.tolist() == [0b0000, 0b1111]
+    for outcome, row in ((0, 0b0000), (1, 0b1111)):
+        _, collapsed, _ = measure_control(state, 0, force=outcome)
+        assert collapsed.rows.tolist() == [row]
+        assert np.all(collapsed.residual[:, 1 - outcome] == 0)
+    # extended rounds steer C inside a row: the row survives either outcome
+    state = run(random_extended_scenario(rng, 2))
+    _, collapsed, _ = measure_control(state, 0, force=1)
+    kept = np.any(state.residual[:, 1] != 0, axis=(1, 2))
+    assert collapsed.rows.tolist() == state.rows[kept].tolist()
 
 
 def test_measure_control_deterministic_outcome_for_basis_control():
