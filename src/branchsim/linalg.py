@@ -85,10 +85,10 @@ def partial_trace(state_or_rho, keep, layout: "RegisterLayout") -> np.ndarray:
 
     Accepts a pure state (a StateVector's branch table, or a dense
     amplitude vector, read as a table with every row populated) or a
-    density matrix over the full layout.  The kept registers are ordered by their
-    layout position regardless of the order of ``keep``.  A result with
-    more than 2**QUBIT_CAP entries raises ``CapacityError`` before any
-    allocation.
+    density matrix over the full layout.  The kept registers are ordered
+    by their layout position regardless of the order of ``keep``.  A
+    result with more than 2**QUBIT_CAP entries raises ``CapacityError``
+    before any allocation.
     """
     names = layout.register_names()
     keep = set(keep)
