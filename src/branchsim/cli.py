@@ -8,6 +8,7 @@ listings go to stdout unless --out redirects them.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import BranchsimError, ParseError
@@ -81,6 +82,8 @@ def _parse_tolerances(pairs: list[str], keys: tuple[str, ...]) -> Tolerances:
             overrides[key] = float(value)
         except ValueError as exc:
             raise ParseError(f"bad tolerance value in {pair!r}") from exc
+        if not (math.isfinite(overrides[key]) and overrides[key] > 0):
+            raise ParseError(f"tolerance in {pair!r} must be finite and positive")
     return Tolerances(**overrides)
 
 

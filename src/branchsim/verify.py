@@ -1,9 +1,11 @@
 """Self-verification: golden scenario checks and randomized property checks.
 
-The oracle here is deliberately naive: controlled gates are materialized
-as explicit Kronecker-built global unitaries and applied by matrix
-arithmetic, never through the engine's tensor-axis kernels.  Agreement
-between the two routes is the core correctness check.
+The oracle here is deliberately naive: the initial state is a sum of
+Kronecker products of vectors, and controlled gates are materialized as
+explicit Kronecker-built global unitaries applied by matrix arithmetic,
+never through the engine's branch table.  Agreement between the two
+routes is the core correctness check.  The test suite imports this
+oracle, the one-round closed form and the random draws from here.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import analysis, machine
 from .errors import ValidationError
-from .gates import GateSpec, IDENTITY, raw_gate
+from .gates import GateSpec, IDENTITY, PAULI_X, raw_gate
 from .linalg import DEFAULT_TOLERANCES, Tolerances, kron, mat_mul
 from .machine import (
     InitSpec,
@@ -40,7 +42,6 @@ _PROJ = (
     np.array([[0, 0], [0, 1]], dtype=np.complex128),
 )
 _EYE2 = np.eye(2, dtype=np.complex128)
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -71,43 +72,55 @@ def controlled_unitary_matrix(
     return total
 
 
-def iteration_matrix(layout: RegisterLayout, k: int, spec: IterationSpec) -> np.ndarray:
-    """Explicit global unitary of one round: V . F . CNOT . U (plus R)."""
-    u = controlled_unitary_matrix(layout, "C", "S", spec.u0.matrix(), spec.u1.matrix())
-    cnot = controlled_unitary_matrix(layout, "C", f"M{k}", _EYE2, _X)
-    f = controlled_unitary_matrix(layout, "P", "S", spec.f0.matrix(), spec.f1.matrix())
-    v = controlled_unitary_matrix(layout, f"M{k}", "P", spec.v0.matrix(), spec.v1.matrix())
-    w = mat_mul(v, mat_mul(f, mat_mul(cnot, u)))
+def iteration_factors(layout: RegisterLayout, k: int, spec: IterationSpec):
+    """The global unitaries of round k, in order: U, CNOT, F, V, then R."""
+    gates = [("C", "S", spec.u0, spec.u1), ("C", f"M{k}", IDENTITY, PAULI_X),
+             ("P", "S", spec.f0, spec.f1), (f"M{k}", "P", spec.v0, spec.v1)]
     if spec.extended:
-        r = controlled_unitary_matrix(layout, "P", "C", spec.r0.matrix(), spec.r1.matrix())
-        w = mat_mul(r, w)
+        gates.append(("P", "C", spec.r0, spec.r1))
+    for control, target, g0, g1 in gates:
+        yield controlled_unitary_matrix(layout, control, target,
+                                        g0.matrix(), g1.matrix())
+
+
+def iteration_matrix(layout: RegisterLayout, k: int, spec: IterationSpec) -> np.ndarray:
+    """Explicit global unitary of one round: (R .) V . F . CNOT . U."""
+    factors = iteration_factors(layout, k, spec)
+    w = next(factors)
+    for factor in factors:
+        w = mat_mul(factor, w)
     return w
+
+
+def initial_vector(init: InitSpec, n_memories: int) -> np.ndarray:
+    """alpha|0>|0..0>|s>|p> + beta|1>|0..0>|s>|p'>, p' = X p in the wired modes,
+    built from Kronecker products of vectors, never by the engine's wiring."""
+    memory = np.zeros(1 << n_memories, dtype=np.complex128)
+    memory[0] = 1.0
+    s = init.system_init.matrix() @ np.array([1, 0], dtype=np.complex128)
+    p = np.array([init.gamma, init.delta], dtype=np.complex128)
+    p_prime = PAULI_X.matrix() @ p if init.mode != "uncorrelated" else p
+
+    def branch(c, p):
+        return np.kron(np.kron(np.kron(c, memory), s), p)
+
+    return branch([init.alpha, 0], p) + branch([0, init.beta], p_prime)
 
 
 def oracle_run(scenario: Scenario, compose: bool = True) -> np.ndarray:
     """Run a scenario by explicit global-matrix arithmetic.
 
-    With ``compose`` the four controlled factors are multiplied into one
-    iteration matrix first; otherwise they are applied to the vector one
-    factor at a time (same operator, cheaper at large sizes).
+    With ``compose`` each round's controlled factors are multiplied into
+    one iteration matrix first; otherwise they are applied to the vector
+    one factor at a time (same operator, cheaper at large sizes).
     """
     layout = build_layout(len(scenario.iterations))
-    amps = initialize(scenario.init, layout).amplitudes.copy()
+    amps = initial_vector(scenario.init, layout.n_memories)
     for k, spec in enumerate(scenario.iterations, start=1):
         if compose:
             amps = iteration_matrix(layout, k, spec) @ amps
             continue
-        factors = [
-            controlled_unitary_matrix(layout, "C", "S", spec.u0.matrix(), spec.u1.matrix()),
-            controlled_unitary_matrix(layout, "C", f"M{k}", _EYE2, _X),
-            controlled_unitary_matrix(layout, "P", "S", spec.f0.matrix(), spec.f1.matrix()),
-            controlled_unitary_matrix(layout, f"M{k}", "P", spec.v0.matrix(), spec.v1.matrix()),
-        ]
-        if spec.extended:
-            factors.append(
-                controlled_unitary_matrix(layout, "P", "C", spec.r0.matrix(), spec.r1.matrix())
-            )
-        for factor in factors:
+        for factor in iteration_factors(layout, k, spec):
             amps = factor @ amps
     return amps
 
@@ -193,8 +206,10 @@ def random_canonical_scenario(
                     iterations=iterations)
 
 
-def random_extended_scenario(rng: np.random.Generator, n_iterations: int) -> Scenario:
-    base = random_canonical_scenario(rng, n_iterations)
+def random_extended_scenario(
+    rng: np.random.Generator, n_iterations: int, mode: str | None = None
+) -> Scenario:
+    base = random_canonical_scenario(rng, n_iterations, mode)
     iterations = tuple(
         replace(it, r0=random_gate(rng), r1=random_gate(rng))
         for it in base.iterations

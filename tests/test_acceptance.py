@@ -2,8 +2,9 @@
 
 Each test prints a single PASS/FAIL line (visible with ``pytest -rA`` or
 ``-s``) in addition to its assertions.  Expected values are frozen from
-independent derivations; randomized criteria use brute-force oracles
-from ``oracles.py`` that never touch the engine's strided kernels.
+independent derivations; randomized criteria compare the engine with
+``branchsim.verify``'s Kronecker oracle and one-round closed form, which
+never touch the engine's branch table.
 """
 
 import math
@@ -15,52 +16,28 @@ import pytest
 
 from branchsim import (
     InitSpec,
-    IterationSpec,
-    Scenario,
     branch_decompose,
     builtin_scenario,
     measure_control,
     memory_marginal,
     no_cloning_witness,
     outcome_probability,
-    raw_gate,
     register_marginal,
     run,
     separability_check,
 )
-
-from oracles import expansion_oracle, haar_unitary, random_pair, run_oracle
+from branchsim.verify import (
+    expansion_one_iteration,
+    oracle_run,
+    random_amplitude_pair,
+    random_canonical_scenario,
+)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
 
 def _verdict(name: str, ok: bool) -> None:
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}")
-
-
-def _random_canonical(rng, n, mode=None):
-    alpha, beta = random_pair(rng)
-    if mode is None:
-        mode = ("uncorrelated", "correlated_c_to_p", "copy_c_to_p_from_zero")[
-            int(rng.integers(0, 3))
-        ]
-    if mode == "copy_c_to_p_from_zero":
-        gamma, delta = 1.0, 0.0
-    else:
-        gamma, delta = random_pair(rng)
-    return Scenario(
-        name="random",
-        init=InitSpec(alpha=alpha, beta=beta, gamma=gamma, delta=delta, mode=mode,
-                      system_init=raw_gate(haar_unitary(rng))),
-        iterations=tuple(
-            IterationSpec(
-                u0=raw_gate(haar_unitary(rng)), u1=raw_gate(haar_unitary(rng)),
-                f0=raw_gate(haar_unitary(rng)), f1=raw_gate(haar_unitary(rng)),
-                v0=raw_gate(haar_unitary(rng)), v1=raw_gate(haar_unitary(rng)),
-            )
-            for _ in range(n)
-        ),
-    )
 
 
 def test_criterion_1_pauli_flips_golden():
@@ -146,7 +123,7 @@ def test_criterion_4_reinforcement_golden():
     rng = np.random.default_rng(20260809)
     random_dev = 0.0
     for _ in range(20):
-        alpha, beta = random_pair(rng)
+        alpha, beta = random_amplitude_pair(rng)
         theta = float(rng.uniform(0, 2 * math.pi))
         scenario = replace(
             builtin_scenario("reinforce-two-step", reinforce_theta=theta),
@@ -173,9 +150,9 @@ def test_criterion_5_oracle_equivalence():
     start = time.perf_counter()
     dev = 0.0
     for _ in range(100):
-        scenario = _random_canonical(rng, int(rng.integers(1, 5)))
+        scenario = random_canonical_scenario(rng, int(rng.integers(1, 5)))
         engine = run(scenario).amplitudes
-        oracle = run_oracle(scenario)
+        oracle = oracle_run(scenario)
         dev = max(dev, float(np.max(np.abs(engine - oracle))))
     elapsed = time.perf_counter() - start
     ok = dev <= 1e-10 and elapsed < 30
@@ -188,9 +165,9 @@ def test_criterion_6_one_iteration_expansion():
     rng = np.random.default_rng(66)
     dev = 0.0
     for _ in range(20):
-        scenario = _random_canonical(rng, 1, mode="correlated_c_to_p")
+        scenario = random_canonical_scenario(rng, 1, mode="correlated_c_to_p")
         engine = run(scenario).amplitudes
-        oracle = expansion_oracle(scenario.init, scenario.iterations[0])
+        oracle = expansion_one_iteration(scenario.init, scenario.iterations[0])
         dev = max(dev, float(np.max(np.abs(engine - oracle))))
     ok = dev <= 1e-10
     _verdict("6 one-iteration expansion", ok)
@@ -204,7 +181,7 @@ def test_criterion_7_classicality_and_no_cloning():
     phase_dev = 0.0
     witness_ok = True
     for _ in range(50):
-        scenario = _random_canonical(rng, int(rng.integers(1, 4)))
+        scenario = random_canonical_scenario(rng, int(rng.integers(1, 4)))
         state = run(scenario)
         wa = abs(scenario.init.alpha) ** 2
         wb = abs(scenario.init.beta) ** 2

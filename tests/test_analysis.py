@@ -6,7 +6,6 @@ import pytest
 
 from branchsim import (
     InitSpec,
-    IterationSpec,
     LayoutError,
     Scenario,
     branch_decompose,
@@ -15,7 +14,6 @@ from branchsim import (
     memory_marginal,
     no_cloning_witness,
     outcome_probability,
-    raw_gate,
     register_marginal,
     run,
     separability_check,
@@ -24,26 +22,9 @@ from branchsim import (
     build_layout,
 )
 from branchsim.analysis import PRUNE_THRESHOLD
-
-from oracles import haar_unitary, random_pair
+from branchsim.verify import random_canonical_scenario
 
 INV_SQRT2 = 1 / math.sqrt(2)
-
-
-def _random_canonical(rng, n):
-    alpha, beta = random_pair(rng)
-    return Scenario(
-        name="rand",
-        init=InitSpec(alpha=alpha, beta=beta),
-        iterations=tuple(
-            IterationSpec(
-                u0=raw_gate(haar_unitary(rng)), u1=raw_gate(haar_unitary(rng)),
-                f0=raw_gate(haar_unitary(rng)), f1=raw_gate(haar_unitary(rng)),
-                v0=raw_gate(haar_unitary(rng)), v1=raw_gate(haar_unitary(rng)),
-            )
-            for _ in range(n)
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +73,7 @@ def test_branch_probabilities_match_joint_memory_marginal():
     rng = np.random.default_rng(21)
     for _ in range(5):
         n = int(rng.integers(1, 4))
-        state = run(_random_canonical(rng, n))
+        state = run(random_canonical_scenario(rng, n))
         table = branch_decompose(state)
         joint = register_marginal(state, {f"M{k}" for k in range(1, n + 1)})
         diag = np.real(np.diag(joint))
@@ -103,7 +84,7 @@ def test_branch_probabilities_match_joint_memory_marginal():
 
 def test_branch_reconstruction_reproduces_global_state():
     rng = np.random.default_rng(22)
-    state = run(_random_canonical(rng, 3))
+    state = run(random_canonical_scenario(rng, 3))
     table = branch_decompose(state)
     layout = state.layout
     rebuilt = np.zeros_like(state.amplitudes).reshape([2] * layout.total_qubits)
@@ -200,7 +181,7 @@ def test_outcome_probability_nofeedback_example():
 
 def test_outcome_probabilities_sum_to_one():
     rng = np.random.default_rng(23)
-    state = run(_random_canonical(rng, 2))
+    state = run(random_canonical_scenario(rng, 2))
     for reg in state.layout.register_names():
         total = outcome_probability(state, reg, 0) + outcome_probability(state, reg, 1)
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -253,14 +234,14 @@ def test_witness_same_register_rejected():
 def test_witness_entangled_after_any_balanced_canonical_run():
     rng = np.random.default_rng(24)
     for _ in range(5):
-        state = run(_random_canonical(rng, int(rng.integers(1, 4))))
+        state = run(random_canonical_scenario(rng, int(rng.integers(1, 4))))
         entangled, _ = no_cloning_witness(state, "C", "M1")
         assert entangled
 
 
 def test_memory_marginal_blind_to_control_phase():
     rng = np.random.default_rng(25)
-    scenario = _random_canonical(rng, 2)
+    scenario = random_canonical_scenario(rng, 2)
     t = rng.uniform(0, 2 * math.pi)
     shifted = replace(
         scenario,

@@ -148,6 +148,17 @@ def test_tolerance_the_command_does_not_read_is_rejected(capsys, argv, unread):
     assert unread in err and "norm" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["run", "--example", "pauli-flips"], "norm"),
+    (["verify", "--only", "golden"], "diagonality"),
+], ids=["run", "verify"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_tolerance_not_finite_and_positive_is_rejected(capsys, argv, key, value):
+    assert main(argv + ["--tolerance", f"{key}={value}"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "finite and positive" in err and "Traceback" not in err
+
+
 # Values a hand-edited or hostile scenario document might carry.
 _ODD_VALUES = st.one_of(
     st.sampled_from([

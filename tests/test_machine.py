@@ -31,17 +31,21 @@ from branchsim import (
     rx,
     write_memory,
 )
-from branchsim import cli, machine
+from branchsim import cli, machine, verify
 from branchsim.gates import PAULI_X, PAULI_Z
 from branchsim.machine import INIT_MODES, StateVector
 from branchsim.scenario import AnalysisRequest, MeasureRequest, emit_scenario
 from branchsim.verify import (
+    controlled_unitary_matrix,
+    expansion_one_iteration,
+    oracle_run,
+    random_amplitude_pair,
     random_canonical_scenario,
     random_extended_scenario,
-    random_gate,
+    random_unitary,
 )
 
-from oracles import controlled_matrix, dense_fold, haar_unitary, positions, random_pair
+from oracles import dense_fold
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -174,11 +178,11 @@ def test_apply_controlled_matches_kron_oracle_on_every_register_pair(control, ta
     rng = np.random.default_rng(11)
     amps = rng.normal(size=64) + 1j * rng.normal(size=64)
     amps /= np.linalg.norm(amps)
-    g0, g1 = haar_unitary(rng), haar_unitary(rng)
-    state = StateVector(build_layout(3), amps)
+    g0, g1 = random_unitary(rng), random_unitary(rng)
+    layout = build_layout(3)
+    state = StateVector(layout, amps)
     out = apply_controlled(state, control, target, raw_gate(g0), raw_gate(g1))
-    pos = positions(3)
-    expected = controlled_matrix(6, pos[control], pos[target], g0, g1) @ amps
+    expected = controlled_unitary_matrix(layout, control, target, g0, g1) @ amps
     np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
 
@@ -298,15 +302,9 @@ def test_iterate_extended_steers_control():
 
 
 def test_iterate_extended_with_identity_r_equals_iterate():
-    rng = np.random.default_rng(3)
-    layout = build_layout(1)
-    alpha, beta = random_pair(rng)
-    state = initialize(InitSpec(alpha=alpha, beta=beta), layout)
-    spec = IterationSpec(
-        u0=raw_gate(haar_unitary(rng)), u1=raw_gate(haar_unitary(rng)),
-        f0=raw_gate(haar_unitary(rng)), f1=raw_gate(haar_unitary(rng)),
-        v0=raw_gate(haar_unitary(rng)), v1=raw_gate(haar_unitary(rng)),
-    )
+    scenario = random_canonical_scenario(np.random.default_rng(3), 1)
+    state = initialize(scenario.init, build_layout(1))
+    spec = scenario.iterations[0]
     plain = iterate(state, 1, spec)
     wrapped = iterate_extended(state, 1, replace(spec, r0=IDENTITY, r1=IDENTITY))
     np.testing.assert_allclose(wrapped.amplitudes, plain.amplitudes, atol=1e-12)
@@ -337,6 +335,8 @@ def test_run_pauli_flips_reaches_ghz():
     expected = np.zeros(64, dtype=complex)
     expected[0] = expected[63] = INV_SQRT2
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+    oracle = oracle_run(builtin_scenario("pauli-flips"))
+    np.testing.assert_allclose(oracle, expected, rtol=0, atol=1e-12)
 
 
 def test_run_zero_iterations_returns_initialized_state():
@@ -357,6 +357,37 @@ def test_run_rotations_nofeedback_factors_system():
     expected[0b000010] = -1j * INV_SQRT2
     expected[0b111111] = +1j * INV_SQRT2
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+    oracle = oracle_run(builtin_scenario("rotations-nofeedback"))
+    np.testing.assert_allclose(oracle, expected, rtol=0, atol=1e-12)
+
+
+def test_oracle_composed_and_factor_by_factor_agree():
+    rng = np.random.default_rng(88)
+    for n in range(1, 5):
+        for scenario in (random_canonical_scenario(rng, n), random_extended_scenario(rng, n)):
+            stepped = oracle_run(scenario, compose=False)
+            assert np.max(np.abs(oracle_run(scenario) - stepped)) <= 1e-12
+
+
+def test_oracle_matches_one_round_closed_form():
+    rng = np.random.default_rng(89)
+    for _ in range(20):
+        scenario = random_canonical_scenario(rng, 1, mode="correlated_c_to_p")
+        closed = expansion_one_iteration(scenario.init, scenario.iterations[0])
+        assert np.max(np.abs(oracle_run(scenario) - closed)) <= 1e-10
+
+
+def test_oracle_never_calls_the_engine(monkeypatch):
+    rng = np.random.default_rng(90)
+    scenarios = [random_canonical_scenario(rng, 2, mode) for mode in INIT_MODES]
+    scenarios.append(random_extended_scenario(rng, 2))
+    engine = [run(scenario).amplitudes for scenario in scenarios]
+    monkeypatch.setattr(verify, "initialize", None)  # any call raises TypeError
+    for name in ("initialize", "StateVector", "_controlled_update", "_round"):
+        monkeypatch.setattr(machine, name, None)
+    for scenario, amps in zip(scenarios, engine):
+        for compose in (True, False):
+            assert np.max(np.abs(oracle_run(scenario, compose=compose) - amps)) <= 1e-10
 
 
 def test_run_marks_all_slots_consumed():
@@ -396,14 +427,13 @@ _GATE_FIELDS = ("u0", "u1", "f0", "f1", "v0", "v1", "r0", "r1")
 def _fold_scenarios(draw):
     """Canonical or extended rounds, any init mode, some gates identity."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(0, 6))
-    scenario = random_canonical_scenario(rng, n, draw(st.sampled_from(INIT_MODES)))
+    n, mode = draw(st.integers(0, 6)), draw(st.sampled_from(INIT_MODES))
     extended = draw(st.booleans())
+    build = random_extended_scenario if extended else random_canonical_scenario
+    scenario = build(rng, n, mode)
+    fields = _GATE_FIELDS if extended else _GATE_FIELDS[:6]
     rounds = []
     for spec in scenario.iterations:
-        if extended:
-            spec = replace(spec, r0=random_gate(rng), r1=random_gate(rng))
-        fields = _GATE_FIELDS if extended else _GATE_FIELDS[:6]
         skipped = draw(st.lists(st.sampled_from(fields), unique=True))
         rounds.append(replace(spec, **{f: IDENTITY for f in skipped}))
     return replace(scenario, iterations=tuple(rounds))
@@ -424,7 +454,7 @@ def test_dense_amplitudes_round_trip_exactly():
     rng = np.random.default_rng(17)
     layout = build_layout(3)
     single = np.zeros(64, dtype=complex)  # one populated memory string, 101
-    single.reshape(2, 8, 4)[:, 0b101, :] = haar_unitary(rng, 8)[:, 0].reshape(2, 4)
+    single.reshape(2, 8, 4)[:, 0b101, :] = random_unitary(rng, 8)[:, 0].reshape(2, 4)
     full = rng.normal(size=64) + 1j * rng.normal(size=64)
     full /= np.linalg.norm(full)
     for amps, n_rows in ((single, 1), (full, 8)):
@@ -566,10 +596,10 @@ def test_dilation_cnot_block_is_toffoli():
 
 def test_dilation_action_on_product_state():
     rng = np.random.default_rng(5)
-    u0, u1 = haar_unitary(rng, 4), haar_unitary(rng, 4)
+    u0, u1 = random_unitary(rng, 4), random_unitary(rng, 4)
     full = build_controlled_dilation(u0, u1, [2])
-    alpha, beta = random_pair(rng)
-    psi = haar_unitary(rng)[:, 0]
+    alpha, beta = random_amplitude_pair(rng)
+    psi = random_unitary(rng)[:, 0]
     env0 = np.array([1, 0], dtype=complex)
     se = np.kron(psi, env0)
     state = np.kron(np.array([alpha, beta]), se)
@@ -579,7 +609,7 @@ def test_dilation_action_on_product_state():
 
 def test_dilation_cross_blocks_exactly_zero():
     rng = np.random.default_rng(6)
-    out = build_controlled_dilation(haar_unitary(rng, 4), haar_unitary(rng, 4), [2])
+    out = build_controlled_dilation(random_unitary(rng, 4), random_unitary(rng, 4), [2])
     assert np.all(out[:4, 4:] == 0)
     assert np.all(out[4:, :4] == 0)
     from branchsim import check_unitary
@@ -622,19 +652,8 @@ def test_canonical_runs_only_populate_uniform_memory_strings():
     rng = np.random.default_rng(8)
     for _ in range(5):
         n = int(rng.integers(1, 4))
-        alpha, beta = random_pair(rng)
-        scenario = Scenario(
-            name="rand",
-            init=InitSpec(alpha=alpha, beta=beta),
-            iterations=tuple(
-                IterationSpec(
-                    u0=raw_gate(haar_unitary(rng)), u1=raw_gate(haar_unitary(rng)),
-                    f0=raw_gate(haar_unitary(rng)), f1=raw_gate(haar_unitary(rng)),
-                    v0=raw_gate(haar_unitary(rng)), v1=raw_gate(haar_unitary(rng)),
-                )
-                for _ in range(n)
-            ),
-        )
+        scenario = random_canonical_scenario(rng, n)
+        alpha, beta = scenario.init.alpha, scenario.init.beta
         state = run(scenario)
         psi = state.amplitudes.reshape([2] * state.layout.total_qubits)
         weights = np.abs(psi) ** 2

@@ -180,7 +180,7 @@ def test_rotations_feedback_probability():
 def test_scenario_round_trip_with_raw_gate_and_measure():
     from branchsim import InitSpec, IterationSpec, raw_gate
     from branchsim.scenario import AnalysisRequest, MeasureRequest
-    from oracles import haar_unitary
+    from branchsim.verify import random_unitary
 
     rng = np.random.default_rng(31)
     scenario = Scenario(
@@ -188,8 +188,8 @@ def test_scenario_round_trip_with_raw_gate_and_measure():
         init=InitSpec(alpha=0.6, beta=0.8j, gamma=0.8, delta=0.6,
                       mode="correlated_c_to_p"),
         iterations=(
-            IterationSpec(u0=raw_gate(haar_unitary(rng)),
-                          u1=raw_gate(haar_unitary(rng))),
+            IterationSpec(u0=raw_gate(random_unitary(rng)),
+                          u1=raw_gate(random_unitary(rng))),
         ),
         analyses=(
             AnalysisRequest("branches"),
