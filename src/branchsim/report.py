@@ -3,6 +3,10 @@
 All numbers are quantized to 12 significant digits at assembly time
 (values below 1e-12 in modulus collapse to 0), so emitted documents are
 byte-identical across runs and survive a parse round-trip unchanged.
+
+The branch table, nearly all of a large report, is quantized in one array
+pass and written by ``_table_text`` in the bytes of the indented
+``json.dumps``, which writes the rest and stays the format's definition.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -32,13 +38,15 @@ def _q(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _q_pair(z: complex) -> list[float]:
-    return [_q(z.real), _q(z.imag)]
-
-
-def _q_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_q_pair(complex(m[i, j])) for j in range(m.shape[1])]
-            for i in range(m.shape[0])]
+def _q_array(a) -> np.ndarray:
+    """``_q`` of every element of a real array, in one pass."""
+    a = np.asarray(a, dtype=np.float64)
+    text = "%.12g " * a.size % tuple(a.ravel().tolist())
+    if "n" in text:  # "%.12g" writes only nan and inf with an n
+        raise ValidationError("report values must be finite")
+    q = np.fromstring(text, sep=" ").reshape(a.shape)  # float()'s strtod
+    q[np.abs(a) < ZERO_FLOOR] = 0.0
+    return q
 
 
 @dataclass(frozen=True)
@@ -54,16 +62,9 @@ class RunReport:
     measurement: dict | None = None
 
     def to_document(self) -> dict:
-        doc = {
-            "scenario_name": self.scenario_name,
-            "final_norm": self.final_norm,
-            "branch_table": self.branch_table,
-            "marginals": self.marginals,
-            "probabilities": self.probabilities,
-            "checks": self.checks,
-        }
-        if self.measurement is not None:
-            doc["measurement"] = self.measurement
+        doc = dict(vars(self))
+        if self.measurement is None:
+            del doc["measurement"]
         return doc
 
 
@@ -84,14 +85,16 @@ def build_report(
 
     for request in scenario.analyses:
         if request.kind == "branches":
-            table = analysis.branch_decompose(state)
+            entries = analysis.branch_decompose(state).entries
+            probs = [e.probability for e in entries.values()]
             total = 0.0
-            for label, entry in table.entries.items():
-                total += entry.probability
-                branch_table[label] = {
-                    "probability": _q(entry.probability),
-                    "substate": [_q_pair(z) for z in entry.amplitudes],
-                }
+            for p in probs:
+                total += p
+            amps = np.array([e.amplitudes for e in entries.values()], np.complex128)
+            q = _q_array(np.concatenate([probs, amps.view(np.float64).ravel()]))
+            subs = q[len(probs):].reshape(*amps.shape, 2).tolist()
+            for label, p, sub in zip(entries, q[:len(probs)].tolist(), subs):
+                branch_table[label] = {"probability": p, "substate": sub}
             dev = abs(total - 1.0)
             checks["branch_probability_sum"] = {
                 "pass": dev <= tolerances.norm, "deviation": _q(dev)
@@ -103,7 +106,7 @@ def build_report(
             )
             marginals.append({
                 "register": rep.register,
-                "matrix": _q_matrix(rep.matrix),
+                "matrix": _q_array(np.dstack([rep.matrix.real, rep.matrix.imag])).tolist(),
                 "max_offdiag": _q(rep.max_offdiag),
                 "diagonal_probs": [_q(p) for p in rep.diagonal_probs],
             })
@@ -143,9 +146,40 @@ def build_report(
     )
 
 
+_PAIR = "\n        [\n          %r,\n          %r\n        ]"
+
+
+@lru_cache(maxsize=16)
+def _entry_format(n_pairs: int) -> str:
+    substate = "[" + ",".join([_PAIR] * n_pairs) + "\n      ]" if n_pairs else "[]"
+    return '    %s: {\n      "probability": %r,\n      "substate": ' + substate + "\n    }"
+
+
+def _table_text(table: dict) -> str:
+    """``json.dumps`` of a branch table at depth 1 of an indented document.
+
+    Numbers are finite floats or ints (``parse_report`` checks this), whose
+    ``%r`` is their ``json.dumps`` text; labels are escaped as it escapes them.
+    """
+    formats, args = [], []
+    for label in sorted(table):
+        entry = table[label]
+        formats.append(_entry_format(len(entry["substate"])))
+        args += (encode_basestring_ascii(label), entry["probability"])
+        for pair in entry["substate"]:
+            args += pair
+    return "{\n" + ",\n".join(formats) % tuple(args) + "\n  }" if table else "{}"
+
+
 def emit_report(report: RunReport) -> str:
-    """Deterministic serialization: sorted keys, 12 significant digits."""
-    return json.dumps(report.to_document(), indent=2, sort_keys=True)
+    """The bytes of ``json.dumps(report.to_document(), indent=2, sort_keys=True)``."""
+    doc = report.to_document()
+    table = _table_text(doc.pop("branch_table"))  # the first key in sorted order
+    return '{\n  "branch_table": ' + table + "," + json.dumps(doc, indent=2, sort_keys=True)[1:]
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float) and x - x == 0  # not bool, nan or inf
 
 
 def parse_report(text: str) -> RunReport:
@@ -153,16 +187,17 @@ def parse_report(text: str) -> RunReport:
     doc = load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("report document must be a JSON object")
-    for field in ("scenario_name", "final_norm", "branch_table", "marginals",
-                  "probabilities", "checks"):
+    fields = ("scenario_name", "final_norm", "branch_table", "marginals",
+              "probabilities", "checks")
+    for field in fields:
         if field not in doc:
             raise ParseError(f"missing required field {field!r}")
-    return RunReport(
-        scenario_name=doc["scenario_name"],
-        final_norm=doc["final_norm"],
-        branch_table=doc["branch_table"],
-        marginals=doc["marginals"],
-        probabilities=doc["probabilities"],
-        checks=doc["checks"],
-        measurement=doc.get("measurement"),
-    )
+    table = doc["branch_table"]
+    if not isinstance(table, dict) or not all(
+            isinstance(e, dict) and e.keys() == {"probability", "substate"}
+            and _is_number(e["probability"]) and isinstance(e["substate"], list)
+            and all(isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
+                    for p in e["substate"]) for e in table.values()):
+        raise ParseError("entries must be {probability: x, substate: [[x, x], ...]}"
+                         " with finite numbers x", "branch_table")
+    return RunReport(**{f: doc[f] for f in fields}, measurement=doc.get("measurement"))

@@ -218,9 +218,14 @@ def random_extended_scenario(
 
 
 # ---------------------------------------------------------------------------
-# Individual checks.  Each returns (max deviation, tolerance); a check
-# passes when deviation <= tolerance.  Boolean conditions map to 0/1
-# deviations against a 0.5 tolerance.
+# Individual checks return (max deviation, tolerance) and pass when deviation
+# <= tolerance: 1.0 for deviations divided by their own, _BOOL_TOL for 0/1 ones.
+
+_TOL = 1e-10  # amplitudes, probabilities, oracle and closed-form agreement
+_LOOSE_TOL = 1e-9  # purity and the feedback outcome probability
+_TIGHT_TOL = 1e-12  # results equal up to rounding: phase blindness, identity R
+_BOOL_TOL = 0.5
+
 
 def _bool_dev(condition: bool) -> float:
     return 0.0 if condition else 1.0
@@ -231,37 +236,37 @@ def _check_golden_pauli_flips(rng, tol: Tolerances):
     expected = np.zeros(64, dtype=np.complex128)
     expected[0] = expected[63] = _INV_SQRT2
     infidelity = 1.0 - abs(np.vdot(expected, state.amplitudes)) ** 2
-    dev = max(infidelity / 1e-10, 0.0)
+    dev = max(infidelity / _TOL, 0.0)
     for k in (1, 2, 3):
         rep = analysis.memory_marginal(state, k)
         dev = max(dev, rep.max_offdiag / tol.diagonality)
-        dev = max(dev, max(abs(p - 0.5) for p in rep.diagonal_probs) / 1e-10)
+        dev = max(dev, max(abs(p - 0.5) for p in rep.diagonal_probs) / _TOL)
     return dev, 1.0
 
 
 def _check_golden_rotations_nofeedback(rng, tol: Tolerances):
     state = machine.run(builtin_scenario("rotations-nofeedback"))
-    dev = abs(analysis.outcome_probability(state, "S", 1) - 1.0) / 1e-10
+    dev = abs(analysis.outcome_probability(state, "S", 1) - 1.0) / _TOL
     _, pur = analysis.separability_check(state, "S")
-    dev = max(dev, abs(pur - 1.0) / 1e-9)
+    dev = max(dev, abs(pur - 1.0) / _LOOSE_TOL)
     expected = np.zeros(64, dtype=np.complex128)
     expected[0b000010] = -1j * _INV_SQRT2
     expected[0b111111] = +1j * _INV_SQRT2
-    dev = max(dev, float(np.max(np.abs(state.amplitudes - expected))) / 1e-10)
+    dev = max(dev, float(np.max(np.abs(state.amplitudes - expected))) / _TOL)
     return dev, 1.0
 
 
 def _check_golden_rotations_feedback(rng, tol: Tolerances):
     state = machine.run(builtin_scenario("rotations-feedback"))
     expected_p = (2.0 + math.sqrt(2.0)) / 4.0
-    dev = abs(analysis.outcome_probability(state, "S", 1) - expected_p) / 1e-9
+    dev = abs(analysis.outcome_probability(state, "S", 1) - expected_p) / _LOOSE_TOL
     table = analysis.branch_decompose(state)
     c, s = math.cos(5 * math.pi / 8), math.sin(5 * math.pi / 8)
     # substates are over (C, S, P); P follows C on each branch
     sub0 = table.entries["000"].substate.amplitudes
     sub1 = table.entries["111"].substate.amplitudes
-    dev = max(dev, abs(sub0[0b000] - c) / 1e-10, abs(sub0[0b010] - (-1j * s)) / 1e-10)
-    dev = max(dev, abs(sub1[0b101] - c) / 1e-10, abs(sub1[0b111] - (+1j * s)) / 1e-10)
+    dev = max(dev, abs(sub0[0b000] - c) / _TOL, abs(sub0[0b010] - (-1j * s)) / _TOL)
+    dev = max(dev, abs(sub1[0b101] - c) / _TOL, abs(sub1[0b111] - (+1j * s)) / _TOL)
     _, pur = analysis.separability_check(state, "S")
     dev = max(dev, _bool_dev(pur < 1.0 - 1e-3) * 2.0)
     return dev, 1.0
@@ -273,7 +278,7 @@ def _check_golden_reinforce_two_step(rng, tol: Tolerances):
     expected = {"00": 0.5, "10": 0.25, "11": 0.25}
     dev = _bool_dev(set(probs) == set(expected)) * 2.0
     for label, p in expected.items():
-        dev = max(dev, abs(probs.get(label, 0.0) - p) / 1e-10)
+        dev = max(dev, abs(probs.get(label, 0.0) - p) / _TOL)
     return dev, 1.0
 
 
@@ -288,7 +293,7 @@ def _check_oracle_equivalence(rng, tol: Tolerances):
         scenario = random_extended_scenario(rng, n)
         engine = machine.run(scenario).amplitudes
         dev = max(dev, float(np.max(np.abs(engine - oracle_run(scenario, compose=False)))))
-    return dev, 1e-10
+    return dev, _TOL
 
 
 def _check_symbolic_expansion(rng, tol: Tolerances):
@@ -298,7 +303,7 @@ def _check_symbolic_expansion(rng, tol: Tolerances):
         engine = machine.run(scenario).amplitudes
         oracle = expansion_one_iteration(scenario.init, scenario.iterations[0])
         dev = max(dev, float(np.max(np.abs(engine - oracle))))
-    return dev, 1e-10
+    return dev, _TOL
 
 
 def _check_marginal_diagonality(rng, tol: Tolerances):
@@ -311,8 +316,8 @@ def _check_marginal_diagonality(rng, tol: Tolerances):
         for k in range(1, len(scenario.iterations) + 1):
             rep = analysis.memory_marginal(state, k)
             dev = max(dev, rep.max_offdiag / tol.diagonality)
-            dev = max(dev, abs(rep.diagonal_probs[0] - wa) / 1e-10)
-            dev = max(dev, abs(rep.diagonal_probs[1] - wb) / 1e-10)
+            dev = max(dev, abs(rep.diagonal_probs[0] - wa) / _TOL)
+            dev = max(dev, abs(rep.diagonal_probs[1] - wb) / _TOL)
     return dev, 1.0
 
 
@@ -330,7 +335,7 @@ def _check_phase_blindness(rng, tol: Tolerances):
             m1 = analysis.memory_marginal(base_state, k).matrix
             m2 = analysis.memory_marginal(shifted_state, k).matrix
             dev = max(dev, float(np.max(np.abs(m1 - m2))))
-    return dev, 1e-12
+    return dev, _TIGHT_TOL
 
 
 def _check_no_cloning(rng, tol: Tolerances):
@@ -340,7 +345,7 @@ def _check_no_cloning(rng, tol: Tolerances):
         state = machine.run(scenario)
         entangled, _ = analysis.no_cloning_witness(state, "C", "M1")
         dev = max(dev, _bool_dev(entangled))
-    return dev, 0.5
+    return dev, _BOOL_TOL
 
 
 def _check_branch_conservation(rng, tol: Tolerances):
@@ -372,7 +377,7 @@ def _check_branch_conservation(rng, tol: Tolerances):
         diag = np.real(np.diag(joint))
         for label, p in table.probabilities().items():
             dev = max(dev, abs(p - diag[int(label, 2)]))
-    return dev, 1e-10
+    return dev, _TOL
 
 
 def _check_norm_preservation(rng, tol: Tolerances):
@@ -401,7 +406,7 @@ def _check_extended_identity(rng, tol: Tolerances):
             state, 1, replace(spec, r0=IDENTITY, r1=IDENTITY)
         )
         dev = max(dev, float(np.max(np.abs(plain.amplitudes - wrapped.amplitudes))))
-    return dev, 1e-12
+    return dev, _TIGHT_TOL
 
 
 def _check_measurement(rng, tol: Tolerances):
@@ -417,7 +422,7 @@ def _check_measurement(rng, tol: Tolerances):
         first = measure_control(state, seed)[0]
         second = measure_control(state, seed)[0]
         dev = max(dev, _bool_dev(first == second))
-    return dev, 1e-10
+    return dev, _TOL
 
 
 def _check_dilation_blocks(rng, tol: Tolerances):
@@ -437,7 +442,7 @@ def _check_dilation_blocks(rng, tol: Tolerances):
         product = np.kron(np.array([alpha, beta]), se)
         expected = np.concatenate([alpha * (u0 @ se), beta * (u1 @ se)])
         dev = max(dev, float(np.max(np.abs(full @ product - expected))))
-    return dev, 1e-10
+    return dev, _TOL
 
 
 def _check_canonical_branch_support(rng, tol: Tolerances):
@@ -449,7 +454,7 @@ def _check_canonical_branch_support(rng, tol: Tolerances):
         dev = max(dev, _bool_dev(set(probs) <= {"0" * n, "1" * n}))
         dev = max(dev, abs(probs.get("0" * n, 0.0) - abs(scenario.init.alpha) ** 2))
         dev = max(dev, abs(probs.get("1" * n, 0.0) - abs(scenario.init.beta) ** 2))
-    return dev, 1e-10
+    return dev, _TOL
 
 
 CHECKS: dict[str, Callable] = {
