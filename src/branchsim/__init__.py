@@ -33,8 +33,6 @@ from .gates import GateSpec, IDENTITY, raw_gate, real_rotation, rx, ry, rz
 from .linalg import (
     Tolerances,
     check_unitary,
-    kron,
-    mat_mul,
     partial_trace,
     purity,
 )
@@ -103,8 +101,6 @@ __all__ = [
     "initialize",
     "iterate",
     "iterate_extended",
-    "kron",
-    "mat_mul",
     "measure_control",
     "memory_marginal",
     "no_cloning_witness",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import LayoutError, ValidationError
 from .linalg import partial_trace, purity, validate_density_matrix
-from .machine import RegisterLayout, StateVector, check_normalized
+from .machine import StateVector, build_layout, check_normalized
 
 # Branch entries below this weight are floating-point dust and omitted.
 PRUNE_THRESHOLD = 1e-12
@@ -22,9 +22,7 @@ PRUNE_THRESHOLD = 1e-12
 # Marginal purity at or above this counts as pure / separable.
 PURITY_ONE = 1.0 - 1e-9
 
-_RESIDUAL_LAYOUT = RegisterLayout(
-    control=0, memories=(), system=1, policy=2, total_qubits=3
-)
+_RESIDUAL_LAYOUT = build_layout(0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ def memory_marginal(state: StateVector, k: int) -> MarginalReport:
 
 def register_marginal(state: StateVector, regs) -> np.ndarray:
     """Reduced density matrix over ``regs``, ordered by layout position."""
-    return validate_density_matrix(partial_trace(state, regs, state.layout))
+    return validate_density_matrix(partial_trace(state, regs))
 
 
 def outcome_probability(state: StateVector, register: str, outcome: int) -> float:

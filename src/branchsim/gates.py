@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DEFAULT_TOLERANCES, unitarity_deviation
+from .linalg import UNITARITY_TOL, unitarity_deviation
 
 _FIXED = {
     "identity": np.eye(2, dtype=np.complex128),
@@ -83,7 +83,7 @@ class GateSpec:
             if m.shape != (2, 2):
                 raise ValidationError(f"raw gate must be 2x2, got {m.shape}")
             dev = unitarity_deviation(m)
-            if dev > DEFAULT_TOLERANCES.unitarity:
+            if dev > UNITARITY_TOL:
                 raise ValidationError(f"raw gate is not unitary (deviation {dev:.3e})")
             return m
         a = float(self.angle)

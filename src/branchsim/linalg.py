@@ -1,9 +1,10 @@
-"""Dense complex linear algebra primitives shared by the simulator.
+"""Small dense linear algebra shared by the simulator: unitarity and
+density-matrix checks, purity, and the partial trace of a StateVector.
 
 Matrices are row-major ``complex128`` arrays.  Tensor ordering is
 most-significant-first: the left Kronecker factor owns the high bits of
 the composite index, so basis indices print as ket strings read left to
-right.
+right.  Kronecker products are ``np.kron`` and matrix products ``@``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import CapacityError, LayoutError, ShapeError, ValidationError
 
 if TYPE_CHECKING:
-    from .machine import RegisterLayout
+    from .machine import StateVector
 
 # Global cap on composite dimension: no object may exceed 2**QUBIT_CAP.
 QUBIT_CAP = 20
@@ -25,13 +26,17 @@ QUBIT_CAP = 20
 EIGENVALUE_FLOOR = -1e-9
 
 
+# Fixed bounds on max |m†m - I| of a unitary and max |rho - rho†| of a
+# density matrix; no command takes another value.
+UNITARITY_TOL = 1e-9
+HERMITICITY_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances used by validators and the verify suite."""
+    """The tolerances a command may override with ``--tolerance``."""
 
-    unitarity: float = 1e-9
     norm: float = 1e-10
-    hermiticity: float = 1e-10
     diagonality: float = 1e-12
 
 
@@ -48,26 +53,7 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def kron(a, b, cap_qubits: int = QUBIT_CAP) -> np.ndarray:
-    """Kronecker product with ``a`` owning the most significant block."""
-    a, b = as_matrix(a), as_matrix(b)
-    dim = a.shape[0] * b.shape[0]
-    if dim > (1 << cap_qubits):
-        raise CapacityError(
-            f"kron result dimension {dim} exceeds the 2**{cap_qubits} cap"
-        )
-    return np.kron(a, b)
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product of two equally sized square matrices."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def check_unitary(m, tol: float = DEFAULT_TOLERANCES.unitarity) -> bool:
+def check_unitary(m, tol: float = UNITARITY_TOL) -> bool:
     """True iff max |m†m - I| <= tol."""
     m = as_matrix(m)
     dev = unitarity_deviation(m)
@@ -80,21 +66,20 @@ def unitarity_deviation(m) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
-def partial_trace(state_or_rho, keep, layout: "RegisterLayout") -> np.ndarray:
-    """Reduced density matrix over ``keep`` registers, in layout order.
+def partial_trace(state: "StateVector", keep) -> np.ndarray:
+    """Reduced density matrix of a StateVector over ``keep`` registers.
 
-    Accepts a pure state (a StateVector's branch table, or a dense
-    amplitude vector, read as a table with every row populated) or a
-    density matrix over the full layout.  The kept registers are ordered
-    by their layout position regardless of the order of ``keep``.  A
-    result with more than 2**QUBIT_CAP entries raises ``CapacityError``
-    before any allocation.
+    The registers are those of ``state.layout``, and the kept ones are
+    ordered by their layout position regardless of the order of
+    ``keep``.  Only the state's populated rows are read.  A result with
+    more than 2**QUBIT_CAP entries raises ``CapacityError`` before any
+    allocation.
     """
-    names = layout.register_names()
+    layout = state.layout
     keep = set(keep)
     if not keep:
         raise LayoutError("keep set must be non-empty")
-    unknown = keep - set(names)
+    unknown = keep - set(layout.register_names())
     if unknown:
         raise LayoutError(f"unknown register id(s): {sorted(unknown)}")
     if 4 ** len(keep) > (1 << QUBIT_CAP):
@@ -102,42 +87,12 @@ def partial_trace(state_or_rho, keep, layout: "RegisterLayout") -> np.ndarray:
             f"marginal over {len(keep)} registers has {4 ** len(keep)} "
             f"entries; cap is 2**{QUBIT_CAP}"
         )
-    n = layout.total_qubits
-    residual = getattr(state_or_rho, "residual", None)
-    if residual is not None:
-        return _pure_marginal(state_or_rho.rows, residual, keep, layout)
-    arr = np.asarray(state_or_rho, dtype=np.complex128)
-    if arr.ndim == 1:
-        if arr.size != (1 << n):
-            raise ShapeError(f"state has {arr.size} amplitudes, layout wants {1 << n}")
-        # every memory string as a row: (memory string, C, S, P)
-        table = arr.reshape(2, -1, 2, 2).transpose(1, 0, 2, 3)
-        return _pure_marginal(np.arange(table.shape[0]), table, keep, layout)
-
-    rho = as_matrix(state_or_rho)
-    if rho.shape[0] != (1 << n):
-        raise ShapeError(f"density matrix dim {rho.shape[0]}, layout wants {1 << n}")
-    keep_axes = sorted(layout.position(r) for r in keep)
-    trace_axes = [ax for ax in range(n) if ax not in keep_axes]
-    d_keep = 1 << len(keep_axes)
-    tensor = rho.reshape([2] * (2 * n))
-    # Sublist einsum: traced ket/bra axes share a subscript, kept bra axes
-    # get offset subscripts so they survive into the output.
-    ket_subs = list(range(n))
-    bra_subs = [ax if ax in trace_axes else ax + n for ax in range(n)]
-    out_subs = keep_axes + [ax + n for ax in keep_axes]
-    reduced = np.einsum(tensor, ket_subs + bra_subs, out_subs)
-    return reduced.reshape(d_keep, d_keep)
-
-
-def _pure_marginal(rows, residual, keep, layout: "RegisterLayout") -> np.ndarray:
-    """rho = M M^dagger with M[kept, traced] built from the populated rows only.
-
-    Each row's memory bits split into a kept part and a traced part; the
-    traced memory axis runs over the traced parts that occur, in
-    ascending order, so with every row populated M is exactly the dense
-    state's kept-axes-first reshape.
-    """
+    # rho = M M^dagger with M[kept, traced] built from the populated rows
+    # only.  Each row's memory bits split into a kept part and a traced
+    # part; the traced memory axis runs over the traced parts that occur,
+    # in ascending order, so with every row populated M is exactly the
+    # dense state's kept-axes-first reshape.
+    residual = state.residual
     n = layout.n_memories
     kept = [k for k in range(1, n + 1) if f"M{k}" in keep]
     # x axes: C, traced memories, kept memories, S, P
@@ -146,7 +101,7 @@ def _pure_marginal(rows, residual, keep, layout: "RegisterLayout") -> np.ndarray
     else:
         # move the kept bits out of each label, highest first, so the
         # positions of the lower ones stay put
-        traced_mem = np.asarray(rows, dtype=np.int64)
+        traced_mem = state.rows
         kept_mem = np.zeros_like(traced_mem)
         for k in kept:
             pos = n - k
@@ -192,7 +147,7 @@ def validate_density_matrix(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nda
     """Enforce Hermiticity, unit trace, and the eigenvalue floor."""
     rho = as_matrix(rho)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > tol.hermiticity:
+    if herm > HERMITICITY_TOL:
         raise ValidationError(f"not Hermitian: max asymmetry {herm:.3e}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > tol.norm:

@@ -70,30 +70,27 @@ INIT_MODES = ("uncorrelated", "correlated_c_to_p", "copy_c_to_p_from_zero")
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Bit positions (0 = most significant) for the named registers."""
+    """Registers C, M1..Mn, S, P at bit positions 0..n+2 (0 = most significant)."""
 
-    control: int
-    memories: tuple[int, ...]
-    system: int
-    policy: int
-    total_qubits: int
+    n_memories: int
 
-    def __post_init__(self):
-        positions = (self.control, *self.memories, self.system, self.policy)
-        if len(set(positions)) != len(positions):
-            raise LayoutError("register positions must be distinct")
-        if any(p < 0 or p >= self.total_qubits for p in positions):
-            raise LayoutError("register position outside the layout")
-        if self.total_qubits != 3 + len(self.memories):
-            raise LayoutError("total_qubits must equal 3 + memory slots")
-        if list(positions) != sorted(positions):
-            raise LayoutError(
-                "registers must run C, M1..Mn, S, P from the most significant bit"
-            )
+    control = 0  # a class constant, not a field: C is always the top bit
 
     @property
-    def n_memories(self) -> int:
-        return len(self.memories)
+    def memories(self) -> tuple[int, ...]:
+        return tuple(range(1, self.n_memories + 1))
+
+    @property
+    def system(self) -> int:
+        return self.n_memories + 1
+
+    @property
+    def policy(self) -> int:
+        return self.n_memories + 2
+
+    @property
+    def total_qubits(self) -> int:
+        return self.n_memories + 3
 
     def register_names(self) -> tuple[str, ...]:
         mems = tuple(f"M{k}" for k in range(1, self.n_memories + 1))
@@ -109,7 +106,7 @@ class RegisterLayout:
         if name.startswith("M") and name[1:].isdigit():
             k = int(name[1:])
             if 1 <= k <= self.n_memories:
-                return self.memories[k - 1]
+                return k
         raise LayoutError(f"unknown register id {name!r}")
 
 
@@ -120,14 +117,7 @@ def build_layout(n_iterations: int) -> RegisterLayout:
             f"{n_iterations} iterations needs {n_iterations + 3} qubits; "
             f"cap is {QUBIT_CAP}"
         )
-    n = n_iterations
-    return RegisterLayout(
-        control=0,
-        memories=tuple(range(1, n + 1)),
-        system=n + 1,
-        policy=n + 2,
-        total_qubits=n + 3,
-    )
+    return RegisterLayout(n_iterations)
 
 
 # Axis of each non-memory register in the (rows, C, S, P) residual.

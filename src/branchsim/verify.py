@@ -17,9 +17,9 @@ from typing import Callable
 import numpy as np
 
 from . import analysis, machine
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .gates import GateSpec, IDENTITY, PAULI_X, raw_gate
-from .linalg import DEFAULT_TOLERANCES, Tolerances, kron, mat_mul
+from .linalg import DEFAULT_TOLERANCES, QUBIT_CAP, Tolerances
 from .machine import (
     InitSpec,
     IterationSpec,
@@ -53,12 +53,21 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Oracle construction (global matrices built with kron / mat_mul only)
+# Oracle construction (global matrices built with np.kron and @ only)
 
 def controlled_unitary_matrix(
     layout: RegisterLayout, control: str, target: str, g0: np.ndarray, g1: np.ndarray
 ) -> np.ndarray:
-    """Sum over control values of projector (x) gate (x) identities."""
+    """Sum over control values of projector (x) gate (x) identities.
+
+    The matrix has 4**total_qubits entries, so a layout beyond 10 qubits
+    raises ``CapacityError`` before anything is allocated.
+    """
+    if 4 ** layout.total_qubits > 1 << QUBIT_CAP:
+        raise CapacityError(
+            f"a {layout.total_qubits}-qubit global matrix has "
+            f"{4 ** layout.total_qubits} entries; cap is 2**{QUBIT_CAP}"
+        )
     c_pos, t_pos = layout.position(control), layout.position(target)
     total = np.zeros((1 << layout.total_qubits,) * 2, dtype=np.complex128)
     for value, gate in ((0, g0), (1, g1)):
@@ -67,7 +76,7 @@ def controlled_unitary_matrix(
         factors[t_pos] = gate
         block = factors[0]
         for f in factors[1:]:
-            block = kron(block, f)
+            block = np.kron(block, f)
         total += block
     return total
 
@@ -88,7 +97,7 @@ def iteration_matrix(layout: RegisterLayout, k: int, spec: IterationSpec) -> np.
     factors = iteration_factors(layout, k, spec)
     w = next(factors)
     for factor in factors:
-        w = mat_mul(factor, w)
+        w = factor @ w
     return w
 
 

@@ -1,10 +1,15 @@
 """Acceptance gate: one test per criterion, at the stated tolerances.
 
 Each test prints a single PASS/FAIL line (visible with ``pytest -rA`` or
-``-s``) in addition to its assertions.  Expected values are frozen from
-independent derivations; randomized criteria compare the engine with
-``branchsim.verify``'s Kronecker oracle and one-round closed form, which
-never touch the engine's branch table.
+``-s``) in addition to its assertions.  Expected values of criteria 1-4
+and 8 are frozen from independent derivations.  The randomized criteria
+5-7 call ``branchsim.verify``'s own checks on their own seeds, so each
+check exists once: criterion 5 compares the engine with the Kronecker
+oracle (100 canonical draws and three extended ones), criterion 6 with
+the one-round closed form (20 draws), and criterion 7 checks marginal
+diagonality and the no-cloning witness (50 draws each) and phase
+blindness (60 draws).  Neither the oracle nor the closed form touches the
+engine's branch table.
 """
 
 import math
@@ -26,11 +31,14 @@ from branchsim import (
     run,
     separability_check,
 )
+from branchsim.linalg import DEFAULT_TOLERANCES
 from branchsim.verify import (
-    expansion_one_iteration,
-    oracle_run,
+    _check_marginal_diagonality,
+    _check_no_cloning,
+    _check_oracle_equivalence,
+    _check_phase_blindness,
+    _check_symbolic_expansion,
     random_amplitude_pair,
-    random_canonical_scenario,
 )
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -145,73 +153,37 @@ def test_criterion_4_reinforcement_golden():
     assert random_dev <= 1e-10
 
 
+def _run_check(check, rng) -> tuple[bool, float]:
+    """(passed, deviation) of a verify check at the default tolerances."""
+    dev, tolerance = check(rng, DEFAULT_TOLERANCES)
+    return dev <= tolerance, dev
+
+
 def test_criterion_5_oracle_equivalence():
-    rng = np.random.default_rng(55)
     start = time.perf_counter()
-    dev = 0.0
-    for _ in range(100):
-        scenario = random_canonical_scenario(rng, int(rng.integers(1, 5)))
-        engine = run(scenario).amplitudes
-        oracle = oracle_run(scenario)
-        dev = max(dev, float(np.max(np.abs(engine - oracle))))
+    passed, dev = _run_check(_check_oracle_equivalence, np.random.default_rng(55))
     elapsed = time.perf_counter() - start
-    ok = dev <= 1e-10 and elapsed < 30
-    _verdict("5 oracle equivalence", ok)
-    assert dev <= 1e-10
+    _verdict("5 oracle equivalence", passed and elapsed < 30)
+    assert passed, dev
     assert elapsed < 30, f"took {elapsed:.1f}s"
 
 
 def test_criterion_6_one_iteration_expansion():
-    rng = np.random.default_rng(66)
-    dev = 0.0
-    for _ in range(20):
-        scenario = random_canonical_scenario(rng, 1, mode="correlated_c_to_p")
-        engine = run(scenario).amplitudes
-        oracle = expansion_one_iteration(scenario.init, scenario.iterations[0])
-        dev = max(dev, float(np.max(np.abs(engine - oracle))))
-    ok = dev <= 1e-10
-    _verdict("6 one-iteration expansion", ok)
-    assert dev <= 1e-10
+    passed, dev = _run_check(_check_symbolic_expansion, np.random.default_rng(66))
+    _verdict("6 one-iteration expansion", passed)
+    assert passed, dev
 
 
 def test_criterion_7_classicality_and_no_cloning():
     rng = np.random.default_rng(77)
-    offdiag_dev = 0.0
-    diag_dev = 0.0
-    phase_dev = 0.0
-    witness_ok = True
-    for _ in range(50):
-        scenario = random_canonical_scenario(rng, int(rng.integers(1, 4)))
-        state = run(scenario)
-        wa = abs(scenario.init.alpha) ** 2
-        wb = abs(scenario.init.beta) ** 2
-        for k in range(1, len(scenario.iterations) + 1):
-            rep = memory_marginal(state, k)
-            offdiag_dev = max(offdiag_dev, rep.max_offdiag)
-            diag_dev = max(diag_dev, abs(rep.diagonal_probs[0] - wa),
-                           abs(rep.diagonal_probs[1] - wb))
-        entangled, _ = no_cloning_witness(state, "C", "M1")
-        witness_ok = witness_ok and entangled
-
-        t = float(rng.uniform(0, 2 * math.pi))
-        shifted = replace(
-            scenario,
-            init=replace(scenario.init,
-                         beta=scenario.init.beta * complex(math.cos(t), math.sin(t))),
-        )
-        shifted_state = run(shifted)
-        for k in range(1, len(scenario.iterations) + 1):
-            phase_dev = max(phase_dev, float(np.max(np.abs(
-                memory_marginal(state, k).matrix
-                - memory_marginal(shifted_state, k).matrix
-            ))))
-    ok = (offdiag_dev <= 1e-12 and diag_dev <= 1e-10
-          and phase_dev <= 1e-12 and witness_ok)
+    # phase blindness draws 20 trials a call: three calls give 60
+    checks = [_check_marginal_diagonality, _check_no_cloning]
+    checks += [_check_phase_blindness] * 3
+    results = {f"{check.__name__} #{i}": _run_check(check, rng)
+               for i, check in enumerate(checks)}
+    ok = all(passed for passed, _ in results.values())
     _verdict("7 classicality / no-cloning", ok)
-    assert offdiag_dev <= 1e-12
-    assert diag_dev <= 1e-10
-    assert phase_dev <= 1e-12
-    assert witness_ok
+    assert ok, results
 
 
 def test_criterion_8_measurement_collapse():

@@ -272,7 +272,12 @@ def test_verify_tolerance_injection_fails(capsys):
     argv = ["verify", "--only", "properties", "--tolerance", "norm=1e-30"]
     assert main(argv) == EXIT_VERIFY
     captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert "property_norm_preservation: FAIL" in captured.out
+    # every other property check holds at the default tolerances
+    others = [line for line in lines if "property_norm_preservation:" not in line]
+    assert len(lines) == 10 and len(others) == 9
+    assert all(line.startswith("property_") and ": PASS (" in line for line in others)
     assert "verify failed" in captured.err
 
 

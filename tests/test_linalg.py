@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,68 +7,23 @@ import pytest
 from branchsim import (
     CapacityError,
     LayoutError,
-    ShapeError,
+    StateVector,
     Tolerances,
     ValidationError,
     build_layout,
     check_unitary,
     initialize,
-    kron,
-    mat_mul,
     partial_trace,
     purity,
     rx,
 )
-from branchsim.linalg import min_eigenvalue_bound, validate_density_matrix
-from branchsim.machine import InitSpec, RegisterLayout
-
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def test_kron_identity():
-    np.testing.assert_array_equal(kron(I2, I2), np.eye(4))
-
-
-def test_kron_x_with_identity_is_block_permutation():
-    expected = np.zeros((4, 4))
-    expected[0, 2] = expected[1, 3] = expected[2, 0] = expected[3, 1] = 1
-    np.testing.assert_array_equal(kron(X, I2), expected)
-
-
-def test_kron_rx_with_identity_on_basis_zero():
-    # hand evaluation of the half-angle convention
-    col = kron(rx(math.pi / 3).matrix(), I2)[:, 0]
-    expected = [math.cos(math.pi / 6), 0, -1j * math.sin(math.pi / 6), 0]
-    np.testing.assert_allclose(col, expected, atol=1e-15)
-
-
-def test_kron_capacity_error_checked_before_allocation():
-    with pytest.raises(CapacityError):
-        kron(np.eye(1 << 10), np.eye(1 << 11))
-
-
-def test_mat_mul_pauli_involution():
-    np.testing.assert_array_equal(mat_mul(X, X), np.eye(2))
-
-
-def test_mat_mul_rotations_compose_additively():
-    theta, eps = 0.9, 0.37
-    np.testing.assert_allclose(
-        mat_mul(rx(theta).matrix(), rx(eps).matrix()),
-        rx(theta + eps).matrix(),
-        atol=1e-12,
-    )
-
-
-def test_mat_mul_pauli_anticommutation():
-    np.testing.assert_allclose(mat_mul(Z, X), -mat_mul(X, Z), atol=1e-15)
-
-
-def test_mat_mul_shape_error():
-    with pytest.raises(ShapeError):
-        mat_mul(np.eye(2), np.eye(4))
+from branchsim.linalg import (
+    HERMITICITY_TOL,
+    UNITARITY_TOL,
+    min_eigenvalue_bound,
+    validate_density_matrix,
+)
+from branchsim.machine import InitSpec
 
 
 def test_check_unitary_identity():
@@ -82,19 +38,15 @@ def test_check_unitary_rejects_all_half_matrix():
     assert not check_unitary(np.full((4, 4), 0.5), 1e-9)
 
 
-def _bell_layout_state():
+def _bell_state():
     # (|00> + |11>)/sqrt(2) on (C, M1) of a one-slot layout, S and P in |0>
-    layout = build_layout(1)
     amps = np.zeros(16, dtype=complex)
     amps[0b0000] = amps[0b1100] = 1 / math.sqrt(2)
-    from branchsim.machine import StateVector
-
-    return layout, StateVector(layout, amps)
+    return StateVector(build_layout(1), amps)
 
 
 def test_partial_trace_bell_second_qubit_is_maximally_mixed():
-    layout, state = _bell_layout_state()
-    rho = partial_trace(state, {"M1"}, layout)
+    rho = partial_trace(_bell_state(), {"M1"})
     np.testing.assert_allclose(rho, np.diag([0.5, 0.5]), atol=1e-12)
 
 
@@ -102,7 +54,7 @@ def test_partial_trace_product_state_keeps_pure_factor():
     layout = build_layout(1)
     phi = np.array([math.cos(0.3), math.sin(0.3) * 1j])
     state = initialize(InitSpec(alpha=phi[0], beta=phi[1]), layout)
-    rho = partial_trace(state, {"C"}, layout)
+    rho = partial_trace(state, {"C"})
     np.testing.assert_allclose(rho, np.outer(phi, phi.conj()), atol=1e-12)
     assert purity(rho) == pytest.approx(1.0, abs=1e-9)
 
@@ -115,28 +67,17 @@ def test_partial_trace_branch_mixture_on_system():
     amps = np.zeros(16, dtype=complex)
     amps[0b0000], amps[0b0010] = s0 / math.sqrt(2)
     amps[0b1100], amps[0b1110] = s1 / math.sqrt(2)
-    from branchsim.machine import StateVector
-
-    rho = partial_trace(StateVector(layout, amps), {"S"}, layout)
+    rho = partial_trace(StateVector(layout, amps), {"S"})
     expected = 0.5 * np.outer(s0, s0.conj()) + 0.5 * np.outer(s1, s1.conj())
     np.testing.assert_allclose(rho, expected, atol=1e-12)
 
 
-def test_partial_trace_of_density_matrix_input():
-    layout, state = _bell_layout_state()
-    rho_full = np.outer(state.amplitudes, state.amplitudes.conj())
-    rho = partial_trace(rho_full, {"C", "M1"}, layout)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 0.5
-    np.testing.assert_allclose(rho, expected, atol=1e-12)
-
-
 def test_partial_trace_unknown_register():
-    layout, state = _bell_layout_state()
+    state = _bell_state()
     with pytest.raises(LayoutError):
-        partial_trace(state, {"M7"}, layout)
+        partial_trace(state, {"M7"})
     with pytest.raises(LayoutError):
-        partial_trace(state, set(), layout)
+        partial_trace(state, set())
 
 
 def test_partial_trace_is_normalized_and_hermitian():
@@ -144,10 +85,8 @@ def test_partial_trace_is_normalized_and_hermitian():
     layout = build_layout(2)
     amps = rng.normal(size=32) + 1j * rng.normal(size=32)
     amps /= np.linalg.norm(amps)
-    from branchsim.machine import StateVector
-
     for keep in ({"C"}, {"S", "P"}, {"M1", "M2"}):
-        rho = partial_trace(StateVector(layout, amps), keep, layout)
+        rho = partial_trace(StateVector(layout, amps), keep)
         assert abs(np.trace(rho) - 1) < 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
 
@@ -158,6 +97,7 @@ def test_partial_trace_pure_state_equals_tensordot_exactly():
     amps = rng.normal(size=32) + 1j * rng.normal(size=32)
     amps /= np.linalg.norm(amps)
     psi = amps.reshape([2] * 5)
+    state = StateVector(layout, amps)
     names = layout.register_names()
     for mask in range(1, 1 << 5):
         keep = {names[ax] for ax in range(5) if mask >> ax & 1}
@@ -165,7 +105,7 @@ def test_partial_trace_pure_state_equals_tensordot_exactly():
         traced = [ax for ax in range(5) if ax not in kept]
         d = 1 << len(kept)
         expected = np.tensordot(psi, psi.conj(), axes=(traced, traced)).reshape(d, d)
-        assert np.array_equal(partial_trace(amps, keep, layout), expected), keep
+        assert np.array_equal(partial_trace(state, keep), expected), keep
 
 
 def test_partial_trace_refuses_oversized_marginal_before_allocating():
@@ -173,11 +113,10 @@ def test_partial_trace_refuses_oversized_marginal_before_allocating():
     names = set(layout.register_names())
     amps = np.zeros(1 << 15, dtype=complex)
     amps[0] = 1.0
+    state = StateVector(layout, amps)
     with pytest.raises(CapacityError):
-        partial_trace(amps, names, layout)
-    with pytest.raises(CapacityError):
-        partial_trace(np.zeros((1, 1)), names, layout)  # density input
-    rho = partial_trace(amps, {f"M{k}" for k in range(1, 11)}, layout)
+        partial_trace(state, names)
+    rho = partial_trace(state, {f"M{k}" for k in range(1, 11)})
     assert rho.shape == (1024, 1024)  # 4**10 entries: exactly at the cap
 
 
@@ -223,24 +162,14 @@ def test_validate_density_matrix_rejections():
 
 
 def test_tolerances_defaults():
+    assert [f.name for f in fields(Tolerances)] == ["norm", "diagonality"]
     tol = Tolerances()
-    assert (tol.unitarity, tol.norm, tol.hermiticity, tol.diagonality) == (
+    assert (UNITARITY_TOL, tol.norm, HERMITICITY_TOL, tol.diagonality) == (
         1e-9,
         1e-10,
         1e-10,
         1e-12,
     )
-
-
-def test_kron_associativity_random_unitaries():
-    rng = np.random.default_rng(11)
-    from branchsim.verify import random_unitary
-
-    for _ in range(10):
-        a, b, c = (random_unitary(rng) for _ in range(3))
-        np.testing.assert_allclose(
-            kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12
-        )
 
 
 def test_gate_library_products_stay_unitary():
@@ -250,16 +179,5 @@ def test_gate_library_products_stay_unitary():
     mats += [rx(0.3).matrix()]
     prod = np.eye(2)
     for m in mats:
-        prod = mat_mul(prod, m)
+        prod = prod @ m
         assert check_unitary(prod, 1e-9)
-
-
-def test_register_layout_invariants():
-    with pytest.raises(LayoutError):
-        RegisterLayout(control=0, memories=(0,), system=2, policy=3, total_qubits=4)
-    with pytest.raises(LayoutError):
-        RegisterLayout(control=0, memories=(1,), system=2, policy=5, total_qubits=4)
-    with pytest.raises(LayoutError):
-        RegisterLayout(control=0, memories=(1,), system=2, policy=3, total_qubits=5)
-    with pytest.raises(LayoutError):
-        RegisterLayout(control=1, memories=(0,), system=2, policy=3, total_qubits=4)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -388,6 +389,20 @@ def test_oracle_never_calls_the_engine(monkeypatch):
     for scenario, amps in zip(scenarios, engine):
         for compose in (True, False):
             assert np.max(np.abs(oracle_run(scenario, compose=compose) - amps)) <= 1e-10
+
+
+def test_oracle_capacity_error_checked_before_allocation():
+    # 8 rounds are 11 qubits: a global matrix of 4**11 entries (64 MiB)
+    scenario = random_canonical_scenario(np.random.default_rng(91), 8)
+    tracemalloc.start()
+    try:
+        for compose in (True, False):
+            with pytest.raises(CapacityError):
+                oracle_run(scenario, compose=compose)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 def test_run_marks_all_slots_consumed():
