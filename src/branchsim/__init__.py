@@ -30,12 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .gates import GateSpec, IDENTITY, raw_gate, real_rotation, rx, ry, rz
-from .linalg import (
-    Tolerances,
-    check_unitary,
-    partial_trace,
-    purity,
-)
+from .linalg import Tolerances, check_unitary, purity
 from .machine import (
     InitSpec,
     IterationSpec,
@@ -48,6 +43,7 @@ from .machine import (
     iterate,
     iterate_extended,
     measure_control,
+    partial_trace,
     run,
     write_memory,
 )

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayoutError, ValidationError
-from .linalg import partial_trace, purity, validate_density_matrix
-from .machine import StateVector, build_layout, check_normalized
+from .linalg import purity, validate_density_matrix
+from .machine import StateVector, build_layout, check_normalized, partial_trace
 
 # Branch entries below this weight are floating-point dust and omitted.
 PRUNE_THRESHOLD = 1e-12
@@ -75,8 +75,9 @@ def branch_decompose(state: StateVector) -> BranchTable:
     check_normalized(subs)
     subs.flags.writeable = False
     # rows are sorted, so labels come out sorted.
+    label = f"0{layout.n_memories}b"
     entries = {
-        format(row, f"0{layout.n_memories}b"): BranchEntry(float(p), sub)
+        format(row, label): BranchEntry(float(p), sub)
         for row, p, sub in zip(state.rows[keep].tolist(), probs, subs)
     }
     return BranchTable(entries)

@@ -1,5 +1,6 @@
 """Small dense linear algebra shared by the simulator: unitarity and
-density-matrix checks, purity, and the partial trace of a StateVector.
+density-matrix checks, and purity.  The partial trace reads the branch
+table, so it lives with the table in ``machine``.
 
 Matrices are row-major ``complex128`` arrays.  Tensor ordering is
 most-significant-first: the left Kronecker factor owns the high bits of
@@ -10,14 +11,10 @@ right.  Kronecker products are ``np.kron`` and matrix products ``@``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CapacityError, LayoutError, ShapeError, ValidationError
-
-if TYPE_CHECKING:
-    from .machine import StateVector
+from .errors import ShapeError, ValidationError
 
 # Global cap on composite dimension: no object may exceed 2**QUBIT_CAP.
 QUBIT_CAP = 20
@@ -64,60 +61,6 @@ def unitarity_deviation(m) -> float:
     """max |m†m - I|, the number compared against the unitarity tolerance."""
     m = as_matrix(m)
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-
-
-def partial_trace(state: "StateVector", keep) -> np.ndarray:
-    """Reduced density matrix of a StateVector over ``keep`` registers.
-
-    The registers are those of ``state.layout``, and the kept ones are
-    ordered by their layout position regardless of the order of
-    ``keep``.  Only the state's populated rows are read.  A result with
-    more than 2**QUBIT_CAP entries raises ``CapacityError`` before any
-    allocation.
-    """
-    layout = state.layout
-    keep = set(keep)
-    if not keep:
-        raise LayoutError("keep set must be non-empty")
-    unknown = keep - set(layout.register_names())
-    if unknown:
-        raise LayoutError(f"unknown register id(s): {sorted(unknown)}")
-    if 4 ** len(keep) > (1 << QUBIT_CAP):
-        raise CapacityError(
-            f"marginal over {len(keep)} registers has {4 ** len(keep)} "
-            f"entries; cap is 2**{QUBIT_CAP}"
-        )
-    # rho = M M^dagger with M[kept, traced] built from the populated rows
-    # only.  Each row's memory bits split into a kept part and a traced
-    # part; the traced memory axis runs over the traced parts that occur,
-    # in ascending order, so with every row populated M is exactly the
-    # dense state's kept-axes-first reshape.
-    residual = state.residual
-    n = layout.n_memories
-    kept = [k for k in range(1, n + 1) if f"M{k}" in keep]
-    # x axes: C, traced memories, kept memories, S, P
-    if not kept:  # every memory is traced: each row is its own traced label
-        x = np.moveaxis(residual, 1, 0)[:, :, None]
-    else:
-        # move the kept bits out of each label, highest first, so the
-        # positions of the lower ones stay put
-        traced_mem = state.rows
-        kept_mem = np.zeros_like(traced_mem)
-        for k in kept:
-            pos = n - k
-            kept_mem = (kept_mem << 1) | ((traced_mem >> pos) & 1)
-            traced_mem = ((traced_mem >> (pos + 1)) << pos) | (traced_mem & ((1 << pos) - 1))
-        # column of each traced label among those that occur, in ascending order
-        present = np.zeros(1 << (n - len(kept)), dtype=bool)
-        present[traced_mem] = True
-        column = np.cumsum(present) - 1
-        x = np.zeros((2, column[-1] + 1, 1 << len(kept), 2, 2), dtype=np.complex128)
-        x[:, column[traced_mem], kept_mem] = np.moveaxis(residual, 1, 0)
-    x_axes = {"C": 0, "S": 3, "P": 4}
-    kept_axes = sorted([2] + [ax for r, ax in x_axes.items() if r in keep])
-    traced_axes = sorted([1] + [ax for r, ax in x_axes.items() if r not in keep])
-    m = x.transpose(kept_axes + traced_axes).reshape(1 << len(keep), -1)
-    return m @ m.conj().T
 
 
 def purity(rho) -> float:

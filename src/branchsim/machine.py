@@ -24,10 +24,15 @@ Kronecker-built unitary exists only in the verification oracle):
   zero); the update runs on the block's axes, and collapsing the block
   drops the rows left exactly zero.
 
-A round expands once, on its slot M_k, so its five gates (controlled-U,
-memory write, feedback, policy update, steering) are axis updates of
-one block: the write splits each row by C and the policy update fixes
-the M_k axis, exactly as on the dense tensor.  ``run`` grows the state
+Every gate takes one path, ``_controlled_update``, which expands once on
+the memories its steps name, applies the steps in order and collapses
+once.  A round is one such call on its slot M_k, so its five gates
+(controlled-U, memory write, feedback, policy update, steering) are axis
+updates of one block: the write splits each row by C and the policy
+update fixes the M_k axis, exactly as on the dense tensor.
+``partial_trace`` reads the same expansion: on the kept memories' bits
+it leaves one label per traced memory string that occurs, so a marginal
+costs the populated rows, never 2**n.  ``run`` grows the state
 as the paper's machine does: it starts with no memory slots, and round
 k appends M_k in |0> by shifting every row label left by one bit.  The
 final state is exactly the one the full layout would give.
@@ -334,15 +339,6 @@ def _apply_gate(
     block[lo] = new0
 
 
-def _controlled_pair(
-    block: np.ndarray, control_axis: int, target_axis: int, g0: GateSpec, g1: GateSpec
-) -> None:
-    """Apply g0/g1 to the target axis where the control axis reads 0/1; skip identities."""
-    for value, gate in ((0, g0), (1, g1)):
-        if not gate.is_identity:
-            _apply_gate(block, target_axis, gate.matrix(), control_axis, value)
-
-
 def _expand_rows(rows: np.ndarray, residual: np.ndarray, bits: list[int]):
     """Rows grouped on some memory bits, each bit made an explicit axis.
 
@@ -357,6 +353,13 @@ def _expand_rows(rows: np.ndarray, residual: np.ndarray, bits: list[int]):
     index += [((rows & bit) != 0).astype(np.intp) for bit in bits]
     block[tuple(index)] = residual
     return labels, block
+
+
+def _block_axes(memories: list[str]) -> dict[str, int]:
+    """Axis of each register in the block ``_expand_rows`` builds on ``memories``."""
+    axis = {r: 1 + i for i, r in enumerate(memories)}
+    axis.update((r, a + len(memories)) for r, a in _RESIDUAL_AXIS.items())
+    return axis
 
 
 def _collapse_rows(labels: np.ndarray, block: np.ndarray, bits: list[int]):
@@ -377,22 +380,27 @@ def _collapse_rows(labels: np.ndarray, block: np.ndarray, bits: list[int]):
 
 def _controlled_update(
     rows: np.ndarray, residual: np.ndarray, layout: RegisterLayout,
-    control: str, target: str, g0: GateSpec, g1: GateSpec,
+    memories: list[str], steps,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply g0/g1 to ``target`` where ``control`` reads 0/1; skip identities.
+    """Apply each ``(control, target, g0, g1)`` step in order; skip identities.
 
-    Each memory register among the two becomes an axis of the block that
-    ``_expand_rows`` builds (none for a gate among C, S and P).  Returns
-    the rows and residual of the result; the inputs are not modified.
+    A step applies g0/g1 to ``target`` where ``control`` reads 0/1.  The
+    rows are expanded once on the bits of ``memories``, the memory
+    registers the steps name, so every step is an update of the axes of
+    one block (none for gates among C, S and P), and collapsed once.
+    Returns the rows and residual of the result; the inputs are not
+    modified.
     """
-    if g0.is_identity and g1.is_identity:
+    steps = [s for s in steps if not (s[2].is_identity and s[3].is_identity)]
+    if not steps:
         return rows, residual
-    memories = [r for r in (control, target) if r not in _RESIDUAL_AXIS]
-    axis = {r: 1 + i for i, r in enumerate(memories)}
-    axis.update((r, a + len(memories)) for r, a in _RESIDUAL_AXIS.items())
+    axis = _block_axes(memories)
     bits = [_memory_bit(layout, r) for r in memories]
     labels, block = _expand_rows(rows, residual, bits)
-    _controlled_pair(block, axis[control], axis[target], g0, g1)
+    for control, target, g0, g1 in steps:
+        for value, gate in ((0, g0), (1, g1)):
+            if not gate.is_identity:
+                _apply_gate(block, axis[target], gate.matrix(), axis[control], value)
     return _collapse_rows(labels, block, bits)
 
 
@@ -408,7 +416,7 @@ def initialize(spec: InitSpec, layout: RegisterLayout) -> StateVector:
     residual = np.kron(np.kron(vec_c, vec_s), vec_p).reshape(1, 2, 2, 2)
     if spec.mode in ("correlated_c_to_p", "copy_c_to_p_from_zero"):
         rows, residual = _controlled_update(
-            rows, residual, layout, "C", "P", IDENTITY, PAULI_X
+            rows, residual, layout, [], [("C", "P", IDENTITY, PAULI_X)]
         )
     return StateVector(layout, rows=rows, residual=residual)
 
@@ -421,8 +429,10 @@ def apply_controlled(
         raise LayoutError(f"control and target are the same register {control!r}")
     state.layout.position(control)
     state.layout.position(target)
+    memories = [r for r in (control, target) if r not in _RESIDUAL_AXIS]
     rows, residual = _controlled_update(
-        state.rows, state.residual, state.layout, control, target, g0, g1
+        state.rows, state.residual, state.layout, memories,
+        [(control, target, g0, g1)],
     )
     return StateVector(
         state.layout, consumed_slots=state.consumed_slots, rows=rows, residual=residual
@@ -434,24 +444,20 @@ def write_memory(state: StateVector, k: int) -> StateVector:
     layout = state.layout
     if k < 1 or k > layout.n_memories:
         raise LayoutError(f"memory slot M{k} not in layout (1..{layout.n_memories})")
+    m = f"M{k}"
     rows, residual = _controlled_update(
-        state.rows, state.residual, layout, "C", f"M{k}", IDENTITY, PAULI_X
+        state.rows, state.residual, layout, [m], [("C", m, IDENTITY, PAULI_X)]
     )
     return StateVector(
         layout, consumed_slots=state.consumed_slots, rows=rows, residual=residual
     )
 
 
-# Axes of the block a round works on: (labels, M_k, C, S, P).
-_ROUND_AXIS = {"M": 1, "C": 2, "S": 3, "P": 4}
-
-
 def _round(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
     """Round k on slot M_k; a layout ending at M_{k-1} first grows by M_k.
 
-    The round expands the rows on M_k's bit, so every gate of the round
-    is an axis update of one block; collapsing it drops the rows left
-    exactly zero.
+    Its five steps are one ``_controlled_update`` on M_k, so every gate of
+    the round is an axis update of one block.
     """
     layout, rows = state.layout, state.rows
     if k == layout.n_memories + 1:
@@ -463,17 +469,14 @@ def _round(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
         )
     if k in state.consumed_slots:
         raise ValidationError(f"memory slot M{k} was already consumed by an iteration")
-    bits = [_memory_bit(layout, f"M{k}")]
-    labels, block = _expand_rows(rows, state.residual, bits)
+    m = f"M{k}"
     # Order is load-bearing: feedback must see the policy state *before*
     # this round's policy update.
-    steps = [("C", "S", spec.u0, spec.u1), ("C", "M", IDENTITY, PAULI_X),
-             ("P", "S", spec.f0, spec.f1), ("M", "P", spec.v0, spec.v1)]
+    steps = [("C", "S", spec.u0, spec.u1), ("C", m, IDENTITY, PAULI_X),
+             ("P", "S", spec.f0, spec.f1), (m, "P", spec.v0, spec.v1)]
     if spec.extended:
         steps.append(("P", "C", spec.r0, spec.r1))
-    for control, target, g0, g1 in steps:
-        _controlled_pair(block, _ROUND_AXIS[control], _ROUND_AXIS[target], g0, g1)
-    rows, residual = _collapse_rows(labels, block, bits)
+    rows, residual = _controlled_update(rows, state.residual, layout, [m], steps)
     return StateVector(
         layout, consumed_slots=state.consumed_slots | {k}, rows=rows, residual=residual
     )
@@ -548,6 +551,46 @@ def measure_control(
         rows=state.rows[keep], residual=residual,
     )
     return outcome, collapsed, prob
+
+
+def partial_trace(state: StateVector, keep) -> np.ndarray:
+    """Reduced density matrix of a StateVector over ``keep`` registers.
+
+    The registers are those of ``state.layout``, and the kept ones are
+    ordered by their layout position regardless of the order of
+    ``keep``.  Only the state's populated rows are read.  A result with
+    more than 2**QUBIT_CAP entries raises ``CapacityError`` before any
+    allocation.
+    """
+    layout = state.layout
+    keep = set(keep)
+    if not keep:
+        raise LayoutError("keep set must be non-empty")
+    unknown = keep - set(layout.register_names())
+    if unknown:
+        raise LayoutError(f"unknown register id(s): {sorted(unknown)}")
+    if 4 ** len(keep) > (1 << QUBIT_CAP):
+        raise CapacityError(
+            f"marginal over {len(keep)} registers has {4 ** len(keep)} "
+            f"entries; cap is 2**{QUBIT_CAP}"
+        )
+    # rho = M M^dagger.  Expanding the rows on the kept memories' bits
+    # leaves one label per traced memory string that occurs, in ascending
+    # order, so with every row populated M is exactly the dense state's
+    # kept-axes-first reshape.  Block axes: label, kept memories, C, S, P.
+    names = layout.register_names()
+    kept = [r for r in names if r in keep and r not in _RESIDUAL_AXIS]
+    _, block = _expand_rows(
+        state.rows, state.residual, [_memory_bit(layout, r) for r in kept]
+    )
+    axis = _block_axes(kept)
+    kept_axes = [axis[r] for r in names if r in keep]
+    # C if traced, then the label, then S and P: the summation order of
+    # the matmul below, which the marginals' last bits depend on
+    traced_axes = [] if "C" in keep else [axis["C"]]
+    traced_axes += [0] + [axis[r] for r in ("S", "P") if r not in keep]
+    m = block.transpose(kept_axes + traced_axes).reshape(1 << len(keep), -1)
+    return m @ m.conj().T
 
 
 def build_controlled_dilation(u0, u1, env_dims: Sequence[int]) -> np.ndarray:

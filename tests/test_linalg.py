@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -92,20 +93,45 @@ def test_partial_trace_is_normalized_and_hermitian():
 
 
 def test_partial_trace_pure_state_equals_tensordot_exactly():
-    rng = np.random.default_rng(12)
+    # zeroed memory strings have no row, so some traced labels are absent;
+    # zeroing three of the four leaves a single-row state
     layout = build_layout(2)
-    amps = rng.normal(size=32) + 1j * rng.normal(size=32)
-    amps /= np.linalg.norm(amps)
-    psi = amps.reshape([2] * 5)
-    state = StateVector(layout, amps)
     names = layout.register_names()
-    for mask in range(1, 1 << 5):
-        keep = {names[ax] for ax in range(5) if mask >> ax & 1}
-        kept = sorted(layout.position(r) for r in keep)
-        traced = [ax for ax in range(5) if ax not in kept]
-        d = 1 << len(kept)
-        expected = np.tensordot(psi, psi.conj(), axes=(traced, traced)).reshape(d, d)
-        assert np.array_equal(partial_trace(state, keep), expected), keep
+    for zero_rows in ((), (0b01, 0b11), (0b00, 0b01, 0b11)):
+        rng = np.random.default_rng(12)
+        amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+        amps.reshape(2, 4, 4)[:, list(zero_rows)] = 0  # (C, memory string, S and P)
+        amps /= np.linalg.norm(amps)
+        psi = amps.reshape([2] * 5)
+        state = StateVector(layout, amps)
+        assert state.rows.size == 4 - len(zero_rows)
+        for mask in range(1, 1 << 5):
+            keep = {names[ax] for ax in range(5) if mask >> ax & 1}
+            kept = sorted(layout.position(r) for r in keep)
+            traced = [ax for ax in range(5) if ax not in kept]
+            d = 1 << len(kept)
+            expected = np.tensordot(psi, psi.conj(), axes=(traced, traced))
+            assert np.array_equal(
+                partial_trace(state, keep), expected.reshape(d, d)
+            ), (zero_rows, keep)
+
+
+def test_partial_trace_of_two_sparse_rows_allocates_little():
+    # canonical-deep's final shape: 17 memories, rows 0^17 and 1^17
+    layout = build_layout(17)
+    residual = np.zeros((2, 2, 2, 2), dtype=complex)
+    residual[0, 0, 0, 0] = residual[1, 1, 1, 1] = 1 / math.sqrt(2)
+    state = StateVector(layout, rows=[0, (1 << 17) - 1], residual=residual)
+    keeps = [{r} for r in layout.register_names()] + [{"C", "M1"}, {"M1", "M17"}]
+    for keep in keeps:
+        tracemalloc.start()
+        try:
+            rho = partial_trace(state, keep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, f"{sorted(keep)}: peak {peak} bytes"
+        assert np.trace(rho).real == pytest.approx(1.0)
 
 
 def test_partial_trace_refuses_oversized_marginal_before_allocating():
