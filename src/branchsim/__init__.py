@@ -8,7 +8,6 @@ the result into memory-labeled branches and reduced-state marginals.
 """
 
 from .analysis import (
-    BranchEntry,
     BranchTable,
     MarginalReport,
     branch_decompose,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisRequest",
-    "BranchEntry",
     "BranchTable",
     "BranchsimError",
     "CapacityError",

@@ -3,7 +3,9 @@
 Branches are labeled by the concatenated memory bit string; projecting
 onto a string and renormalizing yields the branch's pure substate over
 the remaining (control, system, policy) registers.  A state stores one
-row per populated memory string, so the decomposition reads its rows.
+row per populated memory string, so the decomposition reads its rows
+and hands them on as arrays: a label's row indexes the Born weights and
+the normalized substates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import LayoutError, ValidationError
 from .linalg import purity, validate_density_matrix
-from .machine import StateVector, build_layout, check_normalized, partial_trace
+from .machine import StateVector, check_normalized, partial_trace
 
 # Branch entries below this weight are floating-point dust and omitted.
 PRUNE_THRESHOLD = 1e-12
@@ -22,26 +24,17 @@ PRUNE_THRESHOLD = 1e-12
 # Marginal purity at or above this counts as pure / separable.
 PURITY_ONE = 1.0 - 1e-9
 
-_RESIDUAL_LAYOUT = build_layout(0)
-
-
-@dataclass(frozen=True)
-class BranchEntry:
-    probability: float
-    amplitudes: np.ndarray  # normalized, over (C, S, P) in ket order
-
-    @property
-    def substate(self) -> StateVector:
-        """The branch's pure state over (C, S, P), built on request."""
-        return StateVector(_RESIDUAL_LAYOUT, self.amplitudes)
-
 
 @dataclass(frozen=True)
 class BranchTable:
-    entries: dict[str, BranchEntry]
+    """Populated branches as read-only arrays, one row per branch."""
+
+    entries: dict[str, int]  # label -> row, labels ascending
+    weights: np.ndarray  # (r,) Born weights
+    substates: np.ndarray  # (r, 8) normalized, over (C, S, P) in ket order
 
     def probabilities(self) -> dict[str, float]:
-        return {b: e.probability for b, e in self.entries.items()}
+        return dict(zip(self.entries, self.weights.tolist()))
 
 
 @dataclass(frozen=True)
@@ -73,14 +66,14 @@ def branch_decompose(state: StateVector) -> BranchTable:
     probs = weights[keep]
     subs = state.residual[keep].reshape(-1, 8) / np.sqrt(probs)[:, None]
     check_normalized(subs)
+    probs.flags.writeable = False
     subs.flags.writeable = False
     # rows are sorted, so labels come out sorted.
     label = f"0{layout.n_memories}b"
     entries = {
-        format(row, label): BranchEntry(float(p), sub)
-        for row, p, sub in zip(state.rows[keep].tolist(), probs, subs)
+        format(row, label): i for i, row in enumerate(state.rows[keep].tolist())
     }
-    return BranchTable(entries)
+    return BranchTable(entries, probs, subs)
 
 
 def memory_marginal(state: StateVector, k: int) -> MarginalReport:
@@ -106,18 +99,13 @@ def outcome_probability(state: StateVector, register: str, outcome: int) -> floa
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
-    Qubit pairs use the closed form; a pure argument reduces to an
-    overlap; only mixed higher-dimensional pairs need the matrix root.
+    A pure argument reduces it to an overlap; a mixed pair needs the
+    matrix root.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     sigma = np.asarray(sigma, dtype=np.complex128)
     if rho.shape != sigma.shape:
         raise ValidationError(f"fidelity shape mismatch: {rho.shape} vs {sigma.shape}")
-    if rho.shape[0] == 2:
-        tr = float(np.real(np.trace(rho @ sigma)))
-        det_r = max(float(np.real(np.linalg.det(rho))), 0.0)
-        det_s = max(float(np.real(np.linalg.det(sigma))), 0.0)
-        return tr + 2.0 * np.sqrt(det_r * det_s)
     if purity(rho) >= PURITY_ONE or purity(sigma) >= PURITY_ONE:
         return max(float(np.real(np.trace(rho @ sigma))), 0.0)
     w, v = np.linalg.eigh(rho)

@@ -1,6 +1,8 @@
 """Small dense linear algebra shared by the simulator: unitarity and
-density-matrix checks, and purity.  The partial trace reads the branch
-table, so it lives with the table in ``machine``.
+density-matrix checks, and purity.  A density matrix's eigenvalue floor
+is checked on its exact spectrum (``eigvalsh``) at every size.  The
+partial trace reads the branch table, so it lives with the table in
+``machine``.
 
 Matrices are row-major ``complex128`` arrays.  Tensor ordering is
 most-significant-first: the left Kronecker factor owns the high bits of
@@ -69,23 +71,6 @@ def purity(rho) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def min_eigenvalue_bound(rho) -> float:
-    """Lower bound on the smallest eigenvalue of a Hermitian matrix.
-
-    Exact closed form for 2x2; Gershgorin bound otherwise (may be loose,
-    so a failing bound is not proof of negativity).
-    """
-    rho = as_matrix(rho)
-    if rho.shape[0] == 2:
-        t = float(np.real(rho[0, 0] + rho[1, 1]))
-        det = float(np.real(rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]))
-        disc = max(t * t - 4.0 * det, 0.0)
-        return (t - disc**0.5) / 2.0
-    diag = np.real(np.diag(rho))
-    radii = np.sum(np.abs(rho), axis=1) - np.abs(np.diag(rho))
-    return float(np.min(diag - radii))
-
-
 def validate_density_matrix(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Enforce Hermiticity, unit trace, and the eigenvalue floor."""
     rho = as_matrix(rho)
@@ -95,9 +80,6 @@ def validate_density_matrix(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nda
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > tol.norm:
         raise ValidationError(f"trace {tr} deviates from 1 beyond {tol.norm}")
-    if min_eigenvalue_bound(rho) < EIGENVALUE_FLOOR:
-        # The Gershgorin bound is conservative; settle honestly before
-        # rejecting (cheap at the <= 2**10 dims seen here).
-        if float(np.min(np.linalg.eigvalsh(rho))) < EIGENVALUE_FLOOR:
-            raise ValidationError("density matrix has an eigenvalue below the floor")
+    if np.linalg.eigvalsh(rho)[0] < EIGENVALUE_FLOOR:
+        raise ValidationError("density matrix has an eigenvalue below the floor")
     return rho

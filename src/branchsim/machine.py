@@ -344,8 +344,12 @@ def _expand_rows(rows: np.ndarray, residual: np.ndarray, bits: list[int]):
 
     Returns the sorted labels with those bits clear and a block of shape
     ``(labels, 2, ..., 2, 2, 2, 2)``: one axis per bit, in the order
-    given, then C, S, P.  A combination with no row is zero.
+    given, then C, S, P.  A combination with no row is zero.  With no
+    bits the rows are already the distinct sorted labels, and the block is
+    a copy of the residual.
     """
+    if not bits:
+        return rows, residual.copy()
     low = rows & ~sum(bits)
     labels = np.unique(low)
     block = np.zeros((labels.size,) + (2,) * (len(bits) + 3), dtype=np.complex128)
@@ -441,16 +445,7 @@ def apply_controlled(
 
 def write_memory(state: StateVector, k: int) -> StateVector:
     """CNOT from the control into memory slot k (the coherent branch record)."""
-    layout = state.layout
-    if k < 1 or k > layout.n_memories:
-        raise LayoutError(f"memory slot M{k} not in layout (1..{layout.n_memories})")
-    m = f"M{k}"
-    rows, residual = _controlled_update(
-        state.rows, state.residual, layout, [m], [("C", m, IDENTITY, PAULI_X)]
-    )
-    return StateVector(
-        layout, consumed_slots=state.consumed_slots, rows=rows, residual=residual
-    )
+    return apply_controlled(state, "C", f"M{k}", IDENTITY, PAULI_X)
 
 
 def _round(state: StateVector, k: int, spec: IterationSpec) -> StateVector:

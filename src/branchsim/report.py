@@ -85,15 +85,16 @@ def build_report(
 
     for request in scenario.analyses:
         if request.kind == "branches":
-            entries = analysis.branch_decompose(state).entries
-            probs = [e.probability for e in entries.values()]
-            total = 0.0
-            for p in probs:
+            table = analysis.branch_decompose(state)
+            r = len(table.entries)
+            total = 0.0  # a plain loop: sum() compensates from Python 3.12
+            for p in table.weights.tolist():
                 total += p
-            amps = np.array([e.amplitudes for e in entries.values()], np.complex128)
-            q = _q_array(np.concatenate([probs, amps.view(np.float64).ravel()]))
-            subs = q[len(probs):].reshape(*amps.shape, 2).tolist()
-            for label, p, sub in zip(entries, q[:len(probs)].tolist(), subs):
+            q = _q_array(np.concatenate(
+                [table.weights, table.substates.view(np.float64).ravel()]
+            ))
+            subs = q[r:].reshape(r, 8, 2).tolist()
+            for label, p, sub in zip(table.entries, q[:r].tolist(), subs):
                 branch_table[label] = {"probability": p, "substate": sub}
             dev = abs(total - 1.0)
             checks["branch_probability_sum"] = {

@@ -272,8 +272,7 @@ def _check_golden_rotations_feedback(rng, tol: Tolerances):
     table = analysis.branch_decompose(state)
     c, s = math.cos(5 * math.pi / 8), math.sin(5 * math.pi / 8)
     # substates are over (C, S, P); P follows C on each branch
-    sub0 = table.entries["000"].substate.amplitudes
-    sub1 = table.entries["111"].substate.amplitudes
+    sub0, sub1 = table.substates[[table.entries["000"], table.entries["111"]]]
     dev = max(dev, abs(sub0[0b000] - c) / _TOL, abs(sub0[0b010] - (-1j * s)) / _TOL)
     dev = max(dev, abs(sub1[0b101] - c) / _TOL, abs(sub1[0b111] - (+1j * s)) / _TOL)
     _, pur = analysis.separability_check(state, "S")
@@ -370,13 +369,12 @@ def _check_branch_conservation(rng, tol: Tolerances):
         layout = state.layout
         rebuilt = np.zeros_like(state.amplitudes)
         shape = [2] * layout.total_qubits
-        for label, entry in table.entries.items():
+        for label, i in table.entries.items():
             index = [slice(None)] * layout.total_qubits
             for axis, ch in zip(layout.memories, label):
                 index[axis] = int(ch)
             rebuilt.reshape(shape)[tuple(index)] = (
-                math.sqrt(entry.probability)
-                * entry.substate.amplitudes.reshape(2, 2, 2)
+                math.sqrt(table.weights[i]) * table.substates[i].reshape(2, 2, 2)
             )
         dev = max(dev, float(np.max(np.abs(rebuilt - state.amplitudes))))
         # branch weights equal the joint memory marginal diagonal

@@ -32,26 +32,18 @@ INV_SQRT2 = 1 / math.sqrt(2)
 
 def test_branch_decompose_ghz():
     table = branch_decompose(run(builtin_scenario("pauli-flips")))
-    assert set(table.entries) == {"000", "111"}
-    assert table.entries["000"].probability == pytest.approx(0.5, abs=1e-12)
-    assert table.entries["111"].probability == pytest.approx(0.5, abs=1e-12)
+    assert table.entries == {"000": 0, "111": 1}
+    np.testing.assert_allclose(table.weights, [0.5, 0.5], atol=1e-12)
     # substates over (C, S, P): |000> and |111>
-    np.testing.assert_allclose(
-        table.entries["000"].substate.amplitudes,
-        np.eye(8)[0b000], atol=1e-12,
-    )
-    np.testing.assert_allclose(
-        table.entries["111"].substate.amplitudes,
-        np.eye(8)[0b111], atol=1e-12,
-    )
+    np.testing.assert_allclose(table.substates, np.eye(8)[[0b000, 0b111]], atol=1e-12)
+    assert not (table.weights.flags.writeable or table.substates.flags.writeable)
 
 
 def test_branch_decompose_product_state_single_entry():
     layout = build_layout(2)
     state = initialize(InitSpec(alpha=1, beta=0), layout)
     table = branch_decompose(state)
-    assert set(table.entries) == {"00"}
-    assert table.entries["00"].probability == pytest.approx(1.0, abs=1e-12)
+    assert table.probabilities() == {"00": pytest.approx(1.0, abs=1e-12)}
 
 
 def test_branch_decompose_reinforcement_weights():
@@ -88,12 +80,12 @@ def test_branch_reconstruction_reproduces_global_state():
     table = branch_decompose(state)
     layout = state.layout
     rebuilt = np.zeros_like(state.amplitudes).reshape([2] * layout.total_qubits)
-    for label, entry in table.entries.items():
+    for label, i in table.entries.items():
         index = [slice(None)] * layout.total_qubits
         for axis, ch in zip(layout.memories, label):
             index[axis] = int(ch)
         rebuilt[tuple(index)] = (
-            math.sqrt(entry.probability) * entry.substate.amplitudes.reshape(2, 2, 2)
+            math.sqrt(table.weights[i]) * table.substates[i].reshape(2, 2, 2)
         )
     np.testing.assert_allclose(
         rebuilt.reshape(-1), state.amplitudes, atol=1e-10
@@ -277,7 +269,7 @@ def test_separability_of_uncorrelated_policy():
 # ---------------------------------------------------------------------------
 # fidelity helper
 
-def test_fidelity_qubit_closed_form_against_sqrtm():
+def test_fidelity_qubit_pairs_against_sqrtm():
     rng = np.random.default_rng(26)
     for _ in range(5):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

@@ -21,10 +21,10 @@ from branchsim import (
 from branchsim.linalg import (
     HERMITICITY_TOL,
     UNITARITY_TOL,
-    min_eigenvalue_bound,
     validate_density_matrix,
 )
 from branchsim.machine import InitSpec
+from branchsim.verify import random_unitary
 
 
 def test_check_unitary_identity():
@@ -166,16 +166,18 @@ def test_purity_of_branch_mixture():
     assert purity(rho) == pytest.approx(0.75, abs=1e-12)
 
 
-def test_min_eigenvalue_bound_qubit_closed_form():
-    rho = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
-    exact = float(np.min(np.linalg.eigvalsh(rho)))
-    assert min_eigenvalue_bound(rho) == pytest.approx(exact, abs=1e-12)
+def _rotated_spectrum(eps: float) -> np.ndarray:
+    """U diag(0.6, 0.3, 0.1 + eps, -eps) U^dagger: unit trace, one eigenvalue -eps."""
+    u = random_unitary(np.random.default_rng(31), 4)
+    rho = (u * [0.6, 0.3, 0.1 + eps, -eps]) @ u.conj().T
+    return (rho + rho.conj().T) / 2
 
 
 def test_validate_density_matrix_accepts_uniform_projector():
-    # Gershgorin alone is inconclusive here; validation must still accept.
+    # no diagonal entry dominates its row: the floor needs the exact spectrum
     plus = np.full(4, 0.5)
     validate_density_matrix(np.outer(plus, plus))
+    validate_density_matrix(_rotated_spectrum(1e-10))  # above the -1e-9 floor
 
 
 def test_validate_density_matrix_rejections():
@@ -185,6 +187,8 @@ def test_validate_density_matrix_rejections():
         validate_density_matrix(np.diag([0.7, 0.7]))
     with pytest.raises(ValidationError):
         validate_density_matrix(np.diag([1.5, -0.5]))
+    with pytest.raises(ValidationError, match="eigenvalue below the floor"):
+        validate_density_matrix(_rotated_spectrum(1e-6))
 
 
 def test_tolerances_defaults():

@@ -194,7 +194,8 @@ def test_wide_extended_report_equals_json_dumps_and_scalar_quantizer():
     assert len(report.branch_table) == 1024
     assert emit_report(report) == json.dumps(
         report.to_document(), indent=2, sort_keys=True)
-    for label, entry in analysis.branch_decompose(state).entries.items():
+    table = analysis.branch_decompose(state)
+    for label, i in table.entries.items():
         row = report.branch_table[label]
-        assert _bits([row["probability"]]) == _bits([_q(entry.probability)])
-        assert row["substate"] == [[_q(z.real), _q(z.imag)] for z in entry.amplitudes]
+        assert _bits([row["probability"]]) == _bits([_q(table.weights[i])])
+        assert row["substate"] == [[_q(z.real), _q(z.imag)] for z in table.substates[i]]
