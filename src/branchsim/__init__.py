@@ -36,7 +36,6 @@ from .machine import (
     RegisterLayout,
     StateVector,
     apply_controlled,
-    build_controlled_dilation,
     build_layout,
     initialize,
     iterate,
@@ -83,7 +82,6 @@ __all__ = [
     "ValidationError",
     "apply_controlled",
     "branch_decompose",
-    "build_controlled_dilation",
     "build_layout",
     "build_report",
     "builtin_scenario",

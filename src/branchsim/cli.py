@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from .errors import BranchsimError, ParseError
+from .errors import BranchsimError, ParseError, ValidationError
 from .linalg import Tolerances
 from .machine import run
 from .report import build_report, emit_report
@@ -89,6 +89,8 @@ def _parse_tolerances(pairs: list[str], keys: tuple[str, ...]) -> Tolerances:
 
 def _cmd_run(args, stdout, stderr) -> int:
     tolerances = _parse_tolerances(args.tolerance, _RUN_TOLERANCE_KEYS)
+    if args.seed is not None and args.seed < 0:  # checked even with no measure
+        raise ValidationError(f"seed must be a non-negative integer, got {args.seed}")
     if args.scenario is not None:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read())

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .gates import IDENTITY, PAULI_X, GateSpec
-from .linalg import DEFAULT_TOLERANCES, QUBIT_CAP, as_matrix, check_unitary
+from .linalg import DEFAULT_TOLERANCES, QUBIT_CAP
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -587,32 +587,3 @@ def partial_trace(state: StateVector, keep) -> np.ndarray:
     m = block.transpose(kept_axes + traced_axes).reshape(1 << len(keep), -1)
     return m @ m.conj().T
 
-
-def build_controlled_dilation(u0, u1, env_dims: Sequence[int]) -> np.ndarray:
-    """Block-diagonal unitary |0><0| (x) u0 + |1><1| (x) u1.
-
-    u0 and u1 act on system (x) environment, where the environment factor
-    dimensions are ``env_dims``; the environment stays part of the global
-    state rather than being traced out.
-    """
-    u0, u1 = as_matrix(u0), as_matrix(u1)
-    env = 1
-    for d in env_dims:
-        if int(d) < 1:
-            raise ShapeError(f"environment dimension must be >= 1, got {d}")
-        env *= int(d)
-    expected = 2 * env
-    if u0.shape != u1.shape or u0.shape[0] != expected:
-        raise ShapeError(
-            f"dilation blocks must be {expected}x{expected} "
-            f"(2 x prod{tuple(env_dims)}), got {u0.shape} and {u1.shape}"
-        )
-    if 2 * expected > (1 << QUBIT_CAP):
-        raise CapacityError(f"dilation dimension {2 * expected} exceeds the cap")
-    for name, u in (("u0", u0), ("u1", u1)):
-        if not check_unitary(u):
-            raise ValidationError(f"dilation block {name} is not unitary")
-    out = np.zeros((2 * expected, 2 * expected), dtype=np.complex128)
-    out[:expected, :expected] = u0
-    out[expected:, expected:] = u1
-    return out

@@ -4,8 +4,14 @@ The oracle here is deliberately naive: the initial state is a sum of
 Kronecker products of vectors, and controlled gates are materialized as
 explicit Kronecker-built global unitaries applied by matrix arithmetic,
 never through the engine's branch table.  Agreement between the two
-routes is the core correctness check.  The test suite imports this
-oracle, the one-round closed form and the random draws from here.
+routes is the core correctness check.  Two more routes check the engine's
+structure: the composed global unitary of a canonical run splits into
+``|0><0| (x) W_0 + |1><1| (x) W_1`` on the control (a controlled
+Stinespring dilation, with memories, system and policy as the kept
+environment) and must reproduce the run, and ``closed_form`` gives a
+canonical run's final state branch by branch from the gates' 2x2
+matrices.  The test suite imports the oracle, the closed form and the
+random draws from here.
 """
 
 from __future__ import annotations
@@ -19,13 +25,13 @@ import numpy as np
 from . import analysis, machine
 from .errors import CapacityError, ValidationError
 from .gates import GateSpec, IDENTITY, PAULI_X, raw_gate
-from .linalg import DEFAULT_TOLERANCES, QUBIT_CAP, Tolerances
+from .linalg import DEFAULT_TOLERANCES, QUBIT_CAP, Tolerances, unitarity_deviation
 from .machine import (
+    INIT_MODES,
     InitSpec,
     IterationSpec,
     RegisterLayout,
     build_layout,
-    build_controlled_dilation,
     initialize,
     iterate,
     iterate_extended,
@@ -134,29 +140,25 @@ def oracle_run(scenario: Scenario, compose: bool = True) -> np.ndarray:
     return amps
 
 
-def expansion_one_iteration(init: InitSpec, spec: IterationSpec) -> np.ndarray:
-    """Closed-form single-round state for correlated initialization.
+def closed_form(init: InitSpec, iterations) -> np.ndarray:
+    """Final state of canonical rounds, one branch of the control at a time.
 
-    Built directly from the matrix elements V[j][l, q] of the policy
-    updates, independent of any gate-application machinery.
+    Where C reads c every memory records c, so round k acts on S (x) P as
+    ``T_c = (I (x) V_c)(F0 (x) |0><0| + F1 (x) |1><1|)(U_c (x) I)`` and the
+    state is ``alpha|0>|0^n> T_0...T_0 (s (x) p) + beta|1>|1^n> T_1...T_1
+    (s (x) p')``.  Built from the gates' 2x2 matrices and the oracle's
+    initial vector, never through the engine.
     """
-    e0 = np.array([1, 0], dtype=np.complex128)
-    e1 = np.array([0, 1], dtype=np.complex128)
-    psi = init.system_init.matrix() @ e0
-    u0, u1 = spec.u0.matrix(), spec.u1.matrix()
-    f0, f1 = spec.f0.matrix(), spec.f1.matrix()
-    v0, v1 = spec.v0.matrix(), spec.v1.matrix()
-    a, b, g, d = init.alpha, init.beta, init.gamma, init.delta
-    s0, s1 = u0 @ psi, u1 @ psi
-
-    def term(coeff, c_vec, m_vec, s_vec, p_vec):
-        return coeff * np.kron(np.kron(np.kron(c_vec, m_vec), s_vec), p_vec)
-
-    out = term(a, e0, e0, (g * v0[0, 0] * (f0 @ s0) + d * v0[0, 1] * (f1 @ s0)), e0)
-    out += term(a, e0, e0, (g * v0[1, 0] * (f0 @ s0) + d * v0[1, 1] * (f1 @ s0)), e1)
-    out += term(b, e1, e1, (d * v1[0, 0] * (f0 @ s1) + g * v1[0, 1] * (f1 @ s1)), e0)
-    out += term(b, e1, e1, (d * v1[1, 0] * (f0 @ s1) + g * v1[1, 1] * (f1 @ s1)), e1)
-    return out
+    n = len(iterations)
+    out = np.zeros((2, 1 << n, 4), dtype=np.complex128)  # C, memories, S (x) P
+    for c, sp in enumerate(initial_vector(init, 0).reshape(2, 4)):
+        for spec in iterations:
+            u, v = (spec.u0, spec.u1)[c].matrix(), (spec.v0, spec.v1)[c].matrix()
+            feedback = (np.kron(spec.f0.matrix(), _PROJ[0])
+                        + np.kron(spec.f1.matrix(), _PROJ[1]))
+            sp = np.kron(_EYE2, v) @ feedback @ np.kron(u, _EYE2) @ sp
+        out[c, c * ((1 << n) - 1)] = sp
+    return out.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +308,13 @@ def _check_oracle_equivalence(rng, tol: Tolerances):
 
 def _check_symbolic_expansion(rng, tol: Tolerances):
     dev = 0.0
-    for _ in range(20):
-        scenario = random_canonical_scenario(rng, 1, mode="correlated_c_to_p")
+    for trial in range(20):
+        scenario = random_canonical_scenario(
+            rng, int(rng.integers(1, 8)), INIT_MODES[trial % len(INIT_MODES)]
+        )
         engine = machine.run(scenario).amplitudes
-        oracle = expansion_one_iteration(scenario.init, scenario.iterations[0])
-        dev = max(dev, float(np.max(np.abs(engine - oracle))))
+        closed = closed_form(scenario.init, scenario.iterations)
+        dev = max(dev, float(np.max(np.abs(engine - closed))))
     return dev, _TOL
 
 
@@ -433,22 +437,31 @@ def _check_measurement(rng, tol: Tolerances):
 
 
 def _check_dilation_blocks(rng, tol: Tolerances):
+    """A canonical run's global unitary W is |0><0| (x) W_0 + |1><1| (x) W_1
+    with unitary W_c, and that dilation gives the engine's run; an extended
+    run, where P steers C, has nonzero off-diagonal C blocks."""
     dev = 0.0
-    for env_dims in ((2,), (2, 2), (3,)):
-        env = int(np.prod(env_dims))
-        u0, u1 = random_unitary(rng, 2 * env), random_unitary(rng, 2 * env)
-        full = build_controlled_dilation(u0, u1, env_dims)
-        d = 2 * env
-        dev = max(dev, float(np.max(np.abs(full[:d, d:]))))
-        dev = max(dev, float(np.max(np.abs(full[d:, :d]))))
-        alpha, beta = random_amplitude_pair(rng)
-        psi = random_unitary(rng, 2)[:, 0]
-        env0 = np.zeros(env, dtype=np.complex128)
-        env0[0] = 1.0
-        se = np.kron(psi, env0)
-        product = np.kron(np.array([alpha, beta]), se)
-        expected = np.concatenate([alpha * (u0 @ se), beta * (u1 @ se)])
-        dev = max(dev, float(np.max(np.abs(full @ product - expected))))
+    for trial in range(12):
+        n = int(rng.integers(1, 5))  # at most 4 rounds: W has 4**(n + 3) entries
+        extended = trial % 3 == 2
+        draw = random_extended_scenario if extended else random_canonical_scenario
+        scenario = draw(rng, n)
+        layout = build_layout(n)
+        w = np.eye(1 << layout.total_qubits, dtype=np.complex128)
+        for k, spec in enumerate(scenario.iterations, start=1):
+            w = iteration_matrix(layout, k, spec) @ w
+        d = w.shape[0] // 2
+        w0, w1 = w[:d, :d], w[d:, d:]
+        off = max(np.max(np.abs(w[:d, d:])), np.max(np.abs(w[d:, :d])))
+        if extended:
+            dev = max(dev, _bool_dev(off > _TOL))
+            continue
+        dev = max(dev, _bool_dev(off == 0.0),
+                  unitarity_deviation(w0), unitarity_deviation(w1))
+        dilation = np.kron(_PROJ[0], w0) + np.kron(_PROJ[1], w1)
+        engine = machine.run(scenario).amplitudes
+        out = dilation @ initial_vector(scenario.init, n)
+        dev = max(dev, float(np.max(np.abs(out - engine))))
     return dev, _TOL
 
 

@@ -111,6 +111,8 @@ _INIT = json.loads(emit_scenario(builtin_scenario("pauli-flips")))["init"]
     pytest.param(_pauli_doc(measure={"seed": 3}), ["run", "--seed", "-1"],
                  id="negative-seed-flag"),
     pytest.param(None, ["verify", "--seed", "-1"], id="negative-verify-seed"),
+    pytest.param(None, ["run", "--example", "pauli-flips", "--seed", "-1"],
+                 id="negative-seed-flag-without-measure"),
     pytest.param(_pauli_doc(init={**_INIT, "alpha": 1e308, "beta": 1e308}),
                  ["run"], id="overflowing-amplitudes"),
     pytest.param(_pauli_doc(init={**_INIT, "alpha": 10**400}),

@@ -18,7 +18,6 @@ from branchsim import (
     Scenario,
     ValidationError,
     apply_controlled,
-    build_controlled_dilation,
     build_layout,
     builtin_scenario,
     builtin_scenarios,
@@ -34,13 +33,13 @@ from branchsim import (
 )
 from branchsim import cli, machine, verify
 from branchsim.gates import PAULI_X, PAULI_Z
+from branchsim.linalg import DEFAULT_TOLERANCES
 from branchsim.machine import INIT_MODES, StateVector
 from branchsim.scenario import AnalysisRequest, MeasureRequest, emit_scenario
 from branchsim.verify import (
     controlled_unitary_matrix,
-    expansion_one_iteration,
+    closed_form,
     oracle_run,
-    random_amplitude_pair,
     random_canonical_scenario,
     random_extended_scenario,
     random_unitary,
@@ -372,10 +371,21 @@ def test_oracle_composed_and_factor_by_factor_agree():
 
 def test_oracle_matches_one_round_closed_form():
     rng = np.random.default_rng(89)
-    for _ in range(20):
-        scenario = random_canonical_scenario(rng, 1, mode="correlated_c_to_p")
-        closed = expansion_one_iteration(scenario.init, scenario.iterations[0])
-        assert np.max(np.abs(oracle_run(scenario) - closed)) <= 1e-10
+    for n in range(1, 8):
+        for mode in INIT_MODES:
+            scenario = random_canonical_scenario(rng, n, mode)
+            closed = closed_form(scenario.init, scenario.iterations)
+            assert np.max(np.abs(oracle_run(scenario, compose=False) - closed)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [12, 17])
+def test_closed_form_matches_engine_beyond_the_oracle(n):
+    # the oracle stops at 10 qubits; 17 rounds are the 20-qubit cap
+    rng = np.random.default_rng(92 + n)
+    for mode in INIT_MODES:
+        scenario = random_canonical_scenario(rng, n, mode)
+        closed = closed_form(scenario.init, scenario.iterations)
+        assert np.max(np.abs(run(scenario).amplitudes - closed)) <= 1e-10
 
 
 def test_oracle_never_calls_the_engine(monkeypatch):
@@ -389,6 +399,23 @@ def test_oracle_never_calls_the_engine(monkeypatch):
     for scenario, amps in zip(scenarios, engine):
         for compose in (True, False):
             assert np.max(np.abs(oracle_run(scenario, compose=compose) - amps)) <= 1e-10
+
+
+def test_structure_checks_catch_swapped_feedback_and_update(monkeypatch):
+    # inside the engine, each round's policy update now precedes its feedback
+    original = machine._controlled_update
+
+    def swapped(rows, residual, layout, memories, steps):
+        steps = list(steps)
+        if len(steps) >= 4:  # a round: U, CNOT, F, V (, R)
+            steps[2], steps[3] = steps[3], steps[2]
+        return original(rows, residual, layout, memories, steps)
+
+    monkeypatch.setattr(machine, "_controlled_update", swapped)
+    for name in ("property_dilation_blocks", "property_symbolic_expansion"):
+        dev, tol = verify.CHECKS[name](machine.seeded_generator(1729),
+                                       DEFAULT_TOLERANCES)
+        assert dev > tol, name
 
 
 def test_oracle_capacity_error_checked_before_allocation():
@@ -585,65 +612,6 @@ def test_measure_control_zero_probability_force_rejected():
     state = initialize(InitSpec(alpha=1, beta=0), layout)
     with pytest.raises(ProjectionError):
         measure_control(state, 0, force=1)
-
-
-# ---------------------------------------------------------------------------
-# controlled Stinespring dilation
-
-def test_dilation_identity_blocks():
-    out = build_controlled_dilation(np.eye(4), np.eye(4), [2])
-    np.testing.assert_array_equal(out, np.eye(8))
-
-
-def test_dilation_cnot_block_is_toffoli():
-    cnot = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
-    out = build_controlled_dilation(np.eye(4), cnot, [2])
-    # brute-force Toffoli on (C, S, E): flip E iff C and S are both 1
-    expected = np.zeros((8, 8), dtype=complex)
-    for i in range(8):
-        c, s, e = (i >> 2) & 1, (i >> 1) & 1, i & 1
-        j = (c << 2) | (s << 1) | (e ^ (c & s))
-        expected[j, i] = 1
-    np.testing.assert_array_equal(out, expected)
-
-
-def test_dilation_action_on_product_state():
-    rng = np.random.default_rng(5)
-    u0, u1 = random_unitary(rng, 4), random_unitary(rng, 4)
-    full = build_controlled_dilation(u0, u1, [2])
-    alpha, beta = random_amplitude_pair(rng)
-    psi = random_unitary(rng)[:, 0]
-    env0 = np.array([1, 0], dtype=complex)
-    se = np.kron(psi, env0)
-    state = np.kron(np.array([alpha, beta]), se)
-    expected = np.concatenate([alpha * (u0 @ se), beta * (u1 @ se)])
-    np.testing.assert_allclose(full @ state, expected, atol=1e-12)
-
-
-def test_dilation_cross_blocks_exactly_zero():
-    rng = np.random.default_rng(6)
-    out = build_controlled_dilation(random_unitary(rng, 4), random_unitary(rng, 4), [2])
-    assert np.all(out[:4, 4:] == 0)
-    assert np.all(out[4:, :4] == 0)
-    from branchsim import check_unitary
-
-    assert check_unitary(out, 1e-9)
-
-
-def test_dilation_shape_mismatch():
-    from branchsim import ShapeError
-
-    with pytest.raises(ShapeError):
-        build_controlled_dilation(np.eye(4), np.eye(4), [2, 2])
-    with pytest.raises(ShapeError):
-        build_controlled_dilation(np.eye(4), np.eye(8), [2])
-
-
-def test_dilation_non_unitary_block_rejected():
-    with pytest.raises(ValidationError):
-        build_controlled_dilation(np.eye(4) * 2, np.eye(4), [2])
 
 
 # ---------------------------------------------------------------------------
