@@ -7,7 +7,8 @@ partial trace reads the branch table, so it lives with the table in
 Matrices are row-major ``complex128`` arrays.  Tensor ordering is
 most-significant-first: the left Kronecker factor owns the high bits of
 the composite index, so basis indices print as ket strings read left to
-right.  Kronecker products are ``np.kron`` and matrix products ``@``.
+right.  Matrix products are ``@``; the oracle in ``verify`` builds its
+global Kronecker products in index form.
 """
 
 from __future__ import annotations

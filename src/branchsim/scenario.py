@@ -258,8 +258,9 @@ def parse_scenario(text: str) -> Scenario:
     if "measure" in doc and doc["measure"] is not None:
         m = doc["measure"]
         if not (isinstance(m, dict) and isinstance(m.get("seed"), int)
-                and not isinstance(m.get("seed"), bool)):
-            raise ParseError("must be an object with an integer 'seed'", "measure")
+                and not isinstance(m.get("seed"), bool) and m["seed"] >= 0):
+            raise ParseError("must be an object with a non-negative integer 'seed'",
+                             "measure")
         measure = MeasureRequest(seed=m["seed"])
 
     return Scenario(

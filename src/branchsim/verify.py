@@ -1,10 +1,15 @@
 """Self-verification: golden scenario checks and randomized property checks.
 
 The oracle here is deliberately naive: the initial state is a sum of
-Kronecker products of vectors, and controlled gates are materialized as
-explicit Kronecker-built global unitaries applied by matrix arithmetic,
-never through the engine's branch table.  Agreement between the two
-routes is the core correctness check.  Two more routes check the engine's
+Kronecker products of vectors, and each controlled gate is an explicit
+Kronecker-built global operator, never the engine's branch table.  The
+operator is held in index (COO) form, ``A (x) B`` having rows
+``r_a*d_b + r_b``, columns ``c_a*d_b + c_b`` and values ``v_a*v_b``
+(Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
+123:85-100, 2000), so each control-value term has 2**n entries rather
+than 4**n.  It is applied to the vector by scatter-add, or densified
+where a composed matrix is wanted.  Agreement between the two routes is
+the core correctness check.  Two more routes check the engine's
 structure: the composed global unitary of a canonical run splits into
 ``|0><0| (x) W_0 + |1><1| (x) W_1`` on the control (a controlled
 Stinespring dilation, with memories, system and policy as the kept
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -59,12 +65,42 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Oracle construction (global matrices built with np.kron and @ only)
+# Oracle construction: global operators as explicit Kronecker products in
+# index (COO) form, applied by scatter-add or densified and multiplied by @
+
+def _coo_kron(a, b):
+    """(rows, cols, values, dim) of A (x) B from those of A and B."""
+    (ra, ca, va, da), (rb, cb, vb, db) = a, b
+    return ((ra[:, None] * db + rb).ravel(), (ca[:, None] * db + cb).ravel(),
+            (va[:, None] * vb).ravel(), da * db)
+
+
+def _coo_identity(qubits: int):
+    idx = np.arange(1 << qubits)
+    return idx, idx, np.ones(idx.size, dtype=np.complex128), idx.size
+
+
+def _controlled_terms(layout: RegisterLayout, control: str, target: str,
+                      g0: np.ndarray, g1: np.ndarray):
+    """Yield (rows, cols, values) of ``|v><v|_control (x) g_v (x) I...`` for
+    v = 0, 1: each term has exactly 2**total_qubits entries."""
+    n = layout.total_qubits
+    c_pos, t_pos = layout.position(control), layout.position(target)
+    lo, hi = sorted((c_pos, t_pos))
+    for value, gate in ((0, g0), (1, g1)):
+        factors = {
+            c_pos: (np.array([value]), np.array([value]), np.ones(1, np.complex128), 2),
+            t_pos: (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), gate.ravel(), 2),
+        }
+        chain = (_coo_identity(lo), factors[lo], _coo_identity(hi - lo - 1),
+                 factors[hi], _coo_identity(n - hi - 1))
+        yield reduce(_coo_kron, [f for f in chain if f[3] > 1])[:3]
+
 
 def controlled_unitary_matrix(
     layout: RegisterLayout, control: str, target: str, g0: np.ndarray, g1: np.ndarray
 ) -> np.ndarray:
-    """Sum over control values of projector (x) gate (x) identities.
+    """Sum over control values of projector (x) gate (x) identities, dense.
 
     The matrix has 4**total_qubits entries, so a layout beyond 10 qubits
     raises ``CapacityError`` before anything is allocated.
@@ -74,33 +110,37 @@ def controlled_unitary_matrix(
             f"a {layout.total_qubits}-qubit global matrix has "
             f"{4 ** layout.total_qubits} entries; cap is 2**{QUBIT_CAP}"
         )
-    c_pos, t_pos = layout.position(control), layout.position(target)
     total = np.zeros((1 << layout.total_qubits,) * 2, dtype=np.complex128)
-    for value, gate in ((0, g0), (1, g1)):
-        factors = [_EYE2] * layout.total_qubits
-        factors[c_pos] = _PROJ[value]
-        factors[t_pos] = gate
-        block = factors[0]
-        for f in factors[1:]:
-            block = np.kron(block, f)
-        total += block
+    for rows, cols, values in _controlled_terms(layout, control, target, g0, g1):
+        total[rows, cols] = values
     return total
 
 
-def iteration_factors(layout: RegisterLayout, k: int, spec: IterationSpec):
-    """The global unitaries of round k, in order: U, CNOT, F, V, then R."""
+def _apply_controlled_terms(terms, amps: np.ndarray) -> np.ndarray:
+    """The operator's sum of terms times ``amps``, by scatter-add of each
+    term's products over its rows; no matrix is materialized."""
+    out = np.zeros_like(amps)
+    for rows, cols, values in terms:
+        products = values * amps[cols]
+        out.real += np.bincount(rows, products.real, minlength=amps.size)
+        out.imag += np.bincount(rows, products.imag, minlength=amps.size)
+    return out
+
+
+def round_gates(k: int, spec: IterationSpec):
+    """(control, target, g0, g1) of round k's controlled gates, as 2x2
+    matrices, in order: U, CNOT, F, V, then R."""
     gates = [("C", "S", spec.u0, spec.u1), ("C", f"M{k}", IDENTITY, PAULI_X),
              ("P", "S", spec.f0, spec.f1), (f"M{k}", "P", spec.v0, spec.v1)]
     if spec.extended:
         gates.append(("P", "C", spec.r0, spec.r1))
-    for control, target, g0, g1 in gates:
-        yield controlled_unitary_matrix(layout, control, target,
-                                        g0.matrix(), g1.matrix())
+    return [(control, target, g0.matrix(), g1.matrix())
+            for control, target, g0, g1 in gates]
 
 
 def iteration_matrix(layout: RegisterLayout, k: int, spec: IterationSpec) -> np.ndarray:
     """Explicit global unitary of one round: (R .) V . F . CNOT . U."""
-    factors = iteration_factors(layout, k, spec)
+    factors = (controlled_unitary_matrix(layout, *gate) for gate in round_gates(k, spec))
     w = next(factors)
     for factor in factors:
         w = factor @ w
@@ -125,9 +165,10 @@ def initial_vector(init: InitSpec, n_memories: int) -> np.ndarray:
 def oracle_run(scenario: Scenario, compose: bool = True) -> np.ndarray:
     """Run a scenario by explicit global-matrix arithmetic.
 
-    With ``compose`` each round's controlled factors are multiplied into
-    one iteration matrix first; otherwise they are applied to the vector
-    one factor at a time (same operator, cheaper at large sizes).
+    With ``compose`` each round's dense controlled factors are multiplied
+    into one iteration matrix first, which caps it at 10 qubits; otherwise
+    each factor's index-form terms are applied to the vector in turn (same
+    operator, 2**total_qubits entries per term, up to the 20-qubit cap).
     """
     layout = build_layout(len(scenario.iterations))
     amps = initial_vector(scenario.init, layout.n_memories)
@@ -135,8 +176,8 @@ def oracle_run(scenario: Scenario, compose: bool = True) -> np.ndarray:
         if compose:
             amps = iteration_matrix(layout, k, spec) @ amps
             continue
-        for factor in iteration_factors(layout, k, spec):
-            amps = factor @ amps
+        for gate in round_gates(k, spec):
+            amps = _apply_controlled_terms(_controlled_terms(layout, *gate), amps)
     return amps
 
 
@@ -293,14 +334,12 @@ def _check_golden_reinforce_two_step(rng, tol: Tolerances):
 
 
 def _check_oracle_equivalence(rng, tol: Tolerances):
+    scenarios = [random_canonical_scenario(rng, int(rng.integers(1, 5)))
+                 for _ in range(100)]
+    # larger extended draws: 8-10 qubits, then 14, past the composed form's cap
+    scenarios += [random_extended_scenario(rng, n) for n in (5, 6, 7, 11)]
     dev = 0.0
-    for trial in range(100):
-        scenario = random_canonical_scenario(rng, int(rng.integers(1, 5)))
-        engine = machine.run(scenario).amplitudes
-        dev = max(dev, float(np.max(np.abs(engine - oracle_run(scenario)))))
-    # a few larger draws cover the documented sizes up to 10 qubits
-    for n in (5, 6, 7):
-        scenario = random_extended_scenario(rng, n)
+    for scenario in scenarios:
         engine = machine.run(scenario).amplitudes
         dev = max(dev, float(np.max(np.abs(engine - oracle_run(scenario, compose=False)))))
     return dev, _TOL

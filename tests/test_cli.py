@@ -108,6 +108,8 @@ _INIT = json.loads(emit_scenario(builtin_scenario("pauli-flips")))["init"]
 @pytest.mark.parametrize("content, argv", [
     pytest.param(_pauli_doc(measure={"seed": -1}), ["run"],
                  id="negative-measure-seed"),
+    pytest.param(_pauli_doc(measure={"seed": -1}), ["run", "--seed", "3"],
+                 id="negative-measure-seed-under-seed-flag"),
     pytest.param(_pauli_doc(measure={"seed": 3}), ["run", "--seed", "-1"],
                  id="negative-seed-flag"),
     pytest.param(None, ["verify", "--seed", "-1"], id="negative-verify-seed"),

@@ -171,6 +171,21 @@ def test_apply_controlled_same_register_rejected():
 _REGISTERS_3 = ("C", "M1", "M2", "M3", "S", "P")
 
 
+def _kron_chain(layout, control, target, g0, g1):
+    projectors = (np.diag([1, 0]).astype(np.complex128),
+                  np.diag([0, 1]).astype(np.complex128))
+    total = np.zeros((1 << layout.total_qubits,) * 2, dtype=np.complex128)
+    for value, gate in ((0, g0), (1, g1)):
+        factors = [np.eye(2, dtype=np.complex128)] * layout.total_qubits
+        factors[layout.position(control)] = projectors[value]
+        factors[layout.position(target)] = gate
+        block = factors[0]
+        for f in factors[1:]:
+            block = np.kron(block, f)
+        total += block
+    return total
+
+
 @pytest.mark.parametrize("control, target", [
     (c, t) for c in _REGISTERS_3 for t in _REGISTERS_3 if c != t
 ])
@@ -180,10 +195,14 @@ def test_apply_controlled_matches_kron_oracle_on_every_register_pair(control, ta
     amps /= np.linalg.norm(amps)
     g0, g1 = random_unitary(rng), random_unitary(rng)
     layout = build_layout(3)
+    # the oracle's index-form gate is exactly the np.kron chain of 2x2 factors
+    terms = list(verify._controlled_terms(layout, control, target, g0, g1))
+    assert [rows.size for rows, _, _ in terms] == [64, 64]
+    matrix = controlled_unitary_matrix(layout, control, target, g0, g1)
+    assert np.array_equal(matrix, _kron_chain(layout, control, target, g0, g1))
     state = StateVector(layout, amps)
     out = apply_controlled(state, control, target, raw_gate(g0), raw_gate(g1))
-    expected = controlled_unitary_matrix(layout, control, target, g0, g1) @ amps
-    np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.amplitudes, matrix @ amps, rtol=0, atol=1e-12)
 
 
 def test_write_memory_entangles_control_and_slot():
@@ -369,7 +388,7 @@ def test_oracle_composed_and_factor_by_factor_agree():
             assert np.max(np.abs(oracle_run(scenario) - stepped)) <= 1e-12
 
 
-def test_oracle_matches_one_round_closed_form():
+def test_oracle_matches_closed_form():
     rng = np.random.default_rng(89)
     for n in range(1, 8):
         for mode in INIT_MODES:
@@ -380,7 +399,7 @@ def test_oracle_matches_one_round_closed_form():
 
 @pytest.mark.parametrize("n", [12, 17])
 def test_closed_form_matches_engine_beyond_the_oracle(n):
-    # the oracle stops at 10 qubits; 17 rounds are the 20-qubit cap
+    # the composed oracle stops at 10 qubits; 17 rounds are the 20-qubit cap
     rng = np.random.default_rng(92 + n)
     for mode in INIT_MODES:
         scenario = random_canonical_scenario(rng, n, mode)
@@ -412,24 +431,35 @@ def test_structure_checks_catch_swapped_feedback_and_update(monkeypatch):
         return original(rows, residual, layout, memories, steps)
 
     monkeypatch.setattr(machine, "_controlled_update", swapped)
-    for name in ("property_dilation_blocks", "property_symbolic_expansion"):
+    for name in ("oracle_equivalence", "property_dilation_blocks",
+                 "property_symbolic_expansion"):
         dev, tol = verify.CHECKS[name](machine.seeded_generator(1729),
                                        DEFAULT_TOLERANCES)
         assert dev > tol, name
 
 
 def test_oracle_capacity_error_checked_before_allocation():
-    # 8 rounds are 11 qubits: a global matrix of 4**11 entries (64 MiB)
-    scenario = random_canonical_scenario(np.random.default_rng(91), 8)
+    # 8 rounds are 11 qubits: a dense global matrix of 4**11 entries (64 MiB);
+    # the stepwise form runs there, and at 14 qubits, where a dense factor
+    # would take 4 GiB, it holds a few vectors of 2**14 entries
+    rng = np.random.default_rng(91)
+    canonical = random_canonical_scenario(rng, 8)
+    extended = random_extended_scenario(rng, 11)
     tracemalloc.start()
     try:
-        for compose in (True, False):
-            with pytest.raises(CapacityError):
-                oracle_run(scenario, compose=compose)
-        _, peak = tracemalloc.get_traced_memory()
+        with pytest.raises(CapacityError):
+            oracle_run(canonical, compose=True)
+        _, composed_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        stepped = oracle_run(extended, compose=False)
+        _, stepped_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20, f"peak {peak} bytes"
+    assert composed_peak < 1 << 20, f"peak {composed_peak} bytes"
+    assert stepped_peak < 8 << 20, f"peak {stepped_peak} bytes"
+    for scenario, amps in ((canonical, oracle_run(canonical, compose=False)),
+                           (extended, stepped)):
+        assert np.max(np.abs(amps - run(scenario).amplitudes)) <= 1e-10
 
 
 def test_run_marks_all_slots_consumed():

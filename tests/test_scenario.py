@@ -85,6 +85,13 @@ def test_parse_rejects_unknown_fields():
         parse_scenario(json.dumps(_document(extra=1)))
 
 
+def test_parse_rejects_negative_measure_seed():
+    with pytest.raises(ParseError) as err:
+        parse_scenario(json.dumps(_document(measure={"seed": -1})))
+    assert err.value.path == "measure"
+    assert parse_scenario(json.dumps(_document(measure={"seed": 0}))).measure.seed == 0
+
+
 def test_parse_rejects_half_r_pair():
     doc = _document()
     doc["iterations"][0]["r0"] = {"named": "identity"}
