@@ -6,6 +6,11 @@ the remaining (control, system, policy) registers.  A state stores one
 row per populated memory string, so the decomposition reads its rows
 and hands them on as arrays: a label's row indexes the Born weights and
 the normalized substates.
+
+A marginal is the validated reduced density matrix itself.  For one
+memory slot it is 2x2: its diagonal gives the branch weights, and its
+off-diagonal entry shows whether the record kept the control's
+coherence.
 """
 
 from __future__ import annotations
@@ -37,24 +42,6 @@ class BranchTable:
         return dict(zip(self.entries, self.weights.tolist()))
 
 
-@dataclass(frozen=True)
-class MarginalReport:
-    register: str
-    matrix: np.ndarray
-    max_offdiag: float
-    diagonal_probs: list[float]
-
-    @classmethod
-    def from_matrix(cls, register: str, rho: np.ndarray) -> "MarginalReport":
-        """Diagonality metrics of a single register's 2x2 reduced state."""
-        return cls(
-            register=register,
-            matrix=rho,
-            max_offdiag=float(abs(rho[0, 1])),
-            diagonal_probs=[float(rho[0, 0].real), float(rho[1, 1].real)],
-        )
-
-
 def branch_decompose(state: StateVector) -> BranchTable:
     """Probability and normalized substate for every populated memory string."""
     layout = state.layout
@@ -76,14 +63,13 @@ def branch_decompose(state: StateVector) -> BranchTable:
     return BranchTable(entries, probs, subs)
 
 
-def memory_marginal(state: StateVector, k: int) -> MarginalReport:
-    """Reduced state of memory slot k with diagonality metrics."""
+def memory_marginal(state: StateVector, k: int) -> np.ndarray:
+    """Reduced 2x2 density matrix of memory slot k."""
     if k < 1 or k > state.layout.n_memories:
         raise LayoutError(
             f"memory slot M{k} not in layout (1..{state.layout.n_memories})"
         )
-    name = f"M{k}"
-    return MarginalReport.from_matrix(name, register_marginal(state, {name}))
+    return register_marginal(state, {f"M{k}"})
 
 
 def register_marginal(state: StateVector, regs) -> np.ndarray:

@@ -53,13 +53,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def check_unitary(m, tol: float = UNITARITY_TOL) -> bool:
-    """True iff max |m†m - I| <= tol."""
-    m = as_matrix(m)
-    dev = unitarity_deviation(m)
-    return bool(dev <= tol)
-
-
 def unitarity_deviation(m) -> float:
     """max |m†m - I|, the number compared against the unitarity tolerance."""
     m = as_matrix(m)

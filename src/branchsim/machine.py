@@ -383,21 +383,23 @@ def _collapse_rows(labels: np.ndarray, block: np.ndarray, bits: list[int]):
 
 
 def _controlled_update(
-    rows: np.ndarray, residual: np.ndarray, layout: RegisterLayout,
-    memories: list[str], steps,
+    rows: np.ndarray, residual: np.ndarray, layout: RegisterLayout, steps
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply each ``(control, target, g0, g1)`` step in order; skip identities.
 
     A step applies g0/g1 to ``target`` where ``control`` reads 0/1.  The
-    rows are expanded once on the bits of ``memories``, the memory
-    registers the steps name, so every step is an update of the axes of
-    one block (none for gates among C, S and P), and collapsed once.
-    Returns the rows and residual of the result; the inputs are not
-    modified.
+    rows are expanded once on the bits of the memory registers the
+    remaining steps name, in first-use order, so every step is an update
+    of the axes of one block (none for gates among C, S and P), and
+    collapsed once.  Returns the rows and residual of the result; the
+    inputs are not modified.
     """
     steps = [s for s in steps if not (s[2].is_identity and s[3].is_identity)]
     if not steps:
         return rows, residual
+    memories = list(dict.fromkeys(
+        r for step in steps for r in step[:2] if r not in _RESIDUAL_AXIS
+    ))
     axis = _block_axes(memories)
     bits = [_memory_bit(layout, r) for r in memories]
     labels, block = _expand_rows(rows, residual, bits)
@@ -420,7 +422,7 @@ def initialize(spec: InitSpec, layout: RegisterLayout) -> StateVector:
     residual = np.kron(np.kron(vec_c, vec_s), vec_p).reshape(1, 2, 2, 2)
     if spec.mode in ("correlated_c_to_p", "copy_c_to_p_from_zero"):
         rows, residual = _controlled_update(
-            rows, residual, layout, [], [("C", "P", IDENTITY, PAULI_X)]
+            rows, residual, layout, [("C", "P", IDENTITY, PAULI_X)]
         )
     return StateVector(layout, rows=rows, residual=residual)
 
@@ -433,10 +435,8 @@ def apply_controlled(
         raise LayoutError(f"control and target are the same register {control!r}")
     state.layout.position(control)
     state.layout.position(target)
-    memories = [r for r in (control, target) if r not in _RESIDUAL_AXIS]
     rows, residual = _controlled_update(
-        state.rows, state.residual, state.layout, memories,
-        [(control, target, g0, g1)],
+        state.rows, state.residual, state.layout, [(control, target, g0, g1)]
     )
     return StateVector(
         state.layout, consumed_slots=state.consumed_slots, rows=rows, residual=residual
@@ -471,7 +471,7 @@ def _round(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
              ("P", "S", spec.f0, spec.f1), (m, "P", spec.v0, spec.v1)]
     if spec.extended:
         steps.append(("P", "C", spec.r0, spec.r1))
-    rows, residual = _controlled_update(rows, state.residual, layout, [m], steps)
+    rows, residual = _controlled_update(rows, state.residual, layout, steps)
     return StateVector(
         layout, consumed_slots=state.consumed_slots | {k}, rows=rows, residual=residual
     )

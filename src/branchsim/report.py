@@ -102,14 +102,12 @@ def build_report(
             }
         elif request.kind == "marginal":
             reg = request.registers[0]
-            rep = analysis.MarginalReport.from_matrix(
-                reg, analysis.register_marginal(state, {reg})
-            )
+            rho = analysis.register_marginal(state, {reg})
             marginals.append({
-                "register": rep.register,
-                "matrix": _q_array(np.dstack([rep.matrix.real, rep.matrix.imag])).tolist(),
-                "max_offdiag": _q(rep.max_offdiag),
-                "diagonal_probs": [_q(p) for p in rep.diagonal_probs],
+                "register": reg,
+                "matrix": _q_array(np.dstack([rho.real, rho.imag])).tolist(),
+                "max_offdiag": _q(abs(rho[0, 1])),
+                "diagonal_probs": _q_array(rho.diagonal().real).tolist(),
             })
         elif request.kind == "outcome":
             reg = request.registers[0]

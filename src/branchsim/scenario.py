@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .gates import ANGLE_KINDS, GateSpec, IDENTITY, KINDS
-from .machine import MAX_ITERATIONS, InitSpec, IterationSpec
+from .machine import MAX_ITERATIONS, InitSpec, IterationSpec, RegisterLayout
 
 ANALYSIS_KINDS = ("branches", "marginal", "outcome", "separability", "witness")
 
@@ -59,9 +59,7 @@ class Scenario:
                 f"{len(self.iterations)} iterations exceeds the cap of "
                 f"{MAX_ITERATIONS}"
             )
-        known = {"C", "S", "P"} | {
-            f"M{k}" for k in range(1, len(self.iterations) + 1)
-        }
+        known = RegisterLayout(len(self.iterations)).register_names()
         for request in self.analyses:
             for reg in request.registers:
                 if reg not in known:
@@ -71,10 +69,6 @@ class Scenario:
                     )
             if request.kind == "witness" and request.registers[0] == request.registers[1]:
                 raise ValidationError("witness needs two distinct registers")
-
-    @property
-    def mode(self) -> str:
-        return "extended" if any(it.extended for it in self.iterations) else "canonical"
 
 
 def _to_float(value: int | float, path: str) -> float:

@@ -290,9 +290,9 @@ def _check_golden_pauli_flips(rng, tol: Tolerances):
     infidelity = 1.0 - abs(np.vdot(expected, state.amplitudes)) ** 2
     dev = max(infidelity / _TOL, 0.0)
     for k in (1, 2, 3):
-        rep = analysis.memory_marginal(state, k)
-        dev = max(dev, rep.max_offdiag / tol.diagonality)
-        dev = max(dev, max(abs(p - 0.5) for p in rep.diagonal_probs) / _TOL)
+        rho = analysis.memory_marginal(state, k)
+        dev = max(dev, abs(rho[0, 1]) / tol.diagonality)
+        dev = max(dev, max(abs(p - 0.5) for p in rho.diagonal().real) / _TOL)
     return dev, 1.0
 
 
@@ -365,10 +365,10 @@ def _check_marginal_diagonality(rng, tol: Tolerances):
         wa = abs(scenario.init.alpha) ** 2
         wb = abs(scenario.init.beta) ** 2
         for k in range(1, len(scenario.iterations) + 1):
-            rep = analysis.memory_marginal(state, k)
-            dev = max(dev, rep.max_offdiag / tol.diagonality)
-            dev = max(dev, abs(rep.diagonal_probs[0] - wa) / _TOL)
-            dev = max(dev, abs(rep.diagonal_probs[1] - wb) / _TOL)
+            rho = analysis.memory_marginal(state, k)
+            dev = max(dev, abs(rho[0, 1]) / tol.diagonality)
+            dev = max(dev, abs(rho[0, 0].real - wa) / _TOL)
+            dev = max(dev, abs(rho[1, 1].real - wb) / _TOL)
     return dev, 1.0
 
 
@@ -383,8 +383,8 @@ def _check_phase_blindness(rng, tol: Tolerances):
         )
         base_state, shifted_state = machine.run(scenario), machine.run(shifted)
         for k in range(1, len(scenario.iterations) + 1):
-            m1 = analysis.memory_marginal(base_state, k).matrix
-            m2 = analysis.memory_marginal(shifted_state, k).matrix
+            m1 = analysis.memory_marginal(base_state, k)
+            m2 = analysis.memory_marginal(shifted_state, k)
             dev = max(dev, float(np.max(np.abs(m1 - m2))))
     return dev, _TIGHT_TOL
 

@@ -20,14 +20,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from branchsim import (
-    InitSpec,
-    branch_decompose,
-    builtin_scenario,
-    measure_control,
-    run,
-)
+from branchsim import branch_decompose, builtin_scenario, run
 from branchsim.linalg import DEFAULT_TOLERANCES
+from branchsim.machine import InitSpec, measure_control
 from branchsim.verify import (
     _check_golden_pauli_flips,
     _check_golden_reinforce_two_step,

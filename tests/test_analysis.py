@@ -4,24 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from branchsim import (
-    InitSpec,
-    LayoutError,
-    Scenario,
-    branch_decompose,
-    builtin_scenario,
+from branchsim import branch_decompose, builtin_scenario, memory_marginal, run
+from branchsim.analysis import (
+    PRUNE_THRESHOLD,
     fidelity,
-    memory_marginal,
     no_cloning_witness,
     outcome_probability,
     register_marginal,
-    run,
     separability_check,
-    write_memory,
-    initialize,
-    build_layout,
 )
-from branchsim.analysis import PRUNE_THRESHOLD
+from branchsim.errors import LayoutError
+from branchsim.machine import InitSpec, build_layout, initialize, write_memory
+from branchsim.scenario import Scenario
 from branchsim.verify import random_canonical_scenario
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -107,25 +101,24 @@ def test_branch_entries_below_prune_threshold_are_dropped():
 def test_memory_marginal_ghz_is_balanced_and_diagonal():
     state = run(builtin_scenario("pauli-flips"))
     for k in (1, 2, 3):
-        rep = memory_marginal(state, k)
-        assert rep.max_offdiag <= 1e-12
-        assert rep.diagonal_probs[0] == pytest.approx(0.5, abs=1e-10)
-        assert rep.diagonal_probs[1] == pytest.approx(0.5, abs=1e-10)
+        rho = memory_marginal(state, k)
+        assert rho.shape == (2, 2)
+        assert abs(rho[0, 1]) <= 1e-12
+        assert rho[0, 0].real == pytest.approx(0.5, abs=1e-10)
+        assert rho[1, 1].real == pytest.approx(0.5, abs=1e-10)
 
 
 def test_memory_marginal_deterministic_control():
     layout = build_layout(1)
     state = write_memory(initialize(InitSpec(alpha=1, beta=0), layout), 1)
-    rep = memory_marginal(state, 1)
-    np.testing.assert_allclose(rep.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(memory_marginal(state, 1), np.diag([1.0, 0.0]), atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["rotations-nofeedback", "rotations-feedback"])
 def test_memory_marginal_rotation_examples(name):
     state = run(builtin_scenario(name))
     for k in (1, 2, 3):
-        rep = memory_marginal(state, k)
-        np.testing.assert_allclose(rep.matrix, np.diag([0.5, 0.5]), atol=1e-12)
+        np.testing.assert_allclose(memory_marginal(state, k), np.diag([0.5, 0.5]), atol=1e-12)
 
 
 def test_memory_marginal_out_of_range():
@@ -241,8 +234,8 @@ def test_memory_marginal_blind_to_control_phase():
                      beta=scenario.init.beta * complex(math.cos(t), math.sin(t))),
     )
     for k in (1, 2):
-        m1 = memory_marginal(run(scenario), k).matrix
-        m2 = memory_marginal(run(shifted), k).matrix
+        m1 = memory_marginal(run(scenario), k)
+        m2 = memory_marginal(run(shifted), k)
         np.testing.assert_allclose(m1, m2, atol=1e-12)
 
 

@@ -5,38 +5,36 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from branchsim import (
-    CapacityError,
-    LayoutError,
-    StateVector,
-    Tolerances,
-    ValidationError,
-    build_layout,
-    check_unitary,
-    initialize,
-    partial_trace,
-    purity,
-    rx,
-)
+from branchsim.errors import CapacityError, LayoutError, ValidationError
+from branchsim.gates import rx
 from branchsim.linalg import (
     HERMITICITY_TOL,
     UNITARITY_TOL,
+    Tolerances,
+    purity,
+    unitarity_deviation,
     validate_density_matrix,
 )
-from branchsim.machine import InitSpec
+from branchsim.machine import (
+    InitSpec,
+    StateVector,
+    build_layout,
+    initialize,
+    partial_trace,
+)
 from branchsim.verify import random_unitary
 
 
-def test_check_unitary_identity():
-    assert check_unitary(np.eye(2), 1e-9)
+def test_unitarity_deviation_identity():
+    assert unitarity_deviation(np.eye(2)) <= UNITARITY_TOL
 
 
-def test_check_unitary_rotation():
-    assert check_unitary(rx(0.37).matrix(), 1e-9)
+def test_unitarity_deviation_rotation():
+    assert unitarity_deviation(rx(0.37).matrix()) <= UNITARITY_TOL
 
 
-def test_check_unitary_rejects_all_half_matrix():
-    assert not check_unitary(np.full((4, 4), 0.5), 1e-9)
+def test_unitarity_deviation_rejects_all_half_matrix():
+    assert unitarity_deviation(np.full((4, 4), 0.5)) > UNITARITY_TOL
 
 
 def _bell_state():
@@ -210,4 +208,4 @@ def test_gate_library_products_stay_unitary():
     prod = np.eye(2)
     for m in mats:
         prod = prod @ m
-        assert check_unitary(prod, 1e-9)
+        assert unitarity_deviation(prod) <= UNITARITY_TOL

@@ -7,35 +7,38 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchsim import (
+from branchsim import cli, machine, verify
+from branchsim.errors import (
     CapacityError,
-    IDENTITY,
-    InitSpec,
-    IterationSpec,
     LayoutError,
     ModeError,
     ProjectionError,
-    Scenario,
     ValidationError,
+)
+from branchsim.gates import IDENTITY, PAULI_X, PAULI_Z, raw_gate, real_rotation, rx
+from branchsim.linalg import DEFAULT_TOLERANCES
+from branchsim.machine import (
+    INIT_MODES,
+    InitSpec,
+    IterationSpec,
+    StateVector,
     apply_controlled,
     build_layout,
-    builtin_scenario,
-    builtin_scenarios,
     initialize,
     iterate,
     iterate_extended,
     measure_control,
-    raw_gate,
-    real_rotation,
     run,
-    rx,
     write_memory,
 )
-from branchsim import cli, machine, verify
-from branchsim.gates import PAULI_X, PAULI_Z
-from branchsim.linalg import DEFAULT_TOLERANCES
-from branchsim.machine import INIT_MODES, StateVector
-from branchsim.scenario import AnalysisRequest, MeasureRequest, emit_scenario
+from branchsim.scenario import (
+    AnalysisRequest,
+    MeasureRequest,
+    Scenario,
+    builtin_scenario,
+    builtin_scenarios,
+    emit_scenario,
+)
 from branchsim.verify import (
     controlled_unitary_matrix,
     closed_form,
@@ -424,11 +427,11 @@ def test_structure_checks_catch_swapped_feedback_and_update(monkeypatch):
     # inside the engine, each round's policy update now precedes its feedback
     original = machine._controlled_update
 
-    def swapped(rows, residual, layout, memories, steps):
+    def swapped(rows, residual, layout, steps):
         steps = list(steps)
         if len(steps) >= 4:  # a round: U, CNOT, F, V (, R)
             steps[2], steps[3] = steps[3], steps[2]
-        return original(rows, residual, layout, memories, steps)
+        return original(rows, residual, layout, steps)
 
     monkeypatch.setattr(machine, "_controlled_update", swapped)
     for name in ("oracle_equivalence", "property_dilation_blocks",

@@ -6,19 +6,18 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from branchsim import (
+from branchsim import branch_decompose, builtin_scenario, run
+from branchsim.gates import raw_gate
+from branchsim.linalg import purity
+from branchsim.machine import (
     InitSpec,
     IterationSpec,
     apply_controlled,
     build_layout,
-    builtin_scenario,
     initialize,
     iterate,
     measure_control,
     partial_trace,
-    purity,
-    raw_gate,
-    run,
 )
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi,
@@ -105,8 +104,6 @@ def test_measurement_probabilities_sum_to_one(pair, seed):
 @given(st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False))
 def test_reinforcement_weights_follow_closed_form(theta):
     state = run(builtin_scenario("reinforce-two-step", reinforce_theta=theta))
-    from branchsim import branch_decompose
-
     probs = branch_decompose(state).probabilities()
     assert abs(probs.get("00", 0.0) - 0.5) <= 1e-10
     assert abs(probs.get("10", 0.0) - 0.5 * math.sin(theta) ** 2) <= 1e-10

@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from branchsim import (
-    ParseError,
-    ValidationError,
-    analysis,
+from branchsim import analysis, builtin_scenario, run
+from branchsim.errors import ParseError, ValidationError
+from branchsim.report import (
+    RunReport,
+    _q,
+    _q_array,
     build_report,
-    builtin_scenario,
     emit_report,
     parse_report,
-    run,
 )
-from branchsim.report import RunReport, _q, _q_array
 from branchsim.scenario import AnalysisRequest
 from branchsim.verify import random_extended_scenario
 
@@ -76,6 +75,23 @@ def test_report_marginals_section():
     for marginal in report.marginals:
         assert marginal["diagonal_probs"] == [0.5, 0.5]
         assert marginal["max_offdiag"] == 0.0
+
+
+def test_report_marginals_of_every_register_kind_are_quantized_rho():
+    registers = ("C", "S", "P", "M1")
+    scenario = replace(random_extended_scenario(np.random.default_rng(13), 2),
+                       analyses=tuple(AnalysisRequest("marginal", (r,)) for r in registers))
+    state = run(scenario)
+    report = build_report(scenario, state)
+    assert tuple(m["register"] for m in report.marginals) == registers
+    for entry in report.marginals:
+        rho = analysis.register_marginal(state, {entry["register"]})
+        assert _bits(np.ravel(entry["matrix"])) == _bits(
+            [_q(part) for z in rho.ravel() for part in (z.real, z.imag)])
+        assert _bits([entry["max_offdiag"]]) == _bits([_q(abs(rho[0, 1]))])
+        assert _bits(entry["diagonal_probs"]) == _bits(
+            [_q(rho[0, 0].real), _q(rho[1, 1].real)])
+    assert any(m["max_offdiag"] > 0 for m in report.marginals)
 
 
 def test_report_measurement_seed_determinism():

@@ -5,17 +5,21 @@ import time
 import numpy as np
 import pytest
 
-from branchsim import (
-    ParseError,
+from branchsim import branch_decompose, builtin_scenario, run
+from branchsim.analysis import outcome_probability
+from branchsim.errors import ParseError, ValidationError
+from branchsim.gates import raw_gate
+from branchsim.machine import InitSpec, IterationSpec
+from branchsim.scenario import (
+    AnalysisRequest,
+    MeasureRequest,
     Scenario,
-    ValidationError,
-    builtin_scenario,
     builtin_scenarios,
     emit_scenario,
+    parse_angle,
     parse_scenario,
-    run,
 )
-from branchsim.scenario import parse_angle
+from branchsim.verify import random_unitary
 
 
 def _document(**overrides):
@@ -35,7 +39,7 @@ def _document(**overrides):
 def test_parse_minimal_document():
     scenario = parse_scenario(json.dumps(_document()))
     assert scenario.name == "demo"
-    assert scenario.mode == "canonical"
+    assert not any(it.extended for it in scenario.iterations)
     assert len(scenario.iterations) == 1
     assert scenario.iterations[0].f0.is_identity  # omitted blocks default
 
@@ -139,8 +143,8 @@ def test_parse_angle_rejects_malformed(expr):
 
 
 def test_mode_extended_iff_r_pair_present():
-    assert builtin_scenario("reinforce-two-step").mode == "extended"
-    assert builtin_scenario("pauli-flips").mode == "canonical"
+    assert any(it.extended for it in builtin_scenario("reinforce-two-step").iterations)
+    assert not any(it.extended for it in builtin_scenario("pauli-flips").iterations)
 
 
 def test_builtin_list_is_exactly_four():
@@ -159,8 +163,6 @@ def test_builtin_unknown_name():
 
 
 def test_builtin_reinforce_theta_parameter():
-    from branchsim import branch_decompose
-
     scenario = builtin_scenario("reinforce-two-step", reinforce_theta=0.0)
     probs = branch_decompose(run(scenario)).probabilities()
     assert set(probs) == {"00", "11"}
@@ -177,18 +179,12 @@ def test_builtins_run_quickly_and_cleanly():
 
 def test_rotations_feedback_probability():
     state = run(builtin_scenario("rotations-feedback"))
-    from branchsim import outcome_probability
-
     assert outcome_probability(state, "S", 1) == pytest.approx(
         (2 + math.sqrt(2)) / 4, abs=1e-9
     )
 
 
 def test_scenario_round_trip_with_raw_gate_and_measure():
-    from branchsim import InitSpec, IterationSpec, raw_gate
-    from branchsim.scenario import AnalysisRequest, MeasureRequest
-    from branchsim.verify import random_unitary
-
     rng = np.random.default_rng(31)
     scenario = Scenario(
         name="round-trip",

@@ -1,0 +1,56 @@
+"""The package's public surface: the README's library sketch, the names
+``branchsim`` exports, and the module names the benchmark's tracer wraps."""
+
+import re
+import sys
+from pathlib import Path
+
+import branchsim
+from branchsim import analysis, cli, machine, verify
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_sketch() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_readme_sketch_runs(capsys):
+    exec(compile(_readme_sketch(), "<README library sketch>", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["000", "111"]
+    assert len(lines) == 3
+
+
+def test_package_exports_exactly_the_sketch_imports():
+    imported = re.search(r"^from branchsim import (.+)$", _readme_sketch(), re.M)
+    names = sorted(name.strip() for name in imported.group(1).split(","))
+    assert sorted(branchsim.__all__) == names
+
+
+def test_benchmark_tracer_finds_and_restores_every_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+
+    owners = (analysis, cli, machine, verify, verify.CHECKS)
+
+    def snapshot():
+        return [dict(o if isinstance(o, dict) else vars(o)) for o in owners]
+
+    before = snapshot()
+    tracer = tracing.Tracer().install()  # AttributeError/KeyError on a missing name
+    try:
+        patched = sum(
+            value is not old[name]
+            for old, new in zip(before, snapshot()) for name, value in new.items()
+        )
+        assert patched == len(tracer._saved)
+    finally:
+        tracer.uninstall()
+    for old, new in zip(before, snapshot()):
+        assert new.keys() == old.keys()
+        assert all(new[name] is old[name] for name in old)
