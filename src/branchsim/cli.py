@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 
 from .errors import BranchsimError, ParseError, ValidationError
 from .linalg import Tolerances
@@ -69,6 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: argparse copies an append action's default list per parse.
+_PARSER = build_parser()
+
+
 def _parse_tolerances(pairs: list[str], keys: tuple[str, ...]) -> Tolerances:
     overrides = {}
     for pair in pairs:
@@ -98,12 +103,10 @@ def _cmd_run(args, stdout, stderr) -> int:
         scenario = builtin_scenario(args.example)
     state = run(scenario)
     report = build_report(scenario, state, tolerances, seed_override=args.seed)
-    text = emit_report(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text, file=stdout)
+    sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(stdout)
+    with sink as out:
+        emit_report(report, out)
+        out.write("\n")
     return EXIT_OK
 
 
@@ -137,7 +140,7 @@ def _cmd_verify(args, stdout, stderr) -> int:
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handler = {"run": _cmd_run, "examples": _cmd_examples, "verify": _cmd_verify}[
         args.command
     ]

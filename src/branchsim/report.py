@@ -1,20 +1,21 @@
 """Structured run reports with deterministic serialization.
 
-All numbers are quantized to 12 significant digits at assembly time
-(values below 1e-12 in modulus collapse to 0), so emitted documents are
-byte-identical across runs and survive a parse round-trip unchanged.
+All numbers are quantized to 12 significant digits (values below 1e-12
+in modulus collapse to 0), so emitted documents are byte-identical across
+runs and survive a parse round-trip unchanged.
 
-The branch table, nearly all of a large report, is quantized in one array
-pass and written by ``_table_text`` in the bytes of the indented
-``json.dumps``, which writes the rest and stays the format's definition.
+The branch table, nearly all of a large report, stays as
+``analysis.BranchTable`` arrays until ``emit_report`` streams it to a file
+object, ``ROWS_PER_CHUNK`` rows at a time, formatting each number once.
+The bytes are those of the indented ``json.dumps``, which writes the rest
+and stays the format's definition.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -38,24 +39,33 @@ def _q(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _q_array(a) -> np.ndarray:
-    """``_q`` of every element of a real array, in one pass."""
-    a = np.asarray(a, dtype=np.float64)
-    text = "%.12g " * a.size % tuple(a.ravel().tolist())
+def _tokens(a) -> list[str]:
+    """``json.dumps(_q(x))`` for each x of a real array with |x| < 1e12: the
+    ``"%.12g"`` text, with ".0" after an integral one (``repr`` agrees)."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    text = "%.12g " * a.size % tuple(np.where(np.abs(a) < ZERO_FLOOR, 0.0, a).tolist())
     if "n" in text:  # "%.12g" writes only nan and inf with an n
         raise ValidationError("report values must be finite")
-    q = np.fromstring(text, sep=" ").reshape(a.shape)  # float()'s strtod
-    q[np.abs(a) < ZERO_FLOOR] = 0.0
-    return q
+    return [t if "." in t or "e" in t else t + ".0" for t in text.split()]
+
+
+def _quantized(a) -> np.ndarray:
+    """``_q`` of every element of a real array, read back from its tokens."""
+    return np.array(list(map(float, _tokens(a)))).reshape(np.shape(a))
+
+
+def _numbers(table: analysis.BranchTable, rows=slice(None)) -> np.ndarray:
+    """One row per branch: its weight, then its substate's (re, im) pairs."""
+    return np.column_stack([table.weights[rows], table.substates[rows].view(np.float64)])
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """JSON-shaped result of one scenario run (all values pre-quantized)."""
+    """JSON-shaped result of one run; a ``BranchTable`` is quantized as it is written."""
 
     scenario_name: str
     final_norm: float
-    branch_table: dict
+    branch_table: analysis.BranchTable | dict
     marginals: list
     probabilities: dict
     checks: dict
@@ -65,6 +75,11 @@ class RunReport:
         doc = dict(vars(self))
         if self.measurement is None:
             del doc["measurement"]
+        if isinstance(self.branch_table, analysis.BranchTable):
+            q = _quantized(_numbers(self.branch_table))
+            rows = zip(self.branch_table.entries, q[:, 0].tolist(),
+                       q[:, 1:].reshape(-1, 8, 2).tolist())
+            doc["branch_table"] = {k: {"probability": p, "substate": s} for k, p, s in rows}
         return doc
 
 
@@ -79,23 +94,17 @@ def build_report(
     checks: dict = {
         "norm": {"pass": norm_dev <= tolerances.norm, "deviation": _q(norm_dev)}
     }
-    branch_table: dict = {}
+    branch_table: analysis.BranchTable | dict = {}
     marginals: list = []
     probabilities: dict = {}
 
     for request in scenario.analyses:
         if request.kind == "branches":
-            table = analysis.branch_decompose(state)
-            r = len(table.entries)
+            # finite and normalized, as branch_decompose checks: the writer cannot fail
+            branch_table = analysis.branch_decompose(state)
             total = 0.0  # a plain loop: sum() compensates from Python 3.12
-            for p in table.weights.tolist():
+            for p in branch_table.weights.tolist():
                 total += p
-            q = _q_array(np.concatenate(
-                [table.weights, table.substates.view(np.float64).ravel()]
-            ))
-            subs = q[r:].reshape(r, 8, 2).tolist()
-            for label, p, sub in zip(table.entries, q[:r].tolist(), subs):
-                branch_table[label] = {"probability": p, "substate": sub}
             dev = abs(total - 1.0)
             checks["branch_probability_sum"] = {
                 "pass": dev <= tolerances.norm, "deviation": _q(dev)
@@ -105,9 +114,9 @@ def build_report(
             rho = analysis.register_marginal(state, {reg})
             marginals.append({
                 "register": reg,
-                "matrix": _q_array(np.dstack([rho.real, rho.imag])).tolist(),
+                "matrix": _quantized(np.dstack([rho.real, rho.imag])).tolist(),
                 "max_offdiag": _q(abs(rho[0, 1])),
-                "diagonal_probs": _q_array(rho.diagonal().real).tolist(),
+                "diagonal_probs": _quantized(rho.diagonal().real).tolist(),
             })
         elif request.kind == "outcome":
             reg = request.registers[0]
@@ -145,36 +154,33 @@ def build_report(
     )
 
 
-_PAIR = "\n        [\n          %r,\n          %r\n        ]"
+ROWS_PER_CHUNK = 4096
+_PAIR = "\n        [\n          %s,\n          %s\n        ]"
+_ENTRY = ('    %s: {\n      "probability": %s,\n      "substate": ['
+          + ",".join([_PAIR] * 8) + "\n      ]\n    }")
 
 
-@lru_cache(maxsize=16)
-def _entry_format(n_pairs: int) -> str:
-    substate = "[" + ",".join([_PAIR] * n_pairs) + "\n      ]" if n_pairs else "[]"
-    return '    %s: {\n      "probability": %r,\n      "substate": ' + substate + "\n    }"
-
-
-def _table_text(table: dict) -> str:
-    """``json.dumps`` of a branch table at depth 1 of an indented document.
-
-    Numbers are finite floats or ints (``parse_report`` checks this), whose
-    ``%r`` is their ``json.dumps`` text; labels are escaped as it escapes them.
-    """
-    formats, args = [], []
-    for label in sorted(table):
-        entry = table[label]
-        formats.append(_entry_format(len(entry["substate"])))
-        args += (encode_basestring_ascii(label), entry["probability"])
-        for pair in entry["substate"]:
-            args += pair
-    return "{\n" + ",\n".join(formats) % tuple(args) + "\n  }" if table else "{}"
-
-
-def emit_report(report: RunReport) -> str:
-    """The bytes of ``json.dumps(report.to_document(), indent=2, sort_keys=True)``."""
-    doc = report.to_document()
-    table = _table_text(doc.pop("branch_table"))  # the first key in sorted order
-    return '{\n  "branch_table": ' + table + "," + json.dumps(doc, indent=2, sort_keys=True)[1:]
+def emit_report(report: RunReport, out) -> None:
+    """Write ``json.dumps(report.to_document(), indent=2, sort_keys=True)`` to ``out``."""
+    table = report.branch_table
+    if isinstance(table, dict):  # e.g. a parsed report: json.dumps is the definition
+        out.write(json.dumps(report.to_document(), indent=2, sort_keys=True))
+        return
+    # "branch_table" is the first key, so the first "{}" is its placeholder
+    head, _, tail = json.dumps(replace(report, branch_table={}).to_document(),
+                               indent=2, sort_keys=True).partition("{}")
+    out.write(head)
+    labels = list(map(encode_basestring_ascii, table.entries))
+    for start in range(0, len(labels), ROWS_PER_CHUNK):
+        rows = slice(start, start + ROWS_PER_CHUNK)
+        args = [None] * (18 * len(labels[rows]))  # label, weight, 8 (re, im) pairs
+        args[::18] = labels[rows]
+        tokens = _tokens(_numbers(table, rows))
+        for k in range(17):
+            args[k + 1::18] = tokens[k::17]
+        out.write(("{\n" if start == 0 else ",\n")
+                  + ",\n".join([_ENTRY] * len(labels[rows])) % tuple(args))
+    out.write(("\n  }" if labels else "{}") + tail)
 
 
 def _is_number(x) -> bool:
@@ -182,7 +188,7 @@ def _is_number(x) -> bool:
 
 
 def parse_report(text: str) -> RunReport:
-    """Inverse of emit_report; parse(emit(r)) == r."""
+    """Inverse of emit_report: the parsed report has the written one's document."""
     doc = load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("report document must be a JSON object")

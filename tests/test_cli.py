@@ -4,8 +4,10 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -15,15 +17,18 @@ from branchsim.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
     EXIT_VERIFY,
+    build_parser,
     main,
 )
-from branchsim.report import parse_report
+from branchsim.report import ROWS_PER_CHUNK, parse_report
 from branchsim.scenario import (
+    AnalysisRequest,
     builtin_scenario,
     builtin_scenarios,
     emit_scenario,
     parse_scenario,
 )
+from branchsim.verify import random_extended_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,6 +99,70 @@ def test_run_example_matches_golden_report(name, capsys):
     assert main(["run", "--example", name]) == EXIT_OK
     golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
+def test_run_example_to_out_path_matches_golden_report(name, tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    assert main(["run", "--example", name, "--out", str(out_path)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out_path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+class _FullAfterFirstChunk(io.StringIO):
+    """A stdout that takes one chunk of branch-table rows, then is full."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = 0
+
+    def write(self, s):
+        if self.chunks:
+            raise OSError(28, "No space left on device")
+        self.chunks += '"probability"' in s
+        return super().write(s)
+
+
+def test_stdout_failing_after_the_first_chunk_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    scenario = replace(random_extended_scenario(np.random.default_rng(5), 13),
+                       analyses=(AnalysisRequest("branches"),))  # 2^13 rows
+    path.write_text(emit_scenario(scenario), encoding="utf-8")
+    stdout = _FullAfterFirstChunk()
+    assert main(["run", "--scenario", str(path)], stdout=stdout) == EXIT_IO
+    assert stdout.chunks == 1 and stdout.getvalue().count('"probability"') == ROWS_PER_CHUNK
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+def test_tolerance_does_not_leak_into_the_next_call(capsys):
+    argv = ["run", "--example", "pauli-flips"]
+    assert main(argv + ["--tolerance", "unitarity=1"]) == EXIT_PARSE
+    assert main(argv) == EXIT_OK
+    assert main(argv + ["--tolerance", "norm=0.5"]) == EXIT_OK
+    assert main(argv + ["--tolerance", "norm=0.5"]) == EXIT_OK  # not twice the key
+    golden = (GOLDEN / "pauli-flips.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden * 3
+
+
+def _exit_and_output(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["run", "--help"], ["examples", "--help"], ["verify", "--help"],
+    [], ["run"], ["bogus"], ["run", "--example", "x", "--scenario", "y"],
+    ["verify", "--seed", "x"],
+], ids=["help", "run-help", "examples-help", "verify-help", "no-command",
+        "run-no-source", "unknown-command", "two-sources", "non-integer-seed"])
+def test_help_text_and_usage_exit_codes_match_a_fresh_parser(argv, capsys):
+    fresh = _exit_and_output(build_parser().parse_args, argv, capsys)
+    assert fresh[0] == (0 if "--help" in argv else 2)
+    for _ in range(2):  # the same on every call of the one shared parser
+        assert _exit_and_output(main, argv, capsys) == fresh
 
 
 def _pauli_doc(**changes) -> bytes:

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 from branchsim import analysis, builtin_scenario, run
 from branchsim.errors import ParseError, ValidationError
 from branchsim.report import (
+    ROWS_PER_CHUNK,
     RunReport,
     _q,
-    _q_array,
+    _quantized,
+    _tokens,
     build_report,
     emit_report,
     parse_report,
@@ -32,26 +36,37 @@ def test_quantizer_floors_dust_to_zero():
     assert _q(1e-11) == 1e-11
 
 
+def _emit(report: RunReport) -> str:
+    out = io.StringIO()
+    emit_report(report, out)
+    return out.getvalue()
+
+
+def _dumps(report: RunReport) -> str:
+    return json.dumps(report.to_document(), indent=2, sort_keys=True)
+
+
 def test_report_round_trip_identity():
     for name in ("pauli-flips", "rotations-feedback", "reinforce-two-step"):
         scenario = builtin_scenario(name)
         report = build_report(scenario, run(scenario))
-        assert parse_report(emit_report(report)) == report
+        assert parse_report(_emit(report)).to_document() == report.to_document()
 
 
 def test_report_is_byte_identical_across_runs():
     scenario = builtin_scenario("rotations-feedback")
-    first = emit_report(build_report(scenario, run(scenario)))
-    second = emit_report(build_report(scenario, run(scenario)))
+    first = _emit(build_report(scenario, run(scenario)))
+    second = _emit(build_report(scenario, run(scenario)))
     assert first == second
 
 
 def test_report_ghz_branch_table():
     scenario = builtin_scenario("pauli-flips")
     report = build_report(scenario, run(scenario))
-    assert set(report.branch_table) == {"000", "111"}
-    assert report.branch_table["000"]["probability"] == 0.5
-    assert report.branch_table["111"]["probability"] == 0.5
+    table = report.to_document()["branch_table"]
+    assert set(table) == {"000", "111"}
+    assert table["000"]["probability"] == 0.5
+    assert table["111"]["probability"] == 0.5
     assert report.final_norm == 1.0
     assert report.checks["norm"]["pass"] is True
     assert report.checks["branch_probability_sum"]["pass"] is True
@@ -171,8 +186,8 @@ _reports = st.builds(
 @example(_fixed_report({"b": {"probability": 0.5, "substate": [[1, -0.0]]},
                         "a": {"probability": 5e-324, "substate": [[0.0, 1e16]]}}))
 def test_emit_report_equals_indented_sorted_json_dumps(report):
-    text = emit_report(report)
-    assert text == json.dumps(report.to_document(), indent=2, sort_keys=True)
+    text = _emit(report)
+    assert text == _dumps(report)
     assert parse_report(text) == report
 
 
@@ -182,23 +197,94 @@ def _bits(values) -> list[str]:
 
 _EDGES = [0.0, -0.0, 1e-12, -1e-12, math.nextafter(1e-12, 1.0),
           -math.nextafter(1e-12, 1.0), math.nextafter(1e-12, 0.0),
-          9.9999999999995e-13, 5e-324, -5e-324, 2.2250738585072014e-308,
-          1e-5, 0.99999999999995, 0.8535533905932737, 1e12, 123456789012345.6,
-          1e16, -1e16, 1.7976931348623157e308]
+          -math.nextafter(1e-12, 0.0), 9.9999999999995e-13, 5e-324, -5e-324,
+          2.2250738585072014e-308, 1e-5, 1.5e-5, -1.5e-5, 1.0, -1.0,
+          0.99999999999995, -0.99999999999995, 0.8535533905932737, 1e12,
+          123456789012345.6, 1e16, -1e16, 1.7976931348623157e308]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
 def test_array_quantizer_equals_scalar_quantizer(values):
     a = np.array(_EDGES + values)
-    assert _bits(_q_array(a)) == _bits(_q(x) for x in a)
-    assert _q_array(a.reshape(1, -1)).shape == (1, a.size)
+    assert _bits(map(float, _tokens(a))) == _bits(_q(x) for x in a)
+    small = a[np.abs(a) < 1e12]
+    assert _tokens(small) == [json.dumps(_q(x)) for x in small]
+    assert _quantized(a.reshape(1, -1)).shape == (1, a.size)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_array_quantizer_rejects_non_finite_values(bad):
     with pytest.raises(ValidationError):
-        _q_array(np.array([0.5, bad, 1e-13]))
+        _tokens(np.array([0.5, bad, 1e-13]))
+
+
+def test_tokens_of_the_floor_integral_values_and_exponent_forms():
+    values = [1e-12, -1e-12, math.nextafter(1e-12, 1.0), math.nextafter(1e-12, 0.0),
+              -math.nextafter(1e-12, 0.0), -0.0, 5e-324, 1.0, -1.0,
+              0.99999999999995, 1e-05, 1.5e-05]
+    assert _tokens(np.array(values)) == [
+        "1e-12", "-1e-12", "1e-12", "0.0", "0.0", "0.0", "0.0", "1.0", "-1.0",
+        "1.0", "1e-05", "1.5e-05"]
+
+
+def _array_report(numbers) -> RunReport:
+    """A report whose branch table has one row per row of ``numbers`` (r, 17)."""
+    numbers = np.asarray(numbers, dtype=np.float64).reshape(-1, 17)
+    table = analysis.BranchTable(
+        {format(i, "013b"): i for i in range(len(numbers))},
+        numbers[:, 0].copy(),
+        numbers[:, 1:].copy().view(np.complex128))
+    return RunReport("x", 1.0, table, [], {"S_0": 0.5}, {"norm": {"pass": True}})
+
+
+def test_array_table_edge_values_equal_json_dumps():
+    # every edge value below 1e12 in every column: row r starts at edges[r]
+    edges = np.array([x for x in _EDGES if abs(x) < 1e12])
+    n = len(edges)
+    report = _array_report(edges[(np.arange(n)[:, None] + np.arange(17)) % n])
+    text = _emit(report)
+    assert text == _dumps(report)
+    assert '"probability": 1.0,' in text and '"probability": 0.0,' in text
+
+
+class _ChunkCounter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.chunks = 0
+
+    def write(self, s):
+        self.chunks += '"probability"' in s
+        return super().write(s)
+
+
+@pytest.mark.parametrize("rows", [0, 1, ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK,
+                                  ROWS_PER_CHUNK + 1])
+def test_array_table_chunk_boundaries_equal_json_dumps(rows):
+    rng = np.random.default_rng(rows)
+    numbers = rng.uniform(-1.0, 1.0, (rows, 17)) * 10.0 ** -rng.integers(0, 14, (rows, 17))
+    report = _array_report(numbers)
+    out = _ChunkCounter()
+    emit_report(report, out)
+    assert out.getvalue() == _dumps(report)
+    assert out.chunks == -(-rows // ROWS_PER_CHUNK)
+    assert parse_report(out.getvalue()).to_document() == report.to_document()
+
+
+def test_writer_peak_memory_on_a_wide_extended_table(tmp_path):
+    scenario = replace(random_extended_scenario(np.random.default_rng(3), 14),
+                       analyses=(AnalysisRequest("branches"),))
+    state = run(scenario)
+    tracemalloc.start()
+    try:
+        report = build_report(scenario, state)
+        with open(tmp_path / "report.json", "w", encoding="utf-8") as fh:
+            emit_report(report, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.branch_table.entries) == 2 ** 14
+    assert peak < 24 * 2 ** 20
 
 
 def test_wide_extended_report_equals_json_dumps_and_scalar_quantizer():
@@ -207,11 +293,11 @@ def test_wide_extended_report_equals_json_dumps_and_scalar_quantizer():
                                  AnalysisRequest("marginal", ("M1",))))
     state = run(scenario)
     report = build_report(scenario, state)
-    assert len(report.branch_table) == 1024
-    assert emit_report(report) == json.dumps(
-        report.to_document(), indent=2, sort_keys=True)
+    assert len(report.branch_table.entries) == 1024
+    assert _emit(report) == _dumps(report)
+    doc_table = report.to_document()["branch_table"]
     table = analysis.branch_decompose(state)
     for label, i in table.entries.items():
-        row = report.branch_table[label]
+        row = doc_table[label]
         assert _bits([row["probability"]]) == _bits([_q(table.weights[i])])
         assert row["substate"] == [[_q(z.real), _q(z.imag)] for z in table.substates[i]]
