@@ -38,6 +38,13 @@ class BranchTable:
     weights: np.ndarray  # (r,) Born weights
     substates: np.ndarray  # (r, 8) normalized, over (C, S, P) in ket order
 
+    def __eq__(self, other):  # exact: the same labels, bit-identical arrays
+        if not isinstance(other, BranchTable):
+            return NotImplemented
+        return (self.entries == other.entries
+                and np.array_equal(self.weights, other.weights)
+                and np.array_equal(self.substates, other.substates))
+
     def probabilities(self) -> dict[str, float]:
         return dict(zip(self.entries, self.weights.tolist()))
 

@@ -13,6 +13,7 @@ global Kronecker products in index form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +55,12 @@ def as_matrix(m) -> np.ndarray:
 
 
 def unitarity_deviation(m) -> float:
-    """max |m†m - I|, the number compared against the unitarity tolerance."""
+    """max |m†m - I|, the number compared against the unitarity tolerance;
+    inf, never nan, where the product overflows, so such a matrix fails."""
     m = as_matrix(m)
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    return dev if math.isfinite(dev) else math.inf
 
 
 def purity(rho) -> float:

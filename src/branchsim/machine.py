@@ -32,10 +32,10 @@ updates of one block: the write splits each row by C and the policy
 update fixes the M_k axis, exactly as on the dense tensor.
 ``partial_trace`` reads the same expansion: on the kept memories' bits
 it leaves one label per traced memory string that occurs, so a marginal
-costs the populated rows, never 2**n.  ``run`` grows the state
-as the paper's machine does: it starts with no memory slots, and round
-k appends M_k in |0> by shifting every row label left by one bit.  The
-final state is exactly the one the full layout would give.
+costs the populated rows, never 2**n.  A round grows the state as
+the paper's machine does: round k appends M_k in |0> by shifting every
+row label left by one bit, and it runs on no other slot, so no memory
+record is ever written twice.
 
 ``StateVector.amplitudes`` is the dense ``2**total_qubits`` vector.  It
 is built on first use and cached (16 bytes per basis state, 16 MiB at
@@ -144,21 +144,13 @@ class StateVector:
     Build it from a dense vector, ``StateVector(layout, amplitudes)``, or
     from ``rows=`` and ``residual=`` (see the module docstring); either
     way the state is checked once for finiteness and unit norm, and its
-    arrays are read-only.  ``consumed_slots`` records which memory slots
-    have been used by iterations; the engine refuses to run an iteration
-    against a slot that has already been consumed.
+    arrays are read-only.
     """
 
-    __slots__ = ("layout", "rows", "residual", "consumed_slots", "_dense")
+    __slots__ = ("layout", "rows", "residual", "_dense")
 
     def __init__(
-        self,
-        layout: RegisterLayout,
-        amplitudes=None,
-        consumed_slots: frozenset[int] = frozenset(),
-        *,
-        rows=None,
-        residual=None,
+        self, layout: RegisterLayout, amplitudes=None, *, rows=None, residual=None
     ):
         if amplitudes is not None and rows is None and residual is None:
             rows, residual = _rows_of_dense(layout, amplitudes)
@@ -183,7 +175,6 @@ class StateVector:
         self.layout = layout
         self.rows = rows
         self.residual = residual
-        self.consumed_slots = frozenset(consumed_slots)
         self._dense = None
 
     @property
@@ -438,9 +429,7 @@ def apply_controlled(
     rows, residual = _controlled_update(
         state.rows, state.residual, state.layout, [(control, target, g0, g1)]
     )
-    return StateVector(
-        state.layout, consumed_slots=state.consumed_slots, rows=rows, residual=residual
-    )
+    return StateVector(state.layout, rows=rows, residual=residual)
 
 
 def write_memory(state: StateVector, k: int) -> StateVector:
@@ -449,21 +438,17 @@ def write_memory(state: StateVector, k: int) -> StateVector:
 
 
 def _round(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
-    """Round k on slot M_k; a layout ending at M_{k-1} first grows by M_k.
+    """Round k: append slot M_k to a layout ending at M_{k-1}, then use it.
 
     Its five steps are one ``_controlled_update`` on M_k, so every gate of
     the round is an axis update of one block.
     """
-    layout, rows = state.layout, state.rows
-    if k == layout.n_memories + 1:
-        layout, rows = build_layout(k), rows << 1  # M_k in |0>: a new lowest bit
-    elif k < 1 or k > layout.n_memories:
+    n = state.layout.n_memories
+    if k != n + 1:
         raise LayoutError(
-            f"memory slot M{k} neither in layout (1..{layout.n_memories}) "
-            "nor the next slot"
+            f"round {k} on {n} memory slots: only round {n + 1} appends the next slot"
         )
-    if k in state.consumed_slots:
-        raise ValidationError(f"memory slot M{k} was already consumed by an iteration")
+    layout, rows = build_layout(k), state.rows << 1  # M_k in |0>: a new lowest bit
     m = f"M{k}"
     # Order is load-bearing: feedback must see the policy state *before*
     # this round's policy update.
@@ -472,9 +457,7 @@ def _round(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
     if spec.extended:
         steps.append(("P", "C", spec.r0, spec.r1))
     rows, residual = _controlled_update(rows, state.residual, layout, steps)
-    return StateVector(
-        layout, consumed_slots=state.consumed_slots | {k}, rows=rows, residual=residual
-    )
+    return StateVector(layout, rows=rows, residual=residual)
 
 
 def iterate(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
@@ -494,10 +477,7 @@ def iterate_extended(state: StateVector, k: int, spec: IterationSpec) -> StateVe
 def run(scenario: "Scenario") -> StateVector:
     """Initialize with no memory, then let round k append and use slot M_k.
 
-    Growing the layout one slot per round gives exactly the amplitudes of
-    folding every round over the full ``build_layout(n)`` state, whose
-    untouched slots would still read |0>, and each round validates the
-    state once.
+    Each round validates the state once.
     """
     state = initialize(scenario.init, build_layout(0))
     for k, spec in enumerate(scenario.iterations, start=1):
@@ -541,10 +521,7 @@ def measure_control(
     residual = state.residual[keep]  # rows the projection zeroes are dropped
     residual[:, 1 - outcome] = 0.0
     residual /= np.sqrt(prob)
-    collapsed = StateVector(
-        state.layout, consumed_slots=state.consumed_slots,
-        rows=state.rows[keep], residual=residual,
-    )
+    collapsed = StateVector(state.layout, rows=state.rows[keep], residual=residual)
     return outcome, collapsed, prob
 
 

@@ -435,8 +435,7 @@ def _check_norm_preservation(rng, tol: Tolerances):
     for _ in range(20):
         n = int(rng.integers(1, 4))
         scenario = random_extended_scenario(rng, n)
-        layout = build_layout(n)
-        state = initialize(scenario.init, layout)
+        state = initialize(scenario.init, build_layout(0))
         dev = max(dev, abs(state.norm() - 1.0))
         for k, spec in enumerate(scenario.iterations, start=1):
             state = iterate_extended(state, k, spec)
@@ -448,8 +447,7 @@ def _check_extended_identity(rng, tol: Tolerances):
     dev = 0.0
     for _ in range(20):
         scenario = random_canonical_scenario(rng, 1)
-        layout = build_layout(1)
-        state = initialize(scenario.init, layout)
+        state = initialize(scenario.init, build_layout(0))
         spec = scenario.iterations[0]
         plain = iterate(state, 1, spec)
         wrapped = iterate_extended(

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -233,6 +234,12 @@ def test_tolerance_not_finite_and_positive_is_rejected(capsys, argv, key, value)
 
 
 # Values a hand-edited or hostile scenario document might carry.
+# Well-formed raw gates whose unitarity product overflows (inf, or inf - inf)
+_OVERFLOWING_RAW = (
+    [[[1e200, 0], [0, 0]], [[0, 0], [1e-200, 0]]],
+    [[[1e200, 0], [1e200, 0]], [[1e200, 0], [-1e200, 0]]],
+)
+_TINY_RAW = [[[1, 0], [1e-300, 0]], [[-1e-300, 0], [1, 0]]]  # unitary to 1e-300
 _ODD_VALUES = st.one_of(
     st.sampled_from([
         math.nan, math.inf, -math.inf, 1e308, -1e308, 2**70, -2**70, 10**400,
@@ -240,6 +247,7 @@ _ODD_VALUES = st.one_of(
         [], {}, [1.0], [0.6, 0.8, 0.0], ["C", "C"], ["M1", "M99"],
         {"named": "rx"}, {"named": "bogus"}, {"named": "rx", "angle": "pi"},
         {"raw": [[1, 0], [0, 1]]}, {"raw": [[1, 1], [1, 1]]},
+        *({"raw": raw} for raw in _OVERFLOWING_RAW), {"raw": _TINY_RAW},
         {"marginal": "M99"}, {"witness": ["C", "S"]}, {"seed": -5},
     ]),
     st.floats(),
@@ -292,6 +300,28 @@ def test_mutated_builtin_documents_end_in_an_exit_code(tmp_path, data):
     code = main(["run", "--scenario", str(path)], stdout=io.StringIO(), stderr=stderr)
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION)
     assert "Traceback" not in stderr.getvalue()
+
+
+@pytest.mark.parametrize("raw", _OVERFLOWING_RAW)
+def test_raw_gate_whose_unitarity_check_overflows_exits_3(tmp_path, raw):
+    doc = json.loads(emit_scenario(builtin_scenario("pauli-flips")))
+    doc["iterations"][0]["u1"] = {"raw": raw}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--scenario", str(path)], stdout=out, stderr=err)
+    assert (code, out.getvalue(), caught) == (EXIT_VALIDATION, "", [])
+    assert err.getvalue().startswith("validation error: iterations[0].u1: raw gate")
+    assert err.getvalue().count("\n") == 1
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "branchsim", "run", "--scenario",
+         str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert (proc.stdout, proc.stderr) == ("", err.getvalue())
 
 
 def test_run_seed_flag_overrides_measure_seed(tmp_path, capsys):

@@ -37,6 +37,14 @@ def test_unitarity_deviation_rejects_all_half_matrix():
     assert unitarity_deviation(np.full((4, 4), 0.5)) > UNITARITY_TOL
 
 
+@pytest.mark.parametrize("m", [
+    [[1e200, 0], [0, 1e-200]],  # the product overflows to inf
+    [[1e200, 1e200], [1e200, -1e200]],  # inf - inf: nan, which no bound rejects
+])
+def test_unitarity_deviation_is_inf_when_the_product_overflows(m):
+    assert unitarity_deviation(m) == math.inf
+
+
 def _bell_state():
     # (|00> + |11>)/sqrt(2) on (C, M1) of a one-slot layout, S and P in |0>
     amps = np.zeros(16, dtype=complex)

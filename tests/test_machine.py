@@ -246,20 +246,20 @@ def _pauli_iteration():
 
 
 def test_iterate_first_pauli_round():
-    layout = build_layout(3)
+    layout = build_layout(0)
     state = initialize(InitSpec(alpha=INV_SQRT2, beta=INV_SQRT2), layout)
     state = iterate(state, 1, _pauli_iteration())
-    expected = np.zeros(64, dtype=complex)
-    expected[0b000000] = INV_SQRT2  # untouched branch
-    expected[0b110011] = INV_SQRT2  # flipped system, written memory, updated policy
+    assert state.layout == build_layout(1)
+    expected = np.zeros(16, dtype=complex)
+    expected[0b0000] = INV_SQRT2  # untouched branch
+    expected[0b1111] = INV_SQRT2  # flipped system, written memory, updated policy
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
 
 def test_iterate_identity_gates_reduce_to_memory_write():
-    layout = build_layout(1)
-    state = initialize(InitSpec(alpha=0.6, beta=0.8), layout)
-    via_iterate = iterate(state, 1, IterationSpec())
-    via_write = write_memory(state, 1)
+    init = InitSpec(alpha=0.6, beta=0.8)
+    via_iterate = iterate(initialize(init, build_layout(0)), 1, IterationSpec())
+    via_write = write_memory(initialize(init, build_layout(1)), 1)
     np.testing.assert_allclose(via_iterate.amplitudes, via_write.amplitudes,
                                atol=1e-15)
 
@@ -267,7 +267,7 @@ def test_iterate_identity_gates_reduce_to_memory_write():
 def test_iterate_branch_rotations_compose_with_feedback():
     # with P copied from C, u then f act as one rotation by the summed angle
     theta, eps = math.pi / 3, math.pi / 12
-    layout = build_layout(1)
+    layout = build_layout(0)
     state = initialize(
         InitSpec(alpha=INV_SQRT2, beta=INV_SQRT2, mode="copy_c_to_p_from_zero"),
         layout,
@@ -283,19 +283,22 @@ def test_iterate_branch_rotations_compose_with_feedback():
 
 
 def test_iterate_rejects_extended_spec():
-    layout = build_layout(1)
+    layout = build_layout(0)
     state = initialize(InitSpec(alpha=1, beta=0), layout)
     spec = IterationSpec(r0=IDENTITY, r1=IDENTITY)
     with pytest.raises(ModeError, match="iterate_extended"):
         iterate(state, 1, spec)
 
 
-def test_iterate_rejects_consumed_slot():
-    layout = build_layout(1)
-    state = initialize(InitSpec(alpha=1, beta=0), layout)
-    state = iterate(state, 1, IterationSpec())
-    with pytest.raises(ValidationError, match="already consumed"):
-        iterate(state, 1, IterationSpec())
+def test_rounds_only_append_the_next_slot():
+    state = iterate(initialize(InitSpec(alpha=1, beta=0), build_layout(0)), 1,
+                    IterationSpec())
+    steered = IterationSpec(r0=IDENTITY, r1=IDENTITY)
+    for k in (1, 3, 0):  # re-run M1, skip M2, no slot at all
+        with pytest.raises(LayoutError, match="only round 2 appends"):
+            iterate(state, k, IterationSpec())
+        with pytest.raises(LayoutError, match="only round 2 appends"):
+            iterate_extended(state, k, steered)
 
 
 def test_iteration_spec_requires_full_r_pair():
@@ -314,18 +317,18 @@ def _reinforce_round(theta: float) -> IterationSpec:
 def test_iterate_extended_steers_control():
     theta = 0.77
     a, b = 0.6, 0.8
-    layout = build_layout(2)
+    layout = build_layout(0)
     state = initialize(InitSpec(alpha=a, beta=b), layout)
     state = iterate_extended(state, 1, _reinforce_round(theta))
     # alpha branch untouched; beta branch control rotated by theta
-    assert state.amplitudes[0b00000] == pytest.approx(a)
-    assert state.amplitudes[0b01001] == pytest.approx(-b * math.sin(theta))
-    assert state.amplitudes[0b11001] == pytest.approx(b * math.cos(theta))
+    assert state.amplitudes[0b0000] == pytest.approx(a)
+    assert state.amplitudes[0b0101] == pytest.approx(-b * math.sin(theta))
+    assert state.amplitudes[0b1101] == pytest.approx(b * math.cos(theta))
 
 
 def test_iterate_extended_with_identity_r_equals_iterate():
     scenario = random_canonical_scenario(np.random.default_rng(3), 1)
-    state = initialize(scenario.init, build_layout(1))
+    state = initialize(scenario.init, build_layout(0))
     spec = scenario.iterations[0]
     plain = iterate(state, 1, spec)
     wrapped = iterate_extended(state, 1, replace(spec, r0=IDENTITY, r1=IDENTITY))
@@ -333,7 +336,7 @@ def test_iterate_extended_with_identity_r_equals_iterate():
 
 
 def test_iterate_extended_theta_half_pi_empties_beta_control():
-    layout = build_layout(1)
+    layout = build_layout(0)
     state = initialize(InitSpec(alpha=0.6, beta=0.8), layout)
     state = iterate_extended(state, 1, _reinforce_round(math.pi / 2))
     # R(pi/2)|1> = -|0>: no amplitude left on C=1
@@ -343,7 +346,7 @@ def test_iterate_extended_theta_half_pi_empties_beta_control():
 
 
 def test_iterate_extended_requires_r_pair():
-    layout = build_layout(1)
+    layout = build_layout(0)
     state = initialize(InitSpec(alpha=1, beta=0), layout)
     with pytest.raises(ModeError):
         iterate_extended(state, 1, IterationSpec())
@@ -463,36 +466,6 @@ def test_oracle_capacity_error_checked_before_allocation():
     for scenario, amps in ((canonical, oracle_run(canonical, compose=False)),
                            (extended, stepped)):
         assert np.max(np.abs(amps - run(scenario).amplitudes)) <= 1e-10
-
-
-def test_run_marks_all_slots_consumed():
-    state = run(builtin_scenario("pauli-flips"))
-    assert state.consumed_slots == frozenset({1, 2, 3})
-
-
-def _full_layout_fold(scenario):
-    """The run over all n memory slots from the start, as before growth."""
-    state = initialize(scenario.init, build_layout(len(scenario.iterations)))
-    for k, spec in enumerate(scenario.iterations, start=1):
-        step = iterate_extended if spec.extended else iterate
-        state = step(state, k, spec)
-    return state
-
-
-def _growth_cases():
-    rng = np.random.default_rng(31)
-    for n in range(7):
-        yield random_canonical_scenario(rng, n)
-        yield random_extended_scenario(rng, n)
-    yield from builtin_scenarios()
-
-
-def test_run_grown_state_equals_full_layout_fold_exactly():
-    for scenario in _growth_cases():
-        grown, full = run(scenario), _full_layout_fold(scenario)
-        assert grown.layout == full.layout
-        assert grown.consumed_slots == full.consumed_slots
-        assert np.array_equal(grown.amplitudes, full.amplitudes), scenario.name
 
 
 _GATE_FIELDS = ("u0", "u1", "f0", "f1", "v0", "v1", "r0", "r1")
@@ -627,15 +600,15 @@ def test_measure_control_seed_reproducibility():
 def test_measure_control_post_steering_renormalizes():
     theta = 0.77
     a, b = 0.6, 0.8
-    layout = build_layout(2)
+    layout = build_layout(0)
     state = initialize(InitSpec(alpha=a, beta=b), layout)
     state = iterate_extended(state, 1, _reinforce_round(theta))
     outcome, collapsed, prob = measure_control(state, 0, force=0)
     expected_p = a**2 + (b * math.sin(theta)) ** 2
     assert prob == pytest.approx(expected_p, abs=1e-12)
     # surviving amplitudes carry memory strings 0 and 1 with renormalized weights
-    assert collapsed.amplitudes[0b00000] == pytest.approx(a / math.sqrt(expected_p))
-    assert collapsed.amplitudes[0b01001] == pytest.approx(
+    assert collapsed.amplitudes[0b0000] == pytest.approx(a / math.sqrt(expected_p))
+    assert collapsed.amplitudes[0b0101] == pytest.approx(
         -b * math.sin(theta) / math.sqrt(expected_p)
     )
 

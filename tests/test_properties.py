@@ -59,7 +59,7 @@ def test_controlled_application_preserves_norm(pair, g0, g1):
 @given(amplitude_pair(), amplitude_pair(), unitary2(), unitary2(), unitary2(),
        unitary2())
 def test_iteration_preserves_norm_and_marginal_trace(cpair, ppair, u0, u1, v0, v1):
-    layout = build_layout(1)
+    layout = build_layout(0)
     state = initialize(
         InitSpec(alpha=cpair[0], beta=cpair[1], gamma=ppair[0], delta=ppair[1]),
         layout,
@@ -89,7 +89,7 @@ def test_product_initialization_has_pure_marginals(cpair, ppair):
 @settings(max_examples=20, deadline=None)
 @given(amplitude_pair(), st.integers(min_value=0, max_value=2**32 - 1))
 def test_measurement_probabilities_sum_to_one(pair, seed):
-    layout = build_layout(1)
+    layout = build_layout(0)
     state = initialize(InitSpec(alpha=pair[0], beta=pair[1]), layout)
     state = iterate(state, 1, IterationSpec())
     _, c0, p0 = measure_control(state, seed, force=0)

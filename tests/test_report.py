@@ -20,7 +20,7 @@ from branchsim.report import (
     emit_report,
     parse_report,
 )
-from branchsim.scenario import AnalysisRequest
+from branchsim.scenario import AnalysisRequest, builtin_scenarios
 from branchsim.verify import random_extended_scenario
 
 
@@ -58,6 +58,17 @@ def test_report_is_byte_identical_across_runs():
     first = _emit(build_report(scenario, run(scenario)))
     second = _emit(build_report(scenario, run(scenario)))
     assert first == second
+
+
+def test_reports_compare_equal_exactly():
+    for scenario in builtin_scenarios():
+        report = build_report(scenario, run(scenario))
+        assert report == build_report(scenario, run(scenario)), scenario.name
+        table = report.branch_table
+        weights = table.weights.copy()
+        weights[-1] = np.nextafter(weights[-1], 0.0)
+        changed = replace(report, branch_table=replace(table, weights=weights))
+        assert (report == changed, report != changed) == (False, True)
 
 
 def test_report_ghz_branch_table():
