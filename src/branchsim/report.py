@@ -90,7 +90,8 @@ def build_report(
     seed_override: int | None = None,
 ) -> RunReport:
     """Perform the scenario's requested analyses on a finished run."""
-    norm_dev = abs(state.norm() - 1.0)
+    norm = state.norm()
+    norm_dev = abs(norm - 1.0)
     checks: dict = {
         "norm": {"pass": norm_dev <= tolerances.norm, "deviation": _q(norm_dev)}
     }
@@ -145,7 +146,7 @@ def build_report(
 
     return RunReport(
         scenario_name=scenario.name,
-        final_norm=_q(state.norm()),
+        final_norm=_q(norm),
         branch_table=branch_table,
         marginals=marginals,
         probabilities=probabilities,

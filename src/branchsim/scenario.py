@@ -139,12 +139,10 @@ def _parse_gate(obj, path: str) -> GateSpec:
             tuple(_parse_complex(rows[i][j], f"{path}.raw[{i}][{j}]") for j in range(2))
             for i in range(2)
         )
-        spec = GateSpec("raw", raw=entries)
         try:
-            spec.matrix()
+            return GateSpec("raw", raw=entries)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
-        return spec
     raise ParseError("gate needs a 'named' or 'raw' field", path)
 
 
@@ -341,7 +339,7 @@ BUILTIN_DESCRIPTIONS = {
 }
 
 
-def builtin_scenarios(reinforce_theta: float = math.pi / 4) -> list[Scenario]:
+def builtin_scenarios() -> list[Scenario]:
     """The four scenarios reproduced by the golden test suite."""
     balanced = dict(alpha=_INV_SQRT2, beta=_INV_SQRT2, gamma=1.0, delta=0.0)
     pauli = Scenario(
@@ -397,7 +395,6 @@ def builtin_scenarios(reinforce_theta: float = math.pi / 4) -> list[Scenario]:
         analyses=rotation_analyses,
     )
 
-    theta_expr = "pi/4" if reinforce_theta == math.pi / 4 else None
     reinforce = Scenario(
         name="reinforce-two-step",
         init=InitSpec(mode="uncorrelated", **balanced),
@@ -405,8 +402,7 @@ def builtin_scenarios(reinforce_theta: float = math.pi / 4) -> list[Scenario]:
             IterationSpec(
                 v0=IDENTITY, v1=GateSpec("pauli_x"),
                 r0=IDENTITY,
-                r1=GateSpec("real_rotation", angle=reinforce_theta,
-                            angle_expr=theta_expr),
+                r1=GateSpec("real_rotation", angle=math.pi / 4, angle_expr="pi/4"),
             ),
             IterationSpec(),
         ),
@@ -415,9 +411,9 @@ def builtin_scenarios(reinforce_theta: float = math.pi / 4) -> list[Scenario]:
     return [pauli, rot_a, rot_b, reinforce]
 
 
-def builtin_scenario(name: str, **kwargs) -> Scenario:
+def builtin_scenario(name: str) -> Scenario:
     """Look up one built-in scenario by name."""
-    for scenario in builtin_scenarios(**kwargs):
+    for scenario in builtin_scenarios():
         if scenario.name == name:
             return scenario
     known = ", ".join(sorted(BUILTIN_DESCRIPTIONS))

@@ -205,6 +205,9 @@ def closed_form(init: InitSpec, iterations) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Random draws
 
+_MIN_WEIGHT = 0.05  # least |a|^2 and |b|^2 of a random amplitude pair
+
+
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
@@ -215,11 +218,9 @@ def random_gate(rng: np.random.Generator) -> GateSpec:
     return raw_gate(random_unitary(rng))
 
 
-def random_amplitude_pair(
-    rng: np.random.Generator, min_weight: float = 0.05
-) -> tuple[complex, complex]:
+def random_amplitude_pair(rng: np.random.Generator) -> tuple[complex, complex]:
     """Normalized (a, b) with |a|^2 bounded away from 0 and 1."""
-    w = rng.uniform(min_weight, 1.0 - min_weight)
+    w = rng.uniform(_MIN_WEIGHT, 1.0 - _MIN_WEIGHT)
     pa, pb = rng.uniform(0.0, 2.0 * math.pi, size=2)
     return (
         complex(math.sqrt(w) * math.cos(pa), math.sqrt(w) * math.sin(pa)),

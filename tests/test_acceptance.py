@@ -21,6 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from branchsim import branch_decompose, builtin_scenario, run
+from branchsim.gates import GateSpec
 from branchsim.linalg import DEFAULT_TOLERANCES
 from branchsim.machine import InitSpec, measure_control
 from branchsim.verify import (
@@ -83,13 +84,13 @@ def test_criterion_4_reinforcement_golden():
     passed, dev = _run_check(_check_golden_reinforce_two_step, None)
     rng = np.random.default_rng(20260809)
     random_dev = 0.0
+    base = builtin_scenario("reinforce-two-step")
     for _ in range(20):
         alpha, beta = random_amplitude_pair(rng)
         theta = float(rng.uniform(0, 2 * math.pi))
-        scenario = replace(
-            builtin_scenario("reinforce-two-step", reinforce_theta=theta),
-            init=InitSpec(alpha=alpha, beta=beta),
-        )
+        steered = replace(base.iterations[0], r1=GateSpec("real_rotation", angle=theta))
+        scenario = replace(base, init=InitSpec(alpha=alpha, beta=beta),
+                           iterations=(steered, base.iterations[1]))
         got = branch_decompose(run(scenario)).probabilities()
         wa, wb = abs(alpha) ** 2, abs(beta) ** 2
         expected = {

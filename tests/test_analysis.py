@@ -14,6 +14,7 @@ from branchsim.analysis import (
     separability_check,
 )
 from branchsim.errors import LayoutError
+from branchsim.gates import GateSpec
 from branchsim.machine import InitSpec, build_layout, initialize, write_memory
 from branchsim.scenario import Scenario
 from branchsim.verify import random_canonical_scenario
@@ -88,9 +89,9 @@ def test_branch_reconstruction_reproduces_global_state():
 
 def test_branch_entries_below_prune_threshold_are_dropped():
     theta = 1e-8  # sin^2 ~ 1e-16 < prune threshold
-    table = branch_decompose(
-        run(builtin_scenario("reinforce-two-step", reinforce_theta=theta))
-    )
+    base = builtin_scenario("reinforce-two-step")
+    steered = replace(base.iterations[0], r1=GateSpec("real_rotation", angle=theta))
+    table = branch_decompose(run(replace(base, iterations=(steered, base.iterations[1]))))
     assert set(table.entries) == {"00", "11"}
     assert PRUNE_THRESHOLD == 1e-12
 

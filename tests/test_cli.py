@@ -96,9 +96,15 @@ def test_run_output_byte_identical(capsys):
 
 
 @pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
-def test_run_example_matches_golden_report(name, capsys):
-    assert main(["run", "--example", name]) == EXIT_OK
+def test_run_example_matches_golden_report(name, tmp_path, capsys):
     golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert main(["run", "--example", name]) == EXIT_OK
+    assert capsys.readouterr().out == golden
+    # the emitted document, run back as a scenario file, reports the same bytes
+    assert main(["examples", "--emit", name]) == EXIT_OK
+    emitted = tmp_path / f"{name}.scenario.json"
+    emitted.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["run", "--scenario", str(emitted)]) == EXIT_OK
     assert capsys.readouterr().out == golden
 
 

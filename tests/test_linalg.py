@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from branchsim.errors import CapacityError, LayoutError, ValidationError
-from branchsim.gates import rx
+from branchsim.gates import GateSpec
 from branchsim.linalg import (
     HERMITICITY_TOL,
     UNITARITY_TOL,
@@ -30,7 +30,7 @@ def test_unitarity_deviation_identity():
 
 
 def test_unitarity_deviation_rotation():
-    assert unitarity_deviation(rx(0.37).matrix()) <= UNITARITY_TOL
+    assert unitarity_deviation(GateSpec("rx", angle=0.37).matrix()) <= UNITARITY_TOL
 
 
 def test_unitarity_deviation_rejects_all_half_matrix():
@@ -209,10 +209,9 @@ def test_tolerances_defaults():
 
 
 def test_gate_library_products_stay_unitary():
-    from branchsim.gates import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z
-
-    mats = [g.matrix() for g in (PAULI_X, PAULI_Y, PAULI_Z, HADAMARD)]
-    mats += [rx(0.3).matrix()]
+    kinds = ("pauli_x", "pauli_y", "pauli_z", "hadamard")
+    mats = [GateSpec(kind).matrix() for kind in kinds]
+    mats += [GateSpec("rx", angle=0.3).matrix()]
     prod = np.eye(2)
     for m in mats:
         prod = prod @ m

@@ -15,7 +15,7 @@ from branchsim.errors import (
     ProjectionError,
     ValidationError,
 )
-from branchsim.gates import IDENTITY, PAULI_X, PAULI_Z, raw_gate, real_rotation, rx
+from branchsim.gates import IDENTITY, PAULI_X, GateSpec, raw_gate
 from branchsim.linalg import DEFAULT_TOLERANCES
 from branchsim.machine import (
     INIT_MODES,
@@ -117,7 +117,7 @@ def test_initialize_correlated_four_term_amplitudes():
 
 def test_initialize_applies_system_gate():
     layout = build_layout(1)
-    state = initialize(InitSpec(alpha=1, beta=0, system_init=rx(0.7)), layout)
+    state = initialize(InitSpec(alpha=1, beta=0, system_init=GateSpec("rx", angle=0.7)), layout)
     np.testing.assert_allclose(state.amplitudes[0b0000], math.cos(0.35), atol=1e-12)
     np.testing.assert_allclose(state.amplitudes[0b0010], -1j * math.sin(0.35),
                                atol=1e-12)
@@ -160,7 +160,7 @@ def test_apply_controlled_identity_pair_is_noop():
 def test_apply_controlled_rx_pi_phase():
     layout = build_layout(1)
     state = initialize(InitSpec(alpha=0, beta=1), layout)
-    state = apply_controlled(state, "C", "S", IDENTITY, rx(math.pi))
+    state = apply_controlled(state, "C", "S", IDENTITY, GateSpec("rx", angle=math.pi))
     np.testing.assert_allclose(state.amplitudes[0b1010], -1j, atol=1e-12)
 
 
@@ -241,7 +241,7 @@ def test_write_memory_out_of_range():
 # iterate
 
 def _pauli_iteration():
-    return IterationSpec(u0=IDENTITY, u1=PAULI_X, f0=IDENTITY, f1=PAULI_Z,
+    return IterationSpec(u0=IDENTITY, u1=PAULI_X, f0=IDENTITY, f1=GateSpec("pauli_z"),
                          v0=IDENTITY, v1=PAULI_X)
 
 
@@ -267,6 +267,10 @@ def test_iterate_identity_gates_reduce_to_memory_write():
 def test_iterate_branch_rotations_compose_with_feedback():
     # with P copied from C, u then f act as one rotation by the summed angle
     theta, eps = math.pi / 3, math.pi / 12
+
+    def rx(a):
+        return GateSpec("rx", angle=a)
+
     layout = build_layout(0)
     state = initialize(
         InitSpec(alpha=INV_SQRT2, beta=INV_SQRT2, mode="copy_c_to_p_from_zero"),
@@ -311,7 +315,7 @@ def test_iteration_spec_requires_full_r_pair():
 
 def _reinforce_round(theta: float) -> IterationSpec:
     return IterationSpec(v0=IDENTITY, v1=PAULI_X,
-                         r0=IDENTITY, r1=real_rotation(theta))
+                         r0=IDENTITY, r1=GateSpec("real_rotation", angle=theta))
 
 
 def test_iterate_extended_steers_control():

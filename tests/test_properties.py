@@ -2,12 +2,13 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from branchsim import branch_decompose, builtin_scenario, run
-from branchsim.gates import raw_gate
+from branchsim.gates import GateSpec, raw_gate
 from branchsim.linalg import purity
 from branchsim.machine import (
     InitSpec,
@@ -103,7 +104,9 @@ def test_measurement_probabilities_sum_to_one(pair, seed):
 @settings(max_examples=15, deadline=None)
 @given(st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False))
 def test_reinforcement_weights_follow_closed_form(theta):
-    state = run(builtin_scenario("reinforce-two-step", reinforce_theta=theta))
+    base = builtin_scenario("reinforce-two-step")
+    steered = replace(base.iterations[0], r1=GateSpec("real_rotation", angle=theta))
+    state = run(replace(base, iterations=(steered, base.iterations[1])))
     probs = branch_decompose(state).probabilities()
     assert abs(probs.get("00", 0.0) - 0.5) <= 1e-10
     assert abs(probs.get("10", 0.0) - 0.5 * math.sin(theta) ** 2) <= 1e-10

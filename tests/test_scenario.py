@@ -5,10 +5,11 @@ import time
 import numpy as np
 import pytest
 
-from branchsim import branch_decompose, builtin_scenario, run
+from branchsim import builtin_scenario, run
 from branchsim.analysis import outcome_probability
 from branchsim.errors import ParseError, ValidationError
-from branchsim.gates import raw_gate
+from branchsim.gates import GateSpec, raw_gate
+from branchsim.linalg import UNITARITY_TOL
 from branchsim.machine import InitSpec, IterationSpec
 from branchsim.scenario import (
     AnalysisRequest,
@@ -73,6 +74,21 @@ def test_parse_rejects_non_unitary_raw_gate():
         parse_scenario(json.dumps(doc))
     assert "iterations[0].u1" in str(err.value)
     assert "deviation" in str(err.value)
+
+
+def test_raw_gate_unitarity_is_checked_at_the_tolerance_boundary():
+    # diag(1, 1 + eps) deviates from unitarity by 2 eps + eps^2
+    def parse_with(eps):
+        doc = _document()
+        doc["iterations"][0]["u1"] = {"raw": [[[1, 0], [0, 0]], [[0, 0], [1 + eps, 0]]]}
+        return parse_scenario(json.dumps(doc))
+
+    assert UNITARITY_TOL == 1e-9
+    parse_with(4.9e-10)  # deviation 9.8e-10: accepted
+    with pytest.raises(ValidationError, match=r"^iterations\[0\]\.u1: raw gate is not unitary"):
+        parse_with(5.1e-10)  # deviation 1.02e-9: rejected
+    with pytest.raises(ValidationError, match="^raw gate is not unitary"):
+        GateSpec("raw", raw=((1, 0), (0, 1 + 5.1e-10)))
 
 
 def test_parse_error_carries_field_path():
@@ -160,13 +176,6 @@ def test_builtin_list_is_exactly_four():
 def test_builtin_unknown_name():
     with pytest.raises(ValidationError, match="unknown example"):
         builtin_scenario("nope")
-
-
-def test_builtin_reinforce_theta_parameter():
-    scenario = builtin_scenario("reinforce-two-step", reinforce_theta=0.0)
-    probs = branch_decompose(run(scenario)).probabilities()
-    assert set(probs) == {"00", "11"}
-    assert probs["00"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_builtins_run_quickly_and_cleanly():
