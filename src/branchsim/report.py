@@ -139,8 +139,8 @@ def build_report(
             }
 
     measurement = None
-    if scenario.measure is not None:
-        seed = scenario.measure.seed if seed_override is None else seed_override
+    if scenario.measure_seed is not None:
+        seed = scenario.measure_seed if seed_override is None else seed_override
         outcome, _, prob = machine.measure_control(state, seed)
         measurement = {"outcome": outcome, "probability": _q(prob)}
 

@@ -15,11 +15,18 @@ from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .gates import ANGLE_KINDS, GateSpec, IDENTITY, KINDS
-from .machine import MAX_ITERATIONS, InitSpec, IterationSpec, RegisterLayout
+from .machine import InitSpec, IterationSpec, build_layout
 
 ANALYSIS_KINDS = ("branches", "marginal", "outcome", "separability", "witness")
 
+# The document's field tables, read by both parse_scenario and emit_scenario.
+_AMPLITUDES = ("alpha", "beta", "gamma", "delta")
+_GATES = ("u0", "u1", "f0", "f1", "v0", "v1", "r0", "r1")
+_REQUIRED_GATES = _GATES[:2]
+_DEFAULT_ROUND = IterationSpec()  # an omitted gate takes this round's value
+
 _ANGLE_RE = re.compile(r"^(-?)(?:(\d+)\*)?pi(?:/([1-9]\d*))?$")
+_SEED_MESSAGE = "must be an object with a non-negative integer 'seed'"
 
 
 @dataclass(frozen=True)
@@ -39,27 +46,17 @@ class AnalysisRequest:
 
 
 @dataclass(frozen=True)
-class MeasureRequest:
-    seed: int
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     init: InitSpec
     iterations: tuple[IterationSpec, ...]
     analyses: tuple[AnalysisRequest, ...] = ()
-    measure: MeasureRequest | None = None
+    measure_seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "iterations", tuple(self.iterations))
         object.__setattr__(self, "analyses", tuple(self.analyses))
-        if len(self.iterations) > MAX_ITERATIONS:
-            raise ValidationError(
-                f"{len(self.iterations)} iterations exceeds the cap of "
-                f"{MAX_ITERATIONS}"
-            )
-        known = RegisterLayout(len(self.iterations)).register_names()
+        known = build_layout(len(self.iterations)).register_names()
         for request in self.analyses:
             for reg in request.registers:
                 if reg not in known:
@@ -71,43 +68,48 @@ class Scenario:
                 raise ValidationError("witness needs two distinct registers")
 
 
-def _to_float(value: int | float, path: str) -> float:
-    """``float(value)``, with an integer beyond the float range a ParseError."""
+def _object(obj, path: str | None, required: tuple, optional: tuple,
+            what: str = "must be an object") -> dict:
+    """``obj``, checked to be a dict with every required and no other field."""
+    if not isinstance(obj, dict):
+        raise ParseError(what, path)
+    for field in required:
+        if field not in obj:
+            raise ParseError(f"missing required field {field!r}", path)
+    extras = set(obj).difference(required, optional)
+    if extras:
+        raise ParseError(f"unexpected fields {sorted(extras)}", path)
+    return obj
+
+
+def _number(value, path: str, what: str) -> float:
+    """A JSON number as a float; ``what`` is the message for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(what, path)
     try:
         return float(value)
-    except OverflowError as exc:
+    except OverflowError as exc:  # an integer beyond the float range
         raise ParseError("number is outside the floating-point range", path) from exc
 
 
 def parse_angle(value, path: str) -> tuple[float, str | None]:
     """Radians from a number or an exact 'M*pi/N' style string."""
-    if isinstance(value, bool):
-        raise ParseError("angle must be a number or a pi expression", path)
-    if isinstance(value, (int, float)):
-        return _to_float(value, path), None
-    if isinstance(value, str):
-        m = _ANGLE_RE.match(value.replace(" ", ""))
-        if not m:
-            raise ParseError(f"bad angle expression {value!r}", path)
-        sign = -1.0 if m.group(1) else 1.0
-        mult = float(m.group(2)) if m.group(2) else 1.0
-        div = float(m.group(3)) if m.group(3) else 1.0
-        return sign * mult * math.pi / div, value
-    raise ParseError("angle must be a number or a pi expression", path)
+    if not isinstance(value, str):
+        return _number(value, path, "angle must be a number or a pi expression"), None
+    m = _ANGLE_RE.match(value.replace(" ", ""))
+    if not m:
+        raise ParseError(f"bad angle expression {value!r}", path)
+    sign = -1.0 if m.group(1) else 1.0
+    mult = float(m.group(2)) if m.group(2) else 1.0
+    div = float(m.group(3)) if m.group(3) else 1.0
+    return sign * mult * math.pi / div, value
 
 
 def _parse_complex(value, path: str) -> complex:
-    if isinstance(value, bool):
-        raise ParseError("expected a number or [re, im] pair", path)
-    if isinstance(value, (int, float)):
-        return complex(_to_float(value, path), 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        return complex(_to_float(value[0], path), _to_float(value[1], path))
-    raise ParseError("expected a number or [re, im] pair", path)
+    what = "expected a number or [re, im] pair"
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_number(value[0], path, what), _number(value[1], path, what))
+    return complex(_number(value, path, what), 0.0)
 
 
 def _parse_gate(obj, path: str) -> GateSpec:
@@ -115,35 +117,33 @@ def _parse_gate(obj, path: str) -> GateSpec:
         raise ParseError("gate must be an object", path)
     if "named" in obj and "raw" in obj:
         raise ParseError("gate cannot be both named and raw", path)
-    if "named" in obj:
-        kind = obj["named"]
-        if kind not in KINDS or kind == "raw":
-            raise ParseError(f"unknown gate kind {kind!r}", path)
-        extras = set(obj) - {"named", "angle"}
-        if extras:
-            raise ParseError(f"unexpected gate fields {sorted(extras)}", path)
-        if kind in ANGLE_KINDS:
-            if "angle" not in obj:
-                raise ParseError(f"gate {kind!r} requires an angle", path)
-            angle, expr = parse_angle(obj["angle"], f"{path}.angle")
-            return GateSpec(kind, angle=angle, angle_expr=expr)
-        if "angle" in obj:
-            raise ParseError(f"gate {kind!r} takes no angle", path)
-        return GateSpec(kind)
     if "raw" in obj:
-        rows = obj["raw"]
+        rows = _object(obj, path, ("raw",), ())["raw"]
         if not (isinstance(rows, list) and len(rows) == 2
                 and all(isinstance(r, list) and len(r) == 2 for r in rows)):
             raise ParseError("raw gate must be a 2x2 matrix of [re, im] pairs", path)
-        entries = tuple(
-            tuple(_parse_complex(rows[i][j], f"{path}.raw[{i}][{j}]") for j in range(2))
-            for i in range(2)
-        )
-        try:
-            return GateSpec("raw", raw=entries)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
-    raise ParseError("gate needs a 'named' or 'raw' field", path)
+        fields = {"kind": "raw", "raw": tuple(
+            tuple(_parse_complex(z, f"{path}.raw[{i}][{j}]") for j, z in enumerate(row))
+            for i, row in enumerate(rows)
+        )}
+    elif "named" in obj:
+        kind = obj["named"]
+        if kind not in KINDS or kind == "raw":
+            raise ParseError(f"unknown gate kind {kind!r}", path)
+        _object(obj, path, ("named",), ("angle",))
+        if (kind in ANGLE_KINDS) != ("angle" in obj):
+            need = "requires an" if kind in ANGLE_KINDS else "takes no"
+            raise ParseError(f"gate {kind!r} {need} angle", path)
+        fields = {"kind": kind}
+        if "angle" in obj:
+            angle, expr = parse_angle(obj["angle"], f"{path}.angle")
+            fields.update(angle=angle, angle_expr=expr)
+    else:
+        raise ParseError("gate needs a 'named' or 'raw' field", path)
+    try:
+        return GateSpec(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _parse_analysis(obj, path: str) -> AnalysisRequest:
@@ -163,6 +163,12 @@ def _parse_analysis(obj, path: str) -> AnalysisRequest:
     raise ParseError(f"unknown analysis request {obj!r}", path)
 
 
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError("must be a list", path)
+    return value
+
+
 def load_json(text: str):
     """``json.loads`` with every decoding failure raised as ``ParseError``."""
     try:
@@ -175,92 +181,48 @@ def load_json(text: str):
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; gates are resolved eagerly."""
-    doc = load_json(text)
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a JSON object")
-    for field in ("name", "init", "iterations"):
-        if field not in doc:
-            raise ParseError(f"missing required field {field!r}")
-    extras = set(doc) - {"name", "init", "iterations", "analyses", "measure"}
-    if extras:
-        raise ParseError(f"unexpected fields {sorted(extras)}")
+    doc = _object(load_json(text), None, ("name", "init", "iterations"),
+                  ("analyses", "measure"), "scenario document must be a JSON object")
     if not isinstance(doc["name"], str) or not doc["name"]:
         raise ParseError("must be a non-empty string", "name")
 
-    init_doc = doc["init"]
-    if not isinstance(init_doc, dict):
-        raise ParseError("must be an object", "init")
-    for field in ("alpha", "beta", "gamma", "delta", "mode"):
-        if field not in init_doc:
-            raise ParseError(f"missing required field {field!r}", "init")
-    extras = set(init_doc) - {"alpha", "beta", "gamma", "delta", "mode", "system_init"}
-    if extras:
-        raise ParseError(f"unexpected fields {sorted(extras)}", "init")
+    init_doc = _object(doc["init"], "init", _AMPLITUDES + ("mode",), ("system_init",))
     if not isinstance(init_doc["mode"], str):
         raise ParseError("must be a string", "init.mode")
     system_init = IDENTITY
     if "system_init" in init_doc:
         system_init = _parse_gate(init_doc["system_init"], "init.system_init")
     init = InitSpec(
-        alpha=_parse_complex(init_doc["alpha"], "init.alpha"),
-        beta=_parse_complex(init_doc["beta"], "init.beta"),
-        gamma=_parse_complex(init_doc["gamma"], "init.gamma"),
-        delta=_parse_complex(init_doc["delta"], "init.delta"),
+        **{a: _parse_complex(init_doc[a], f"init.{a}") for a in _AMPLITUDES},
         mode=init_doc["mode"],
         system_init=system_init,
     )
 
-    if not isinstance(doc["iterations"], list):
-        raise ParseError("must be a list", "iterations")
     iterations = []
-    for i, it in enumerate(doc["iterations"]):
+    for i, it in enumerate(_list(doc["iterations"], "iterations")):
         path = f"iterations[{i}]"
-        if not isinstance(it, dict):
-            raise ParseError("iteration must be an object", path)
-        extras = set(it) - {"u0", "u1", "f0", "f1", "v0", "v1", "r0", "r1"}
-        if extras:
-            raise ParseError(f"unexpected fields {sorted(extras)}", path)
-        for field in ("u0", "u1"):
-            if field not in it:
-                raise ParseError(f"missing required field {field!r}", path)
+        _object(it, path, _REQUIRED_GATES, _GATES, "iteration must be an object")
+        iterations.append(IterationSpec(
+            **{g: _parse_gate(it[g], f"{path}.{g}") for g in _GATES if g in it}
+        ))
 
-        def gate(field: str, default: GateSpec | None = IDENTITY) -> GateSpec | None:
-            if field not in it:
-                return default
-            return _parse_gate(it[field], f"{path}.{field}")
+    analyses = [
+        _parse_analysis(a, f"analyses[{i}]")
+        for i, a in enumerate(_list(doc.get("analyses", []), "analyses"))
+    ]
 
-        iterations.append(
-            IterationSpec(
-                u0=gate("u0"), u1=gate("u1"),
-                f0=gate("f0"), f1=gate("f1"),
-                v0=gate("v0"), v1=gate("v1"),
-                r0=gate("r0", None), r1=gate("r1", None),
-            )
-        )
-
-    analyses = []
-    if "analyses" in doc:
-        if not isinstance(doc["analyses"], list):
-            raise ParseError("must be a list", "analyses")
-        analyses = [
-            _parse_analysis(a, f"analyses[{i}]") for i, a in enumerate(doc["analyses"])
-        ]
-
-    measure = None
-    if "measure" in doc and doc["measure"] is not None:
-        m = doc["measure"]
-        if not (isinstance(m, dict) and isinstance(m.get("seed"), int)
-                and not isinstance(m.get("seed"), bool) and m["seed"] >= 0):
-            raise ParseError("must be an object with a non-negative integer 'seed'",
-                             "measure")
-        measure = MeasureRequest(seed=m["seed"])
+    seed = doc.get("measure")  # null means absent
+    if seed is not None:
+        seed = _object(seed, "measure", (), ("seed",), _SEED_MESSAGE).get("seed")
+        if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+            raise ParseError(_SEED_MESSAGE, "measure")
 
     return Scenario(
         name=doc["name"],
         init=init,
         iterations=tuple(iterations),
         analyses=tuple(analyses),
-        measure=measure,
+        measure_seed=seed,
     )
 
 
@@ -272,15 +234,11 @@ def _emit_complex(z: complex):
 
 def _emit_gate(g: GateSpec):
     if g.kind == "raw":
-        return {"raw": [[_pair(g.raw[i][j]) for j in range(2)] for i in range(2)]}
+        return {"raw": [[[z.real, z.imag] for z in row] for row in g.raw]}
     out: dict = {"named": g.kind}
     if g.kind in ANGLE_KINDS:
         out["angle"] = g.angle_expr if g.angle_expr is not None else g.angle
     return out
-
-
-def _pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
 
 
 def _emit_analysis(a: AnalysisRequest):
@@ -294,34 +252,23 @@ def _emit_analysis(a: AnalysisRequest):
 def emit_scenario(scenario: Scenario) -> str:
     """Serialize a scenario; parse(emit(s)) == s."""
     init = scenario.init
-    init_doc = {
-        "alpha": _emit_complex(init.alpha),
-        "beta": _emit_complex(init.beta),
-        "gamma": _emit_complex(init.gamma),
-        "delta": _emit_complex(init.delta),
-        "mode": init.mode,
-    }
+    init_doc = {a: _emit_complex(getattr(init, a)) for a in _AMPLITUDES}
+    init_doc["mode"] = init.mode
     if not init.system_init.is_identity:
         init_doc["system_init"] = _emit_gate(init.system_init)
-    iterations = []
-    for it in scenario.iterations:
-        it_doc = {"u0": _emit_gate(it.u0), "u1": _emit_gate(it.u1)}
-        for field in ("f0", "f1", "v0", "v1"):
-            g = getattr(it, field)
-            if not g.is_identity:
-                it_doc[field] = _emit_gate(g)
-        if it.extended:
-            it_doc["r0"] = _emit_gate(it.r0)
-            it_doc["r1"] = _emit_gate(it.r1)
-        iterations.append(it_doc)
+    iterations = [
+        {g: _emit_gate(getattr(it, g)) for g in _GATES
+         if g in _REQUIRED_GATES or getattr(it, g) != getattr(_DEFAULT_ROUND, g)}
+        for it in scenario.iterations
+    ]
     doc: dict = {
         "name": scenario.name,
         "init": init_doc,
         "iterations": iterations,
         "analyses": [_emit_analysis(a) for a in scenario.analyses],
     }
-    if scenario.measure is not None:
-        doc["measure"] = {"seed": scenario.measure.seed}
+    if scenario.measure_seed is not None:
+        doc["measure"] = {"seed": scenario.measure_seed}
     return json.dumps(doc, indent=2)
 
 
@@ -337,6 +284,12 @@ BUILTIN_DESCRIPTIONS = {
     "reinforce-two-step": "policy-steered control rotation after round one; "
     "opens a third memory branch with probability |beta|^2 sin^2(theta)",
 }
+
+
+def _rotation(kind: str, expr: str) -> GateSpec:
+    """A rotation gate from its exact angle string, e.g. ("rx", "pi/3")."""
+    angle, _ = parse_angle(expr, kind)
+    return GateSpec(kind, angle=angle, angle_expr=expr)
 
 
 def builtin_scenarios() -> list[Scenario]:
@@ -363,16 +316,11 @@ def builtin_scenarios() -> list[Scenario]:
     )
 
     def rotation_iterations(with_feedback: bool) -> tuple[IterationSpec, ...]:
-        f0 = GateSpec("rx", angle=math.pi / 12, angle_expr="pi/12") \
-            if with_feedback else IDENTITY
-        f1 = GateSpec("rx", angle=-math.pi / 12, angle_expr="-pi/12") \
-            if with_feedback else IDENTITY
+        feedback = (dict(f0=_rotation("rx", "pi/12"), f1=_rotation("rx", "-pi/12"))
+                    if with_feedback else {})
         return tuple(
-            IterationSpec(
-                u0=GateSpec("rx", angle=math.pi / 3, angle_expr="pi/3"),
-                u1=GateSpec("rx", angle=-math.pi / 3, angle_expr="-pi/3"),
-                f0=f0, f1=f1,
-            )
+            IterationSpec(u0=_rotation("rx", "pi/3"), u1=_rotation("rx", "-pi/3"),
+                          **feedback)
             for _ in range(3)
         )
 
@@ -402,7 +350,7 @@ def builtin_scenarios() -> list[Scenario]:
             IterationSpec(
                 v0=IDENTITY, v1=GateSpec("pauli_x"),
                 r0=IDENTITY,
-                r1=GateSpec("real_rotation", angle=math.pi / 4, angle_expr="pi/4"),
+                r1=_rotation("real_rotation", "pi/4"),
             ),
             IterationSpec(),
         ),

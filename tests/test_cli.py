@@ -330,12 +330,47 @@ def test_raw_gate_whose_unitarity_check_overflows_exits_3(tmp_path, raw):
     assert (proc.stdout, proc.stderr) == ("", err.getvalue())
 
 
-def test_run_seed_flag_overrides_measure_seed(tmp_path, capsys):
-    from dataclasses import replace
-    from branchsim.scenario import MeasureRequest
+_IDENTITY_RAW = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+_BAD_GATES = {
+    "infinite-angle": {"named": "rx", "angle": math.inf},
+    "angle-1e400": {"named": "rx", "angle": "1e400"},  # written as a bare 1e400
+    "missing-angle": {"named": "ry"},
+    "angle-on-pauli-x": {"named": "pauli_x", "angle": "pi/3"},
+    "bool-angle": {"named": "rz", "angle": True},
+    "unknown-kind": {"named": "bogus"},
+    "named-and-raw": {"named": "rx", "angle": "pi/3", "raw": _IDENTITY_RAW},
+    "raw-with-stray-field": {"raw": _IDENTITY_RAW, "angle": "pi/3"},
+    "non-unitary-raw": {"raw": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]},
+    "overflowing-raw": {"raw": _OVERFLOWING_RAW[0]},
+    "raw-3x2": {"raw": _IDENTITY_RAW + [[[0, 0], [0, 0]]]},
+    "non-object": "pauli_x",
+}
+_ROUND_SLOTS = ("u0", "u1", "f0", "f1", "v0", "v1", "r0", "r1")
+_GATE_SLOTS = ["init.system_init"] + [f"iterations[0].{s}" for s in _ROUND_SLOTS]
 
-    scenario = replace(builtin_scenario("pauli-flips"),
-                       measure=MeasureRequest(seed=3))
+
+@pytest.mark.parametrize("slot", _GATE_SLOTS)
+@pytest.mark.parametrize("form", _BAD_GATES)
+def test_bad_gate_in_any_slot_names_the_slot(tmp_path, form, slot):
+    identity = {"named": "identity"}
+    doc = {"name": "slots", "init": {**_INIT, "system_init": identity},
+           "iterations": [{s: identity for s in _ROUND_SLOTS}]}
+    owner, field = slot.rsplit(".", 1)
+    target = doc["init"] if owner == "init" else doc["iterations"][0]
+    target[field] = _BAD_GATES[form]
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(doc).replace('"1e400"', "1e400"), encoding="utf-8")
+    stderr = io.StringIO()
+    code = main(["run", "--scenario", str(path)], stdout=io.StringIO(), stderr=stderr)
+    assert code in (EXIT_PARSE, EXIT_VALIDATION)
+    lines = stderr.getvalue().splitlines()
+    kind = "parse" if code == EXIT_PARSE else "validation"
+    assert len(lines) == 1
+    assert lines[0].startswith((f"{kind} error: {slot}:", f"{kind} error: {slot}."))
+
+
+def test_run_seed_flag_overrides_measure_seed(tmp_path, capsys):
+    scenario = replace(builtin_scenario("pauli-flips"), measure_seed=3)
     path = tmp_path / "measured.json"
     path.write_text(emit_scenario(scenario), encoding="utf-8")
     assert main(["run", "--scenario", str(path)]) == EXIT_OK

@@ -33,7 +33,6 @@ from branchsim.machine import (
 )
 from branchsim.scenario import (
     AnalysisRequest,
-    MeasureRequest,
     Scenario,
     builtin_scenario,
     builtin_scenarios,
@@ -536,7 +535,7 @@ def test_run_command_never_builds_the_dense_vector(tmp_path, monkeypatch):
             AnalysisRequest("separability", ("S",)),
             AnalysisRequest("witness", ("C", "M1")),
         ),
-        measure=MeasureRequest(seed=3),
+        measure_seed=3,
     )
     path = tmp_path / "deep.json"
     path.write_text(emit_scenario(scenario), encoding="utf-8")

@@ -121,10 +121,7 @@ def test_report_marginals_of_every_register_kind_are_quantized_rho():
 
 
 def test_report_measurement_seed_determinism():
-    from dataclasses import replace
-    from branchsim.scenario import MeasureRequest
-
-    scenario = replace(builtin_scenario("pauli-flips"), measure=MeasureRequest(seed=7))
+    scenario = replace(builtin_scenario("pauli-flips"), measure_seed=7)
     state = run(scenario)
     r1 = build_report(scenario, state)
     r2 = build_report(scenario, state)

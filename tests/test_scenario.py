@@ -1,26 +1,26 @@
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from branchsim import builtin_scenario, run
 from branchsim.analysis import outcome_probability
-from branchsim.errors import ParseError, ValidationError
+from branchsim.errors import CapacityError, ParseError, ValidationError
 from branchsim.gates import GateSpec, raw_gate
 from branchsim.linalg import UNITARITY_TOL
 from branchsim.machine import InitSpec, IterationSpec
 from branchsim.scenario import (
     AnalysisRequest,
-    MeasureRequest,
     Scenario,
     builtin_scenarios,
     emit_scenario,
     parse_angle,
     parse_scenario,
 )
-from branchsim.verify import random_unitary
+from branchsim.verify import random_extended_scenario, random_unitary
 
 
 def _document(**overrides):
@@ -103,13 +103,16 @@ def test_parse_error_carries_field_path():
 def test_parse_rejects_unknown_fields():
     with pytest.raises(ParseError, match="unexpected"):
         parse_scenario(json.dumps(_document(extra=1)))
+    with pytest.raises(ParseError, match=r"^measure: unexpected fields \['sed'\]$"):
+        parse_scenario(json.dumps(_document(measure={"seed": 3, "sed": 4})))
+    assert parse_scenario(json.dumps(_document(measure=None))).measure_seed is None
 
 
 def test_parse_rejects_negative_measure_seed():
     with pytest.raises(ParseError) as err:
         parse_scenario(json.dumps(_document(measure={"seed": -1})))
     assert err.value.path == "measure"
-    assert parse_scenario(json.dumps(_document(measure={"seed": 0}))).measure.seed == 0
+    assert parse_scenario(json.dumps(_document(measure={"seed": 0}))).measure_seed == 0
 
 
 def test_parse_rejects_half_r_pair():
@@ -122,7 +125,7 @@ def test_parse_rejects_half_r_pair():
 def test_parse_rejects_too_many_iterations():
     doc = _document()
     doc["iterations"] = doc["iterations"] * 18
-    with pytest.raises(ValidationError, match="cap"):
+    with pytest.raises(CapacityError, match="cap"):
         parse_scenario(json.dumps(doc))
 
 
@@ -195,6 +198,31 @@ def test_rotations_feedback_probability():
 
 def test_scenario_round_trip_with_raw_gate_and_measure():
     rng = np.random.default_rng(31)
+    raw_everywhere = replace(
+        random_extended_scenario(rng, 2),
+        analyses=(
+            AnalysisRequest("branches"),
+            AnalysisRequest("marginal", ("M2",)),
+            AnalysisRequest("outcome", ("P",)),
+            AnalysisRequest("separability", ("S",)),
+            AnalysisRequest("witness", ("C", "M1")),
+        ),
+        measure_seed=5,
+    )
+    assert raw_everywhere.init.system_init.kind == "raw"
+    assert all(getattr(it, slot).kind == "raw" for it in raw_everywhere.iterations
+               for slot in ("u0", "u1", "f0", "f1", "v0", "v1", "r0", "r1"))
+    assert parse_scenario(emit_scenario(raw_everywhere)) == raw_everywhere
+    # explicit identity feedback and update gates are left out and read back
+    explicit = Scenario(
+        name="explicit-identity",
+        init=InitSpec(alpha=1.0, beta=0.0),
+        iterations=(IterationSpec(u1=GateSpec("pauli_x"), f0=GateSpec("identity"),
+                                  v1=GateSpec("identity")),),
+    )
+    emitted = emit_scenario(explicit)
+    assert set(json.loads(emitted)["iterations"][0]) == {"u0", "u1"}
+    assert parse_scenario(emitted) == explicit
     scenario = Scenario(
         name="round-trip",
         init=InitSpec(alpha=0.6, beta=0.8j, gamma=0.8, delta=0.6,
@@ -208,7 +236,7 @@ def test_scenario_round_trip_with_raw_gate_and_measure():
             AnalysisRequest("marginal", ("M1",)),
             AnalysisRequest("witness", ("C", "M1")),
         ),
-        measure=MeasureRequest(seed=99),
+        measure_seed=99,
     )
     assert parse_scenario(emit_scenario(scenario)) == scenario
 
