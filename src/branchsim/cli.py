@@ -31,9 +31,8 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_VERIFY = 4
 
-# The Tolerances fields each subcommand actually reads; any other key is
-# rejected rather than silently ignored.
-_RUN_TOLERANCE_KEYS = ("norm",)
+# The Tolerances fields verify's checks read; any other key is rejected
+# rather than silently ignored.
 _VERIFY_TOLERANCE_KEYS = ("norm", "diagonality")
 
 
@@ -52,9 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", metavar="PATH", help="write the report here")
     run_p.add_argument("--seed", type=int, metavar="INT",
                        help="override the measurement seed")
-    run_p.add_argument("--tolerance", action="append", default=[], metavar="K=V",
-                       help="override a tolerance, K one of "
-                       f"{', '.join(_RUN_TOLERANCE_KEYS)} (repeatable)")
 
     ex_p = sub.add_parser("examples", help="list the built-in scenarios")
     ex_p.add_argument("--emit", metavar="NAME",
@@ -74,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _parse_tolerances(pairs: list[str], keys: tuple[str, ...]) -> Tolerances:
+def _parse_tolerances(pairs: list[str]) -> Tolerances:
     overrides = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
-        if not sep or key not in keys:
+        if not sep or key not in _VERIFY_TOLERANCE_KEYS:
             raise ParseError(
                 f"bad tolerance {pair!r}; this command reads only "
-                f"{', '.join(keys)}, as K=V"
+                f"{', '.join(_VERIFY_TOLERANCE_KEYS)}, as K=V"
             )
         try:
             overrides[key] = float(value)
@@ -93,7 +89,6 @@ def _parse_tolerances(pairs: list[str], keys: tuple[str, ...]) -> Tolerances:
 
 
 def _cmd_run(args, stdout, stderr) -> int:
-    tolerances = _parse_tolerances(args.tolerance, _RUN_TOLERANCE_KEYS)
     if args.seed is not None and args.seed < 0:  # checked even with no measure
         raise ValidationError(f"seed must be a non-negative integer, got {args.seed}")
     if args.scenario is not None:
@@ -102,7 +97,7 @@ def _cmd_run(args, stdout, stderr) -> int:
     else:
         scenario = builtin_scenario(args.example)
     state = run(scenario)
-    report = build_report(scenario, state, tolerances, seed_override=args.seed)
+    report = build_report(scenario, state, seed_override=args.seed)
     sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(stdout)
     with sink as out:
         emit_report(report, out)
@@ -122,7 +117,7 @@ def _cmd_examples(args, stdout, stderr) -> int:
 
 
 def _cmd_verify(args, stdout, stderr) -> int:
-    tolerances = _parse_tolerances(args.tolerance, _VERIFY_TOLERANCE_KEYS)
+    tolerances = _parse_tolerances(args.tolerance)
     results = run_checks(only=args.only, seed=args.seed, tolerances=tolerances)
     for res in results:
         verdict = "PASS" if res.passed else "FAIL"

@@ -21,10 +21,6 @@ class ValidationError(BranchsimError):
     """Value violates a documented invariant."""
 
 
-class ModeError(BranchsimError):
-    """Iteration spec was passed to the wrong iteration entry point."""
-
-
 class ProjectionError(BranchsimError):
     """Forced measurement outcome has (near-)zero probability."""
 

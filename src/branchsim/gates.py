@@ -1,17 +1,22 @@
 """One-qubit gate library.
 
 A ``GateSpec`` is checked and resolved to its read-only 2x2 matrix when
-it is constructed.  The ``rx``/``ry``/``rz`` kinds follow the half-angle
-convention, e.g. rx(a) = cos(a/2) I - i sin(a/2) X.  ``real_rotation``
-is the plain plane rotation ((cos a, -sin a), (sin a, cos a)) used to
-steer the control register in extended iterations; note it takes the
-full angle.
+it is constructed, and it holds only the fields its kind uses: none for
+a fixed gate, ``angle`` for a rotation, ``raw`` for a raw matrix.  An
+angle is kept as written, radians or an exact string such as "pi/3" or
+"-5*pi/4"; ``radians`` is the one place that evaluates it.
+
+The ``rx``/``ry``/``rz`` kinds follow the half-angle convention, e.g.
+rx(a) = cos(a/2) I - i sin(a/2) X.  ``real_rotation`` is the plain plane
+rotation ((cos a, -sin a), (sin a, cos a)) used to steer the control
+register in extended iterations; note it takes the full angle.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,35 +58,49 @@ KINDS = tuple(_FIXED) + ANGLE_KINDS + ("raw",)
 
 RawMatrix = tuple[tuple[complex, complex], tuple[complex, complex]]
 
+_ANGLE_RE = re.compile(r"^(-?)(?:(\d+)\*)?pi(?:/([1-9]\d*))?$")
+
+
+def radians(angle: float | str) -> float:
+    """A number as a float, or an exact 'M*pi/N' string (optionally negated,
+    spaces ignored) evaluated as sign * M * pi / N."""
+    if not isinstance(angle, str):
+        return float(angle)
+    m = _ANGLE_RE.match(angle.replace(" ", ""))
+    if not m:
+        raise ValidationError(f"bad angle expression {angle!r}")
+    sign = -1.0 if m.group(1) else 1.0
+    mult = float(m.group(2)) if m.group(2) else 1.0
+    div = float(m.group(3)) if m.group(3) else 1.0
+    return sign * mult * math.pi / div
+
 
 @dataclass(frozen=True)
 class GateSpec:
-    """Declarative one-qubit gate: fixed-named, rotation, or raw matrix.
-
-    ``angle_expr`` optionally remembers the exact textual angle (e.g.
-    "pi/3") so scenario files round-trip without decimal transcription.
-    """
+    """Declarative one-qubit gate: fixed-named, rotation, or raw matrix."""
 
     kind: str
-    angle: float | None = None
-    angle_expr: str | None = None
+    angle: float | str | None = None
     raw: RawMatrix | None = None
     _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind in _FIXED:
-            if self.angle is not None:
-                raise ValidationError(f"gate {self.kind!r} takes no angle")
-            m = _FIXED[self.kind]  # shared by every gate of this kind
-        elif self.kind in _ROTATIONS:
-            if self.angle is None:
-                raise ValidationError(f"gate {self.kind!r} requires an angle")
-            if not math.isfinite(self.angle):
+        kind = self.kind
+        rotation, raw = kind in _ROTATIONS, kind == "raw"
+        if not (rotation or raw or kind in _FIXED):
+            raise ValidationError(f"unknown gate kind {kind!r}")
+        if (self.angle is None) == rotation:
+            need = "requires an" if rotation else "takes no"
+            raise ValidationError(f"gate {kind!r} {need} angle")
+        if (self.raw is None) == raw:
+            need = "requires a" if raw else "takes no"
+            raise ValidationError(f"gate {kind!r} {need} raw matrix")
+        if rotation:
+            angle = radians(self.angle)
+            if not math.isfinite(angle):
                 raise ValidationError("gate angle must be finite")
-            m = np.array(_ROTATIONS[self.kind](float(self.angle)), dtype=np.complex128)
-        elif self.kind == "raw":
-            if self.raw is None:
-                raise ValidationError("raw gate requires a matrix")
+            m = np.array(_ROTATIONS[kind](angle), dtype=np.complex128)
+        elif raw:
             m = np.array(self.raw, dtype=np.complex128)
             if m.shape != (2, 2):
                 raise ValidationError(f"raw gate must be 2x2, got {m.shape}")
@@ -89,7 +108,7 @@ class GateSpec:
             if dev > UNITARITY_TOL:
                 raise ValidationError(f"raw gate is not unitary (deviation {dev:.3e})")
         else:
-            raise ValidationError(f"unknown gate kind {self.kind!r}")
+            m = _FIXED[kind]  # shared by every gate of this kind
         m.flags.writeable = False
         object.__setattr__(self, "_matrix", m)
 

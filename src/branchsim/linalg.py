@@ -35,7 +35,8 @@ HERMITICITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The tolerances a command may override with ``--tolerance``."""
+    """The tolerances ``verify --tolerance`` may override; everything else
+    reads ``DEFAULT_TOLERANCES``."""
 
     norm: float = 1e-10
     diagonality: float = 1e-12
@@ -69,15 +70,16 @@ def purity(rho) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def validate_density_matrix(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Enforce Hermiticity, unit trace, and the eigenvalue floor."""
     rho = as_matrix(rho)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > HERMITICITY_TOL:
         raise ValidationError(f"not Hermitian: max asymmetry {herm:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol.norm:
-        raise ValidationError(f"trace {tr} deviates from 1 beyond {tol.norm}")
+    tol = DEFAULT_TOLERANCES.norm
+    if abs(tr - 1.0) > tol:
+        raise ValidationError(f"trace {tr} deviates from 1 beyond {tol}")
     if np.linalg.eigvalsh(rho)[0] < EIGENVALUE_FLOOR:
         raise ValidationError("density matrix has an eigenvalue below the floor")
     return rho

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, machine
 from .errors import ParseError, ValidationError
-from .linalg import DEFAULT_TOLERANCES, Tolerances
+from .linalg import DEFAULT_TOLERANCES
 from .machine import StateVector
 from .scenario import Scenario, load_json
 
@@ -86,15 +86,13 @@ class RunReport:
 def build_report(
     scenario: Scenario,
     state: StateVector,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
     seed_override: int | None = None,
 ) -> RunReport:
     """Perform the scenario's requested analyses on a finished run."""
+    tol = DEFAULT_TOLERANCES.norm
     norm = state.norm()
     norm_dev = abs(norm - 1.0)
-    checks: dict = {
-        "norm": {"pass": norm_dev <= tolerances.norm, "deviation": _q(norm_dev)}
-    }
+    checks: dict = {"norm": {"pass": norm_dev <= tol, "deviation": _q(norm_dev)}}
     branch_table: analysis.BranchTable | dict = {}
     marginals: list = []
     probabilities: dict = {}
@@ -107,9 +105,7 @@ def build_report(
             for p in branch_table.weights.tolist():
                 total += p
             dev = abs(total - 1.0)
-            checks["branch_probability_sum"] = {
-                "pass": dev <= tolerances.norm, "deviation": _q(dev)
-            }
+            checks["branch_probability_sum"] = {"pass": dev <= tol, "deviation": _q(dev)}
         elif request.kind == "marginal":
             reg = request.registers[0]
             rho = analysis.register_marginal(state, {reg})

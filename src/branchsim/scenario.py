@@ -3,18 +3,18 @@
 Scenario documents are JSON.  Angles may be written as decimal radians
 or as exact strings like "pi/3" or "5*pi/4" (optionally negated), which
 avoids transcription error for the rational-of-pi angles used by the
-built-in scenarios.  Complex values are written as [re, im] pairs.
+built-in scenarios; a gate keeps its angle as written, so it reads back
+equal.  Complex values are written as [re, im] pairs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
-from .gates import ANGLE_KINDS, GateSpec, IDENTITY, KINDS
+from .gates import ANGLE_KINDS, GateSpec, IDENTITY, KINDS, radians
 from .machine import InitSpec, IterationSpec, build_layout
 
 ANALYSIS_KINDS = ("branches", "marginal", "outcome", "separability", "witness")
@@ -25,7 +25,6 @@ _GATES = ("u0", "u1", "f0", "f1", "v0", "v1", "r0", "r1")
 _REQUIRED_GATES = _GATES[:2]
 _DEFAULT_ROUND = IterationSpec()  # an omitted gate takes this round's value
 
-_ANGLE_RE = re.compile(r"^(-?)(?:(\d+)\*)?pi(?:/([1-9]\d*))?$")
 _SEED_MESSAGE = "must be an object with a non-negative integer 'seed'"
 
 
@@ -92,17 +91,15 @@ def _number(value, path: str, what: str) -> float:
         raise ParseError("number is outside the floating-point range", path) from exc
 
 
-def parse_angle(value, path: str) -> tuple[float, str | None]:
-    """Radians from a number or an exact 'M*pi/N' style string."""
+def parse_angle(value, path: str) -> float | str:
+    """A gate angle as written: radians, or an exact 'M*pi/N' style string."""
     if not isinstance(value, str):
-        return _number(value, path, "angle must be a number or a pi expression"), None
-    m = _ANGLE_RE.match(value.replace(" ", ""))
-    if not m:
-        raise ParseError(f"bad angle expression {value!r}", path)
-    sign = -1.0 if m.group(1) else 1.0
-    mult = float(m.group(2)) if m.group(2) else 1.0
-    div = float(m.group(3)) if m.group(3) else 1.0
-    return sign * mult * math.pi / div, value
+        return _number(value, path, "angle must be a number or a pi expression")
+    try:
+        radians(value)
+    except ValidationError as exc:
+        raise ParseError(str(exc), path) from exc
+    return value
 
 
 def _parse_complex(value, path: str) -> complex:
@@ -136,8 +133,7 @@ def _parse_gate(obj, path: str) -> GateSpec:
             raise ParseError(f"gate {kind!r} {need} angle", path)
         fields = {"kind": kind}
         if "angle" in obj:
-            angle, expr = parse_angle(obj["angle"], f"{path}.angle")
-            fields.update(angle=angle, angle_expr=expr)
+            fields["angle"] = parse_angle(obj["angle"], f"{path}.angle")
     else:
         raise ParseError("gate needs a 'named' or 'raw' field", path)
     try:
@@ -236,8 +232,8 @@ def _emit_gate(g: GateSpec):
     if g.kind == "raw":
         return {"raw": [[[z.real, z.imag] for z in row] for row in g.raw]}
     out: dict = {"named": g.kind}
-    if g.kind in ANGLE_KINDS:
-        out["angle"] = g.angle_expr if g.angle_expr is not None else g.angle
+    if g.angle is not None:
+        out["angle"] = g.angle
     return out
 
 
@@ -286,12 +282,6 @@ BUILTIN_DESCRIPTIONS = {
 }
 
 
-def _rotation(kind: str, expr: str) -> GateSpec:
-    """A rotation gate from its exact angle string, e.g. ("rx", "pi/3")."""
-    angle, _ = parse_angle(expr, kind)
-    return GateSpec(kind, angle=angle, angle_expr=expr)
-
-
 def builtin_scenarios() -> list[Scenario]:
     """The four scenarios reproduced by the golden test suite."""
     balanced = dict(alpha=_INV_SQRT2, beta=_INV_SQRT2, gamma=1.0, delta=0.0)
@@ -316,11 +306,12 @@ def builtin_scenarios() -> list[Scenario]:
     )
 
     def rotation_iterations(with_feedback: bool) -> tuple[IterationSpec, ...]:
-        feedback = (dict(f0=_rotation("rx", "pi/12"), f1=_rotation("rx", "-pi/12"))
+        feedback = (dict(f0=GateSpec("rx", angle="pi/12"),
+                         f1=GateSpec("rx", angle="-pi/12"))
                     if with_feedback else {})
         return tuple(
-            IterationSpec(u0=_rotation("rx", "pi/3"), u1=_rotation("rx", "-pi/3"),
-                          **feedback)
+            IterationSpec(u0=GateSpec("rx", angle="pi/3"),
+                          u1=GateSpec("rx", angle="-pi/3"), **feedback)
             for _ in range(3)
         )
 
@@ -350,7 +341,7 @@ def builtin_scenarios() -> list[Scenario]:
             IterationSpec(
                 v0=IDENTITY, v1=GateSpec("pauli_x"),
                 r0=IDENTITY,
-                r1=_rotation("real_rotation", "pi/4"),
+                r1=GateSpec("real_rotation", angle="pi/4"),
             ),
             IterationSpec(),
         ),

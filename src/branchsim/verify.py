@@ -231,9 +231,7 @@ def random_amplitude_pair(rng: np.random.Generator) -> tuple[complex, complex]:
 def random_init(rng: np.random.Generator, mode: str | None = None) -> InitSpec:
     alpha, beta = random_amplitude_pair(rng)
     if mode is None:
-        mode = ("uncorrelated", "correlated_c_to_p", "copy_c_to_p_from_zero")[
-            rng.integers(0, 3)
-        ]
+        mode = INIT_MODES[rng.integers(0, len(INIT_MODES))]
     if mode == "copy_c_to_p_from_zero":
         gamma, delta = 1.0 + 0j, 0j
     else:

@@ -100,10 +100,12 @@ def test_run_example_matches_golden_report(name, tmp_path, capsys):
     golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert main(["run", "--example", name]) == EXIT_OK
     assert capsys.readouterr().out == golden
-    # the emitted document, run back as a scenario file, reports the same bytes
+    # the emitted document is the golden one, and run back as a scenario
+    # file it reports the same bytes
     assert main(["examples", "--emit", name]) == EXIT_OK
     emitted = tmp_path / f"{name}.scenario.json"
     emitted.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert emitted.read_bytes() == (GOLDEN / f"{name}.scenario.json").read_bytes()
     assert main(["run", "--scenario", str(emitted)]) == EXIT_OK
     assert capsys.readouterr().out == golden
 
@@ -143,13 +145,13 @@ def test_stdout_failing_after_the_first_chunk_is_an_io_error(tmp_path, capsys):
 
 
 def test_tolerance_does_not_leak_into_the_next_call(capsys):
-    argv = ["run", "--example", "pauli-flips"]
+    argv = ["verify", "--only", "golden"]
     assert main(argv + ["--tolerance", "unitarity=1"]) == EXIT_PARSE
     assert main(argv) == EXIT_OK
+    once = capsys.readouterr().out
     assert main(argv + ["--tolerance", "norm=0.5"]) == EXIT_OK
     assert main(argv + ["--tolerance", "norm=0.5"]) == EXIT_OK  # not twice the key
-    golden = (GOLDEN / "pauli-flips.json").read_text(encoding="utf-8")
-    assert capsys.readouterr().out == golden * 3
+    assert capsys.readouterr().out == once * 2
 
 
 def _exit_and_output(parse, argv, capsys):
@@ -212,16 +214,18 @@ def test_malformed_input_ends_in_exit_code(tmp_path, capsys, content, argv):
 
 
 def test_run_bad_tolerance_key(capsys):
-    assert main(["run", "--example", "pauli-flips",
-                 "--tolerance", "bogus=1"]) == EXIT_PARSE
+    # run reads no tolerance, so it has no --tolerance option at all
+    for pair in ("bogus=1", "norm=1"):
+        argv = ["run", "--example", "pauli-flips", "--tolerance", pair]
+        code, out, err = _exit_and_output(main, argv, capsys)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "unrecognized arguments: --tolerance" in err
 
 
 @pytest.mark.parametrize("argv, unread", [
-    (["run", "--example", "pauli-flips"], "unitarity"),
-    (["run", "--example", "pauli-flips"], "diagonality"),
     (["verify", "--only", "golden"], "hermiticity"),
     (["verify", "--only", "golden"], "unitarity"),
-], ids=["run-unitarity", "run-diagonality", "verify-hermiticity", "verify-unitarity"])
+], ids=["verify-hermiticity", "verify-unitarity"])
 def test_tolerance_the_command_does_not_read_is_rejected(capsys, argv, unread):
     assert main(argv + ["--tolerance", f"{unread}=1"]) == EXIT_PARSE
     err = capsys.readouterr().err
@@ -229,9 +233,9 @@ def test_tolerance_the_command_does_not_read_is_rejected(capsys, argv, unread):
 
 
 @pytest.mark.parametrize("argv, key", [
-    (["run", "--example", "pauli-flips"], "norm"),
+    (["verify", "--only", "golden"], "norm"),
     (["verify", "--only", "golden"], "diagonality"),
-], ids=["run", "verify"])
+], ids=["verify-norm", "verify"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_tolerance_not_finite_and_positive_is_rejected(capsys, argv, key, value):
     assert main(argv + ["--tolerance", f"{key}={value}"]) == EXIT_PARSE

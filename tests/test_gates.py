@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from branchsim.errors import ValidationError
-from branchsim.gates import IDENTITY, PAULI_X, GateSpec, raw_gate
+from branchsim.gates import IDENTITY, PAULI_X, GateSpec, radians, raw_gate
 from branchsim.linalg import UNITARITY_TOL, unitarity_deviation
 
 
@@ -54,8 +54,6 @@ def test_raw_gate_rejects_non_unitary():
 
 def test_gate_spec_field_validation():
     with pytest.raises(ValidationError):
-        GateSpec("pauli_x", angle=0.3)
-    with pytest.raises(ValidationError):
         GateSpec("rx")
     with pytest.raises(ValidationError):
         GateSpec("rx", angle=math.inf)
@@ -63,3 +61,31 @@ def test_gate_spec_field_validation():
         GateSpec("bogus")
     with pytest.raises(ValidationError):
         GateSpec("raw")
+
+
+_SWAP = ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(kind="pauli_x", angle=0.3), "'pauli_x' takes no angle"),
+    (dict(kind="identity", raw=_SWAP), "'identity' takes no raw matrix"),
+    (dict(kind="rx", angle=1.0, raw=_SWAP), "'rx' takes no raw matrix"),
+    (dict(kind="raw", raw=_SWAP, angle=3.0), "'raw' takes no angle"),
+], ids=["fixed-angle", "fixed-raw", "rotation-raw", "raw-angle"])
+def test_gate_spec_rejects_a_field_its_kind_does_not_use(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        GateSpec(**fields)
+
+
+def test_gate_spec_keeps_one_angle_as_written():
+    exact = GateSpec("rx", angle="pi/2")
+    assert exact.angle == "pi/2"
+    np.testing.assert_array_equal(exact.matrix(),
+                                  GateSpec("rx", angle=radians("pi/2")).matrix())
+    assert exact != GateSpec("rx", angle=math.pi / 2)  # same matrix, other spelling
+    with pytest.raises(TypeError):
+        GateSpec("rx", angle=1.0, angle_expr="pi/2")
+    with pytest.raises(ValidationError, match="bad angle expression"):
+        GateSpec("rx", angle="tau")
+    with pytest.raises(ValidationError, match="must be finite"):
+        GateSpec("rx", angle="9" * 400 + "*pi")

@@ -11,7 +11,6 @@ from branchsim import cli, machine, verify
 from branchsim.errors import (
     CapacityError,
     LayoutError,
-    ModeError,
     ProjectionError,
     ValidationError,
 )
@@ -285,14 +284,6 @@ def test_iterate_branch_rotations_compose_with_feedback():
     assert state.amplitudes[0b1111] == pytest.approx(INV_SQRT2 * net1[1])
 
 
-def test_iterate_rejects_extended_spec():
-    layout = build_layout(0)
-    state = initialize(InitSpec(alpha=1, beta=0), layout)
-    spec = IterationSpec(r0=IDENTITY, r1=IDENTITY)
-    with pytest.raises(ModeError, match="iterate_extended"):
-        iterate(state, 1, spec)
-
-
 def test_rounds_only_append_the_next_slot():
     state = iterate(initialize(InitSpec(alpha=1, beta=0), build_layout(0)), 1,
                     IterationSpec())
@@ -346,13 +337,6 @@ def test_iterate_extended_theta_half_pi_empties_beta_control():
     c1_weight = state.probability("C", 1)
     assert c1_weight == pytest.approx(0.0, abs=1e-12)
     assert state.amplitudes[0b0101] == pytest.approx(-0.8)
-
-
-def test_iterate_extended_requires_r_pair():
-    layout = build_layout(0)
-    state = initialize(InitSpec(alpha=1, beta=0), layout)
-    with pytest.raises(ModeError):
-        iterate_extended(state, 1, IterationSpec())
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +405,9 @@ def test_oracle_never_calls_the_engine(monkeypatch):
     scenarios = [random_canonical_scenario(rng, 2, mode) for mode in INIT_MODES]
     scenarios.append(random_extended_scenario(rng, 2))
     engine = [run(scenario).amplitudes for scenario in scenarios]
-    monkeypatch.setattr(verify, "initialize", None)  # any call raises TypeError
-    for name in ("initialize", "StateVector", "_controlled_update", "_round"):
+    for name in ("initialize", "iterate", "iterate_extended"):
+        monkeypatch.setattr(verify, name, None)  # any call raises TypeError
+    for name in ("initialize", "StateVector", "_controlled_update"):
         monkeypatch.setattr(machine, name, None)
     for scenario, amps in zip(scenarios, engine):
         for compose in (True, False):

@@ -9,7 +9,7 @@ import pytest
 from branchsim import builtin_scenario, run
 from branchsim.analysis import outcome_probability
 from branchsim.errors import CapacityError, ParseError, ValidationError
-from branchsim.gates import GateSpec, raw_gate
+from branchsim.gates import GateSpec, radians, raw_gate
 from branchsim.linalg import UNITARITY_TOL
 from branchsim.machine import InitSpec, IterationSpec
 from branchsim.scenario import (
@@ -151,14 +151,16 @@ def test_parse_complex_amplitude_pairs():
     ],
 )
 def test_parse_angle_expressions(expr, expected):
-    value, _ = parse_angle(expr, "angle")
-    assert value == pytest.approx(expected, abs=0)
+    assert radians(expr) == pytest.approx(expected, abs=0)
+    assert parse_angle(expr, "angle") == expr  # kept as written
 
 
 @pytest.mark.parametrize("expr", ["pi/0", "tau", "pi*3", "3pi", "", "pi/3/2"])
 def test_parse_angle_rejects_malformed(expr):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^angle: bad angle expression"):
         parse_angle(expr, "angle")
+    with pytest.raises(ValidationError, match=r"^bad angle expression"):
+        radians(expr)
 
 
 def test_mode_extended_iff_r_pair_present():
@@ -223,6 +225,19 @@ def test_scenario_round_trip_with_raw_gate_and_measure():
     emitted = emit_scenario(explicit)
     assert set(json.loads(emitted)["iterations"][0]) == {"u0", "u1"}
     assert parse_scenario(emitted) == explicit
+    # rotation gates built in Python keep their angle, float or string, as written
+    rotations = Scenario(
+        name="rotations",
+        init=InitSpec(alpha=0.6, beta=0.8, system_init=GateSpec("ry", angle="pi / 5")),
+        iterations=(
+            IterationSpec(u0=GateSpec("rx", angle=1.0), u1=GateSpec("rx", angle="pi/2"),
+                          f0=GateSpec("rz", angle=-0.1), f1=GateSpec("rz", angle="-pi/7"),
+                          v0=GateSpec("ry", angle=1e-300), v1=GateSpec("ry", angle="2*pi"),
+                          r0=GateSpec("real_rotation", angle=math.pi / 4),
+                          r1=GateSpec("real_rotation", angle="pi/4")),
+        ),
+    )
+    assert parse_scenario(emit_scenario(rotations)) == rotations
     scenario = Scenario(
         name="round-trip",
         init=InitSpec(alpha=0.6, beta=0.8j, gamma=0.8, delta=0.6,

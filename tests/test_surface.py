@@ -1,7 +1,9 @@
-"""The package's public surface: the README's library sketch, the names
-``branchsim`` exports, and the module names the benchmark's tracer wraps."""
+"""The package's public surface: the README's library sketch and CLI
+examples, the names ``branchsim`` exports, and the module names the
+benchmark's tracer wraps."""
 
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -23,6 +25,18 @@ def test_readme_sketch_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[:2]] == ["000", "111"]
     assert len(lines) == 3
+
+
+def test_readme_cli_lines_parse():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(branchsim .*?)^```$", text, re.S | re.M)
+    assert len(blocks) == 1
+    lines = blocks[0].splitlines()
+    assert len(lines) >= 7
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "branchsim"
+        cli._PARSER.parse_args(argv[1:])  # SystemExit on an unknown option
 
 
 def test_package_exports_exactly_the_sketch_imports():
