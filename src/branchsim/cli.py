@@ -8,12 +8,10 @@ listings go to stdout unless --out redirects them.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import nullcontext
 
 from .errors import BranchsimError, ParseError, ValidationError
-from .linalg import Tolerances
 from .machine import run
 from .report import build_report, emit_report
 from .scenario import (
@@ -30,10 +28,6 @@ EXIT_IO = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_VERIFY = 4
-
-# The Tolerances fields verify's checks read; any other key is rejected
-# rather than silently ignored.
-_VERIFY_TOLERANCE_KEYS = ("norm", "diagonality")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,32 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="INT")
     ver_p.add_argument("--only", metavar="SUITE",
                        help="run one suite: golden, oracle, or properties")
-    ver_p.add_argument("--tolerance", action="append", default=[], metavar="K=V",
-                       help="override a tolerance, K one of "
-                       f"{', '.join(_VERIFY_TOLERANCE_KEYS)} (repeatable)")
     return parser
 
 
-# Built once: argparse copies an append action's default list per parse.
+# Built once, not per call: building the parser costs more than parsing.
 _PARSER = build_parser()
-
-
-def _parse_tolerances(pairs: list[str]) -> Tolerances:
-    overrides = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep or key not in _VERIFY_TOLERANCE_KEYS:
-            raise ParseError(
-                f"bad tolerance {pair!r}; this command reads only "
-                f"{', '.join(_VERIFY_TOLERANCE_KEYS)}, as K=V"
-            )
-        try:
-            overrides[key] = float(value)
-        except ValueError as exc:
-            raise ParseError(f"bad tolerance value in {pair!r}") from exc
-        if not (math.isfinite(overrides[key]) and overrides[key] > 0):
-            raise ParseError(f"tolerance in {pair!r} must be finite and positive")
-    return Tolerances(**overrides)
 
 
 def _cmd_run(args, stdout, stderr) -> int:
@@ -117,8 +90,7 @@ def _cmd_examples(args, stdout, stderr) -> int:
 
 
 def _cmd_verify(args, stdout, stderr) -> int:
-    tolerances = _parse_tolerances(args.tolerance)
-    results = run_checks(only=args.only, seed=args.seed, tolerances=tolerances)
+    results = run_checks(only=args.only, seed=args.seed)
     for res in results:
         verdict = "PASS" if res.passed else "FAIL"
         print(f"{res.name}: {verdict} (deviation {res.deviation:.6e}, "

@@ -1,8 +1,8 @@
-"""Small dense linear algebra shared by the simulator: unitarity and
-density-matrix checks, and purity.  A density matrix's eigenvalue floor
-is checked on its exact spectrum (``eigvalsh``) at every size.  The
-partial trace reads the branch table, so it lives with the table in
-``machine``.
+"""Small dense linear algebra shared by the simulator: the fixed
+tolerances, unitarity and density-matrix checks, and purity.  A density
+matrix's eigenvalue floor is checked on its exact spectrum (``eigvalsh``)
+at every size.  The partial trace reads the branch table, so it lives
+with the table in ``machine``.
 
 Matrices are row-major ``complex128`` arrays.  Tensor ordering is
 most-significant-first: the left Kronecker factor owns the high bits of
@@ -14,7 +14,6 @@ global Kronecker products in index form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,22 +26,12 @@ QUBIT_CAP = 20
 EIGENVALUE_FLOOR = -1e-9
 
 
-# Fixed bounds on max |m†m - I| of a unitary and max |rho - rho†| of a
-# density matrix; no command takes another value.
+# Fixed bounds on max |m†m - I| of a unitary, on the deviation of a norm
+# or trace from 1, and on max |rho - rho†| of a density matrix; no command
+# takes another value.
 UNITARITY_TOL = 1e-9
+NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The tolerances ``verify --tolerance`` may override; everything else
-    reads ``DEFAULT_TOLERANCES``."""
-
-    norm: float = 1e-10
-    diagonality: float = 1e-12
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 
 def as_matrix(m) -> np.ndarray:
@@ -77,9 +66,8 @@ def validate_density_matrix(rho) -> np.ndarray:
     if herm > HERMITICITY_TOL:
         raise ValidationError(f"not Hermitian: max asymmetry {herm:.3e}")
     tr = complex(np.trace(rho))
-    tol = DEFAULT_TOLERANCES.norm
-    if abs(tr - 1.0) > tol:
-        raise ValidationError(f"trace {tr} deviates from 1 beyond {tol}")
+    if abs(tr - 1.0) > NORM_TOL:
+        raise ValidationError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
     if np.linalg.eigvalsh(rho)[0] < EIGENVALUE_FLOOR:
         raise ValidationError("density matrix has an eigenvalue below the floor")
     return rho

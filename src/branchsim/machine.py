@@ -59,7 +59,7 @@ from .errors import (
     ValidationError,
 )
 from .gates import IDENTITY, PAULI_X, GateSpec
-from .linalg import DEFAULT_TOLERANCES, QUBIT_CAP
+from .linalg import NORM_TOL, QUBIT_CAP
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -133,7 +133,7 @@ def check_normalized(blocks: np.ndarray) -> None:
     if not np.isfinite(blocks).all():
         raise ValidationError("state contains non-finite amplitudes")
     dev = np.abs(np.linalg.norm(blocks, axis=1) - 1.0)
-    if dev.size and dev.max() > DEFAULT_TOLERANCES.norm:
+    if dev.size and dev.max() > NORM_TOL:
         raise ValidationError(f"state norm deviates from 1 by {dev.max():.3e}")
 
 
@@ -287,17 +287,16 @@ class InitSpec:
             object.__setattr__(self, label, z)
             if not (np.isfinite(z.real) and np.isfinite(z.imag)):
                 raise ValidationError(f"{label} must be finite")
-        tol = DEFAULT_TOLERANCES.norm
         c_norm = _norm_sq(self.alpha, self.beta)
-        if abs(c_norm - 1.0) > tol:
+        if abs(c_norm - 1.0) > NORM_TOL:
             raise ValidationError(f"|alpha|^2 + |beta|^2 = {c_norm!r}, expected 1")
         p_norm = _norm_sq(self.gamma, self.delta)
-        if abs(p_norm - 1.0) > tol:
+        if abs(p_norm - 1.0) > NORM_TOL:
             raise ValidationError(f"|gamma|^2 + |delta|^2 = {p_norm!r}, expected 1")
         if self.mode not in INIT_MODES:
             raise ValidationError(f"unknown init mode {self.mode!r}")
         if self.mode == "copy_c_to_p_from_zero":
-            if abs(self.gamma - 1.0) > tol or abs(self.delta) > tol:
+            if abs(self.gamma - 1.0) > NORM_TOL or abs(self.delta) > NORM_TOL:
                 raise ValidationError(
                     "copy_c_to_p_from_zero requires gamma = 1 and delta = 0"
                 )

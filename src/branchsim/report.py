@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, machine
 from .errors import ParseError, ValidationError
-from .linalg import DEFAULT_TOLERANCES
+from .linalg import NORM_TOL
 from .machine import StateVector
 from .scenario import Scenario, load_json
 
@@ -89,10 +89,9 @@ def build_report(
     seed_override: int | None = None,
 ) -> RunReport:
     """Perform the scenario's requested analyses on a finished run."""
-    tol = DEFAULT_TOLERANCES.norm
     norm = state.norm()
     norm_dev = abs(norm - 1.0)
-    checks: dict = {"norm": {"pass": norm_dev <= tol, "deviation": _q(norm_dev)}}
+    checks: dict = {"norm": {"pass": norm_dev <= NORM_TOL, "deviation": _q(norm_dev)}}
     branch_table: analysis.BranchTable | dict = {}
     marginals: list = []
     probabilities: dict = {}
@@ -105,7 +104,8 @@ def build_report(
             for p in branch_table.weights.tolist():
                 total += p
             dev = abs(total - 1.0)
-            checks["branch_probability_sum"] = {"pass": dev <= tol, "deviation": _q(dev)}
+            checks["branch_probability_sum"] = {"pass": dev <= NORM_TOL,
+                                                "deviation": _q(dev)}
         elif request.kind == "marginal":
             reg = request.registers[0]
             rho = analysis.register_marginal(state, {reg})

@@ -22,7 +22,6 @@ import numpy as np
 
 from branchsim import branch_decompose, builtin_scenario, run
 from branchsim.gates import GateSpec
-from branchsim.linalg import DEFAULT_TOLERANCES
 from branchsim.machine import InitSpec, measure_control
 from branchsim.verify import (
     _check_golden_pauli_flips,
@@ -43,8 +42,8 @@ def _verdict(name: str, ok: bool) -> None:
 
 
 def _run_check(check, rng) -> tuple[bool, float]:
-    """(passed, deviation) of a verify check at the default tolerances."""
-    dev, tolerance = check(rng, DEFAULT_TOLERANCES)
+    """(passed, deviation) of a verify check at its fixed tolerance."""
+    dev, tolerance = check(rng)
     return dev <= tolerance, dev
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from branchsim import verify
 from branchsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -144,16 +145,6 @@ def test_stdout_failing_after_the_first_chunk_is_an_io_error(tmp_path, capsys):
     assert err.splitlines() == ["error: [Errno 28] No space left on device"]
 
 
-def test_tolerance_does_not_leak_into_the_next_call(capsys):
-    argv = ["verify", "--only", "golden"]
-    assert main(argv + ["--tolerance", "unitarity=1"]) == EXIT_PARSE
-    assert main(argv) == EXIT_OK
-    once = capsys.readouterr().out
-    assert main(argv + ["--tolerance", "norm=0.5"]) == EXIT_OK
-    assert main(argv + ["--tolerance", "norm=0.5"]) == EXIT_OK  # not twice the key
-    assert capsys.readouterr().out == once * 2
-
-
 def _exit_and_output(parse, argv, capsys):
     with pytest.raises(SystemExit) as exc:
         parse(argv)
@@ -213,34 +204,16 @@ def test_malformed_input_ends_in_exit_code(tmp_path, capsys, content, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_run_bad_tolerance_key(capsys):
-    # run reads no tolerance, so it has no --tolerance option at all
+@pytest.mark.parametrize("argv", [
+    ["run", "--example", "pauli-flips"],
+    ["verify", "--only", "golden"],
+], ids=["run", "verify"])
+def test_run_bad_tolerance_key(capsys, argv):
+    # every tolerance is fixed, so no command has a --tolerance option at all
     for pair in ("bogus=1", "norm=1"):
-        argv = ["run", "--example", "pauli-flips", "--tolerance", pair]
-        code, out, err = _exit_and_output(main, argv, capsys)
+        code, out, err = _exit_and_output(main, argv + ["--tolerance", pair], capsys)
         assert (code, out) == (EXIT_PARSE, "")
         assert "unrecognized arguments: --tolerance" in err
-
-
-@pytest.mark.parametrize("argv, unread", [
-    (["verify", "--only", "golden"], "hermiticity"),
-    (["verify", "--only", "golden"], "unitarity"),
-], ids=["verify-hermiticity", "verify-unitarity"])
-def test_tolerance_the_command_does_not_read_is_rejected(capsys, argv, unread):
-    assert main(argv + ["--tolerance", f"{unread}=1"]) == EXIT_PARSE
-    err = capsys.readouterr().err
-    assert unread in err and "norm" in err
-
-
-@pytest.mark.parametrize("argv, key", [
-    (["verify", "--only", "golden"], "norm"),
-    (["verify", "--only", "golden"], "diagonality"),
-], ids=["verify-norm", "verify"])
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-def test_tolerance_not_finite_and_positive_is_rejected(capsys, argv, key, value):
-    assert main(argv + ["--tolerance", f"{key}={value}"]) == EXIT_PARSE
-    err = capsys.readouterr().err
-    assert "finite and positive" in err and "Traceback" not in err
 
 
 # Values a hand-edited or hostile scenario document might carry.
@@ -415,18 +388,22 @@ def test_verify_rejects_unknown_suite(capsys):
     assert main(["verify", "--only", "bogus"]) == EXIT_VALIDATION
 
 
-def test_verify_tolerance_injection_fails(capsys):
-    # the property suite holds the norm check; the oracle suite is not needed
-    argv = ["verify", "--only", "properties", "--tolerance", "norm=1e-30"]
-    assert main(argv) == EXIT_VERIFY
+def test_verify_tolerance_injection_fails(capsys, monkeypatch):
+    # one check past its tolerance fails verify; the others still run and pass
+    monkeypatch.setitem(verify.CHECKS, "property_norm_preservation",
+                        lambda rng: (1.0, 0.5))
+    assert main(["verify", "--only", "properties"]) == EXIT_VERIFY
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
-    assert "property_norm_preservation: FAIL" in captured.out
-    # every other property check holds at the default tolerances
-    others = [line for line in lines if "property_norm_preservation:" not in line]
-    assert len(lines) == 10 and len(others) == 9
-    assert all(line.startswith("property_") and ": PASS (" in line for line in others)
-    assert "verify failed" in captured.err
+    failed = [line for line in lines if ": FAIL (" in line]
+    assert failed == ["property_norm_preservation: FAIL "
+                      "(deviation 1.000000e+00, tolerance 5.000000e-01)"]
+    assert len(lines) == 10
+    assert all(line.startswith("property_") and ": PASS (" in line
+               for line in lines if line not in failed)
+    assert captured.err.splitlines() == [
+        "verify failed: property_norm_preservation deviated by 1.000000e+00"
+    ]
 
 
 def test_verify_output_deterministic(capsys):

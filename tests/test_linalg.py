@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ from branchsim.errors import CapacityError, LayoutError, ValidationError
 from branchsim.gates import GateSpec
 from branchsim.linalg import (
     HERMITICITY_TOL,
+    NORM_TOL,
     UNITARITY_TOL,
-    Tolerances,
     purity,
     unitarity_deviation,
     validate_density_matrix,
@@ -198,14 +197,7 @@ def test_validate_density_matrix_rejections():
 
 
 def test_tolerances_defaults():
-    assert [f.name for f in fields(Tolerances)] == ["norm", "diagonality"]
-    tol = Tolerances()
-    assert (UNITARITY_TOL, tol.norm, HERMITICITY_TOL, tol.diagonality) == (
-        1e-9,
-        1e-10,
-        1e-10,
-        1e-12,
-    )
+    assert (UNITARITY_TOL, NORM_TOL, HERMITICITY_TOL) == (1e-9, 1e-10, 1e-10)
 
 
 def test_gate_library_products_stay_unitary():

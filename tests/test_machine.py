@@ -15,7 +15,6 @@ from branchsim.errors import (
     ValidationError,
 )
 from branchsim.gates import IDENTITY, PAULI_X, GateSpec, raw_gate
-from branchsim.linalg import DEFAULT_TOLERANCES
 from branchsim.machine import (
     INIT_MODES,
     InitSpec,
@@ -400,6 +399,19 @@ def test_closed_form_matches_engine_beyond_the_oracle(n):
         assert np.max(np.abs(run(scenario).amplitudes - closed)) <= 1e-10
 
 
+def test_closed_form_capacity_error_checked_before_allocation():
+    # 18 rounds are 21 qubits: the (2, 2**18, 4) array would be 64 MiB
+    init = InitSpec(alpha=INV_SQRT2, beta=INV_SQRT2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            closed_form(init, [IterationSpec()] * 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
+
+
 def test_oracle_never_calls_the_engine(monkeypatch):
     rng = np.random.default_rng(90)
     scenarios = [random_canonical_scenario(rng, 2, mode) for mode in INIT_MODES]
@@ -427,8 +439,7 @@ def test_structure_checks_catch_swapped_feedback_and_update(monkeypatch):
     monkeypatch.setattr(machine, "_controlled_update", swapped)
     for name in ("oracle_equivalence", "property_dilation_blocks",
                  "property_symbolic_expansion"):
-        dev, tol = verify.CHECKS[name](machine.seeded_generator(1729),
-                                       DEFAULT_TOLERANCES)
+        dev, tol = verify.CHECKS[name](machine.seeded_generator(1729))
         assert dev > tol, name
 
 

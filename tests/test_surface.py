@@ -68,3 +68,12 @@ def test_benchmark_tracer_finds_and_restores_every_name(monkeypatch):
     for old, new in zip(before, snapshot()):
         assert new.keys() == old.keys()
         assert all(new[name] is old[name] for name in old)
+
+
+def test_verify_checks_match_the_benchmark_list(monkeypatch):
+    # bench/checks.py fails every verify op whose check names differ
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+
+    assert sorted(verify.CHECKS) == sorted(tracing.VERIFY_CHECKS)
