@@ -71,11 +71,7 @@ def branch_decompose(state: StateVector) -> BranchTable:
 
 
 def memory_marginal(state: StateVector, k: int) -> np.ndarray:
-    """Reduced 2x2 density matrix of memory slot k."""
-    if k < 1 or k > state.layout.n_memories:
-        raise LayoutError(
-            f"memory slot M{k} not in layout (1..{state.layout.n_memories})"
-        )
+    """Reduced 2x2 density matrix of memory slot k; ``LayoutError`` if absent."""
     return register_marginal(state, {f"M{k}"})
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 
 from .errors import BranchsimError, ParseError, ValidationError
 from .machine import run
@@ -44,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--example", metavar="NAME", help="built-in scenario name")
     run_p.add_argument("--out", metavar="PATH", help="write the report here")
     run_p.add_argument("--seed", type=int, metavar="INT",
-                       help="override the measurement seed")
+                       help="measure the control with this seed")
 
     ex_p = sub.add_parser("examples", help="list the built-in scenarios")
     ex_p.add_argument("--emit", metavar="NAME",
@@ -62,15 +63,17 @@ _PARSER = build_parser()
 
 
 def _cmd_run(args, stdout, stderr) -> int:
-    if args.seed is not None and args.seed < 0:  # checked even with no measure
+    if args.seed is not None and args.seed < 0:  # checked before any file is read
         raise ValidationError(f"seed must be a non-negative integer, got {args.seed}")
     if args.scenario is not None:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read())
     else:
         scenario = builtin_scenario(args.example)
+    if args.seed is not None:
+        scenario = replace(scenario, measure_seed=args.seed)
     state = run(scenario)
-    report = build_report(scenario, state, seed_override=args.seed)
+    report = build_report(scenario, state)
     sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(stdout)
     with sink as out:
         emit_report(report, out)

@@ -1,7 +1,7 @@
-"""Small dense linear algebra shared by the simulator: the fixed
-tolerances, unitarity and density-matrix checks, and purity.  A density
-matrix's eigenvalue floor is checked on its exact spectrum (``eigvalsh``)
-at every size.  The partial trace reads the branch table, so it lives
+"""Small dense linear algebra shared by the simulator: the size cap's
+check for matrices, the fixed tolerances, unitarity and density-matrix
+checks, and purity.  A density matrix's eigenvalue floor is checked on
+its exact spectrum (``eigvalsh``) at every size.  The partial trace reads the branch table, so it lives
 with the table in ``machine``.
 
 Matrices are row-major ``complex128`` arrays.  Tensor ordering is
@@ -17,10 +17,17 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import CapacityError, ShapeError, ValidationError
 
 # Global cap on composite dimension: no object may exceed 2**QUBIT_CAP.
 QUBIT_CAP = 20
+
+
+def check_capacity(entries: int, what: str) -> None:
+    """Raise ``CapacityError`` before allocating ``what`` past 2**QUBIT_CAP entries."""
+    if entries > 1 << QUBIT_CAP:
+        raise CapacityError(f"{what} has {entries} entries; cap is 2**{QUBIT_CAP}")
+
 
 # Density matrices may dip this far below zero before we call them invalid.
 EIGENVALUE_FLOOR = -1e-9

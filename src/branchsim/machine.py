@@ -37,10 +37,13 @@ the paper's machine does: round k appends M_k in |0> by shifting every
 row label left by one bit, and it runs on no other slot, so no memory
 record is ever written twice.
 
+``RegisterLayout`` holds the size rule: a layout of more memory slots
+than ``MAX_ITERATIONS`` (17 slots, 20 qubits) raises ``CapacityError``
+when it is made, so no state of this module can pass the 2**20 cap.
 ``StateVector.amplitudes`` is the dense ``2**total_qubits`` vector.  It
 is built on first use and cached (16 bytes per basis state, 16 MiB at
-the 20-qubit cap), for the verification oracle and the tests; ``run``
-and the report never build it.
+the cap), for the verification oracle and the tests; ``run`` and the
+report never build it.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .errors import (
     ValidationError,
 )
 from .gates import IDENTITY, PAULI_X, GateSpec
-from .linalg import NORM_TOL, QUBIT_CAP
+from .linalg import NORM_TOL, QUBIT_CAP, check_capacity
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -79,6 +82,11 @@ class RegisterLayout:
     n_memories: int
 
     control = 0  # a class constant, not a field: C is always the top bit
+
+    def __post_init__(self):
+        if not 0 <= self.n_memories <= MAX_ITERATIONS:
+            raise CapacityError(f"{self.n_memories} iterations needs "
+                                f"{self.n_memories + 3} qubits; cap is {QUBIT_CAP}")
 
     @property
     def memories(self) -> tuple[int, ...]:
@@ -116,11 +124,6 @@ class RegisterLayout:
 
 def build_layout(n_iterations: int) -> RegisterLayout:
     """Layout with one fresh memory slot per iteration, in ket order."""
-    if n_iterations < 0 or n_iterations > MAX_ITERATIONS:
-        raise CapacityError(
-            f"{n_iterations} iterations needs {n_iterations + 3} qubits; "
-            f"cap is {QUBIT_CAP}"
-        )
     return RegisterLayout(n_iterations)
 
 
@@ -212,11 +215,6 @@ def _rows_of_dense(layout: RegisterLayout, amplitudes) -> tuple[np.ndarray, np.n
 
 def _dense_view(layout: RegisterLayout, rows: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """Read-only dense vector of a branch table; zero off its rows."""
-    if layout.total_qubits > QUBIT_CAP:
-        raise CapacityError(
-            f"a dense vector of {layout.total_qubits} qubits exceeds the "
-            f"2**{QUBIT_CAP} cap"
-        )
     dense = np.zeros((2, 1 << layout.n_memories, 4), dtype=np.complex128)
     dense[:, rows, :] = residual.reshape(-1, 2, 4).transpose(1, 0, 2)
     flat = dense.reshape(-1)
@@ -532,11 +530,7 @@ def partial_trace(state: StateVector, keep) -> np.ndarray:
     unknown = keep - set(layout.register_names())
     if unknown:
         raise LayoutError(f"unknown register id(s): {sorted(unknown)}")
-    if 4 ** len(keep) > (1 << QUBIT_CAP):
-        raise CapacityError(
-            f"marginal over {len(keep)} registers has {4 ** len(keep)} "
-            f"entries; cap is 2**{QUBIT_CAP}"
-        )
+    check_capacity(4 ** len(keep), f"marginal over {len(keep)} registers")
     # rho = M M^dagger.  Expanding the rows on the kept memories' bits
     # leaves one label per traced memory string that occurs, in ascending
     # order, so with every row populated M is exactly the dense state's

@@ -61,7 +61,8 @@ def _numbers(table: analysis.BranchTable, rows=slice(None)) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunReport:
-    """JSON-shaped result of one run; a ``BranchTable`` is quantized as it is written."""
+    """JSON-shaped result of one run.  ``build_report`` gives a ``BranchTable``,
+    quantized as it is written; ``parse_report`` gives the document's dict."""
 
     scenario_name: str
     final_norm: float
@@ -83,16 +84,12 @@ class RunReport:
         return doc
 
 
-def build_report(
-    scenario: Scenario,
-    state: StateVector,
-    seed_override: int | None = None,
-) -> RunReport:
+def build_report(scenario: Scenario, state: StateVector) -> RunReport:
     """Perform the scenario's requested analyses on a finished run."""
     norm = state.norm()
     norm_dev = abs(norm - 1.0)
     checks: dict = {"norm": {"pass": norm_dev <= NORM_TOL, "deviation": _q(norm_dev)}}
-    branch_table: analysis.BranchTable | dict = {}
+    branch_table = analysis.BranchTable({}, np.zeros(0), np.zeros((0, 8), np.complex128))
     marginals: list = []
     probabilities: dict = {}
 
@@ -136,8 +133,7 @@ def build_report(
 
     measurement = None
     if scenario.measure_seed is not None:
-        seed = scenario.measure_seed if seed_override is None else seed_override
-        outcome, _, prob = machine.measure_control(state, seed)
+        outcome, _, prob = machine.measure_control(state, scenario.measure_seed)
         measurement = {"outcome": outcome, "probability": _q(prob)}
 
     return RunReport(
@@ -158,11 +154,9 @@ _ENTRY = ('    %s: {\n      "probability": %s,\n      "substate": ['
 
 
 def emit_report(report: RunReport, out) -> None:
-    """Write ``json.dumps(report.to_document(), indent=2, sort_keys=True)`` to ``out``."""
+    """Write ``json.dumps(report.to_document(), indent=2, sort_keys=True)`` to
+    ``out``, for a report from ``build_report`` (its table a ``BranchTable``)."""
     table = report.branch_table
-    if isinstance(table, dict):  # e.g. a parsed report: json.dumps is the definition
-        out.write(json.dumps(report.to_document(), indent=2, sort_keys=True))
-        return
     # "branch_table" is the first key, so the first "{}" is its placeholder
     head, _, tail = json.dumps(replace(report, branch_table={}).to_document(),
                                indent=2, sort_keys=True).partition("{}")

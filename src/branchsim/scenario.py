@@ -176,11 +176,14 @@ def load_json(text: str):
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document; gates are resolved eagerly."""
+    """Parse and validate a scenario document: its round count, then every gate."""
     doc = _object(load_json(text), None, ("name", "init", "iterations"),
                   ("analyses", "measure"), "scenario document must be a JSON object")
     if not isinstance(doc["name"], str) or not doc["name"]:
         raise ParseError("must be a non-empty string", "name")
+    # the round count alone sets the state's size: check it before any gate
+    items = _list(doc["iterations"], "iterations")
+    build_layout(len(items))
 
     init_doc = _object(doc["init"], "init", _AMPLITUDES + ("mode",), ("system_init",))
     if not isinstance(init_doc["mode"], str):
@@ -195,7 +198,7 @@ def parse_scenario(text: str) -> Scenario:
     )
 
     iterations = []
-    for i, it in enumerate(_list(doc["iterations"], "iterations")):
+    for i, it in enumerate(items):
         path = f"iterations[{i}]"
         _object(it, path, _REQUIRED_GATES, _GATES, "iteration must be an object")
         iterations.append(IterationSpec(

@@ -29,9 +29,9 @@ from typing import Callable
 import numpy as np
 
 from . import analysis, machine
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .gates import GateSpec, IDENTITY, PAULI_X, raw_gate
-from .linalg import QUBIT_CAP, unitarity_deviation
+from .linalg import check_capacity, unitarity_deviation
 from .machine import (
     INIT_MODES,
     InitSpec,
@@ -105,11 +105,8 @@ def controlled_unitary_matrix(
     The matrix has 4**total_qubits entries, so a layout beyond 10 qubits
     raises ``CapacityError`` before anything is allocated.
     """
-    if 4 ** layout.total_qubits > 1 << QUBIT_CAP:
-        raise CapacityError(
-            f"a {layout.total_qubits}-qubit global matrix has "
-            f"{4 ** layout.total_qubits} entries; cap is 2**{QUBIT_CAP}"
-        )
+    check_capacity(4 ** layout.total_qubits,
+                   f"a {layout.total_qubits}-qubit global matrix")
     total = np.zeros((1 << layout.total_qubits,) * 2, dtype=np.complex128)
     for rows, cols, values in _controlled_terms(layout, control, target, g0, g1):
         total[rows, cols] = values
@@ -188,8 +185,11 @@ def closed_form(init: InitSpec, iterations) -> np.ndarray:
     ``T_c = (I (x) V_c)(F0 (x) |0><0| + F1 (x) |1><1|)(U_c (x) I)`` and the
     state is ``alpha|0>|0^n> T_0...T_0 (s (x) p) + beta|1>|1^n> T_1...T_1
     (s (x) p')``.  Built from the gates' 2x2 matrices and the oracle's
-    initial vector, never through the engine.
+    initial vector, never through the engine.  An extended round raises
+    ``ValidationError``: its steering mixes the two branches.
     """
+    if any(spec.extended for spec in iterations):
+        raise ValidationError("the closed form covers canonical rounds only")
     n = build_layout(len(iterations)).n_memories  # the state's cap, before allocating
     out = np.zeros((2, 1 << n, 4), dtype=np.complex128)  # C, memories, S (x) P
     for c, sp in enumerate(initial_vector(init, 0).reshape(2, 4)):

@@ -126,6 +126,8 @@ def test_memory_marginal_out_of_range():
     state = run(builtin_scenario("pauli-flips"))
     with pytest.raises(LayoutError):
         memory_marginal(state, 4)
+    with pytest.raises(LayoutError):
+        memory_marginal(state, 0)
 
 
 def test_register_marginal_branch_mixture_on_system():

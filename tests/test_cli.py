@@ -358,6 +358,20 @@ def test_run_seed_flag_overrides_measure_seed(tmp_path, capsys):
     assert override_same.measurement == baseline.measurement
 
 
+def test_run_seed_flag_measures_a_scenario_without_measure(tmp_path, capsys):
+    # pauli-flips has no measure: the flag gives it one, as measure_seed would
+    assert builtin_scenario("pauli-flips").measure_seed is None
+    path = tmp_path / "measured.json"
+    path.write_text(emit_scenario(replace(builtin_scenario("pauli-flips"), measure_seed=7)),
+                    encoding="utf-8")
+    assert main(["run", "--scenario", str(path)]) == EXIT_OK
+    measured = capsys.readouterr().out
+    assert main(["run", "--example", "pauli-flips", "--seed", "7"]) == EXIT_OK
+    flagged = capsys.readouterr().out
+    assert parse_report(flagged).measurement["probability"] == 0.5
+    assert flagged == measured
+
+
 def test_examples_listing(capsys):
     assert main(["examples"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()

@@ -19,6 +19,7 @@ from branchsim.machine import (
     INIT_MODES,
     InitSpec,
     IterationSpec,
+    RegisterLayout,
     StateVector,
     apply_controlled,
     build_layout,
@@ -68,9 +69,13 @@ def test_build_layout_single_iteration():
 
 
 def test_build_layout_capacity():
-    build_layout(17)
+    assert build_layout(17).total_qubits == 20
     with pytest.raises(CapacityError):
         build_layout(18)
+    for n in (18, -1):  # the layout itself holds the rule
+        with pytest.raises(CapacityError,
+                           match=f"^{n} iterations needs {n + 3} qubits; cap is 20$"):
+            RegisterLayout(n)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +415,16 @@ def test_closed_form_capacity_error_checked_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def test_closed_form_refuses_extended_rounds():
+    # steering mixes the control's branches, which the closed form keeps apart
+    scenario = random_extended_scenario(np.random.default_rng(4), 3)
+    with pytest.raises(ValidationError, match="canonical rounds only"):
+        closed_form(scenario.init, scenario.iterations)
+    later = (IterationSpec(),) + scenario.iterations[:1]  # canonical, then extended
+    with pytest.raises(ValidationError, match="canonical rounds only"):
+        closed_form(scenario.init, later)
 
 
 def test_oracle_never_calls_the_engine(monkeypatch):

