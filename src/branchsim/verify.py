@@ -13,10 +13,10 @@ the core correctness check.  Two more routes check the engine's
 structure: the composed global unitary of a canonical run splits into
 ``|0><0| (x) W_0 + |1><1| (x) W_1`` on the control (a controlled
 Stinespring dilation, with memories, system and policy as the kept
-environment) and must reproduce the run, and ``closed_form`` gives a
-canonical run's final state branch by branch from the gates' 2x2
-matrices.  The test suite imports the oracle, the closed form and the
-random draws from here.
+environment) and must reproduce the run, and ``closed_form`` gives any
+run's branch table from each round's pair of 8x8 maps on (C, S, P),
+built from the oracle's own gates.  The test suite imports the oracle,
+the closed form and the random draws from here.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .machine import (
     RegisterLayout,
     build_layout,
     initialize,
-    iterate,
+    iterate,  # unused here, kept as verify.iterate for the benchmark's tracer
     iterate_extended,
     measure_control,
     seeded_generator,
@@ -53,7 +53,6 @@ _PROJ = (
     np.array([[1, 0], [0, 0]], dtype=np.complex128),
     np.array([[0, 0], [0, 1]], dtype=np.complex128),
 )
-_EYE2 = np.eye(2, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -178,28 +177,37 @@ def oracle_run(scenario: Scenario, compose: bool = True) -> np.ndarray:
     return amps
 
 
-def closed_form(init: InitSpec, iterations) -> np.ndarray:
-    """Final state of canonical rounds, one branch of the control at a time.
+def closed_form(init: InitSpec, iterations) -> tuple[np.ndarray, np.ndarray]:
+    """Final ``(rows, residual)`` of a run of either round kind, history by history.
 
-    Where C reads c every memory records c, so round k acts on S (x) P as
-    ``T_c = (I (x) V_c)(F0 (x) |0><0| + F1 (x) |1><1|)(U_c (x) I)`` and the
-    state is ``alpha|0>|0^n> T_0...T_0 (s (x) p) + beta|1>|1^n> T_1...T_1
-    (s (x) p')``.  Built from the gates' 2x2 matrices and the oracle's
-    initial vector, never through the engine.  An extended round raises
-    ``ValidationError``: its steering mixes the two branches.
+    Round k maps the (C, S, P) part of a memory string by the value c it
+    records: ``T_c = R (I (x) I (x) V_c) F U (|c><c| (x) I (x) I)``, with U,
+    F and R (the identity in a canonical round) the oracle's own gates.
+    A child's label is ``(row << 1) | c``; rows left exactly zero are
+    dropped, so a canonical run keeps two.  Never built through the engine.
     """
-    if any(spec.extended for spec in iterations):
-        raise ValidationError("the closed form covers canonical rounds only")
-    n = build_layout(len(iterations)).n_memories  # the state's cap, before allocating
-    out = np.zeros((2, 1 << n, 4), dtype=np.complex128)  # C, memories, S (x) P
-    for c, sp in enumerate(initial_vector(init, 0).reshape(2, 4)):
-        for spec in iterations:
-            u, v = (spec.u0, spec.u1)[c].matrix(), (spec.v0, spec.v1)[c].matrix()
-            feedback = (np.kron(spec.f0.matrix(), _PROJ[0])
-                        + np.kron(spec.f1.matrix(), _PROJ[1]))
-            sp = np.kron(_EYE2, v) @ feedback @ np.kron(u, _EYE2) @ sp
-        out[c, c * ((1 << n) - 1)] = sp
-    return out.reshape(-1)
+    build_layout(len(iterations))  # the state's cap, before allocating
+    layout, eye4 = build_layout(0), np.eye(4)
+    rows, residual = np.zeros(1, dtype=np.int64), initial_vector(init, 0)[None]
+    for spec in iterations:
+        u, _, f, (_, _, *v), *r = round_gates(1, spec)  # U, CNOT, F, V (, R)
+        fu = controlled_unitary_matrix(layout, *f) @ controlled_unitary_matrix(layout, *u)
+        steer = controlled_unitary_matrix(layout, *r[0]) if r else np.eye(8)
+        t = np.stack([steer @ np.kron(eye4, v[c]) @ fu @ np.kron(_PROJ[c], eye4)
+                      for c in (0, 1)])
+        residual = (t @ residual.T).transpose(2, 0, 1).reshape(-1, 8)  # (row, c)
+        rows = ((rows << 1)[:, None] | np.array([0, 1])).reshape(-1)
+        keep = (residual != 0).any(axis=1)
+        rows, residual = rows[keep], residual[keep]
+    return rows, residual.reshape(-1, 2, 2, 2)
+
+
+def _table_deviation(state, table) -> float:
+    """Largest residual difference from a (rows, residual) table; inf if rows differ."""
+    rows, residual = table
+    if not np.array_equal(state.rows, rows):
+        return math.inf
+    return float(np.max(np.abs(state.residual - residual)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +355,10 @@ def _check_oracle_equivalence(rng):
 def _check_symbolic_expansion(rng):
     dev = 0.0
     for trial in range(20):
-        scenario = random_canonical_scenario(
-            rng, int(rng.integers(1, 8)), INIT_MODES[trial % len(INIT_MODES)]
-        )
-        engine = machine.run(scenario).amplitudes
+        draw = random_extended_scenario if trial % 2 else random_canonical_scenario
+        scenario = draw(rng, int(rng.integers(1, 8)), INIT_MODES[trial % len(INIT_MODES)])
         closed = closed_form(scenario.init, scenario.iterations)
-        dev = max(dev, float(np.max(np.abs(engine - closed))))
+        dev = max(dev, _table_deviation(machine.run(scenario), closed))
     return dev, _TOL
 
 
@@ -444,15 +450,15 @@ def _check_norm_preservation(rng):
 
 def _check_extended_identity(rng):
     dev = 0.0
-    for _ in range(20):
+    for trial in range(20):
         scenario = random_canonical_scenario(rng, 1)
-        state = initialize(scenario.init, build_layout(0))
         spec = scenario.iterations[0]
-        plain = iterate(state, 1, spec)
-        wrapped = iterate_extended(
-            state, 1, replace(spec, r0=IDENTITY, r1=IDENTITY)
-        )
-        dev = max(dev, float(np.max(np.abs(plain.amplitudes - wrapped.amplitudes))))
+        if trial % 2:  # a drawn R pair, against the extended round's closed form
+            spec = steered = replace(spec, r0=random_gate(rng), r1=random_gate(rng))
+        else:  # an identity R pair, against the canonical round's closed form
+            steered = replace(spec, r0=IDENTITY, r1=IDENTITY)
+        state = iterate_extended(initialize(scenario.init, build_layout(0)), 1, steered)
+        dev = max(dev, _table_deviation(state, closed_form(scenario.init, [spec])))
     return dev, _TIGHT_TOL
 
 

@@ -8,8 +8,9 @@ whose expected values are frozen from independent derivations; criterion
 1 adds a time bound, 3 the printed four-digit amplitudes and 4 twenty
 random amplitudes and thetas.  The randomized criteria 5-7 run on their
 own seeds: criterion 5 compares the engine with the Kronecker oracle (100
-canonical draws and three extended ones), criterion 6 with the n-round
-closed form (20 draws of 1-7 rounds), and criterion 7 checks marginal diagonality and
+canonical draws and four extended ones), criterion 6 with the n-round
+branch-history closed form (20 draws of 1-7 rounds, canonical and
+extended in turn), and criterion 7 checks marginal diagonality and
 the no-cloning witness (50 draws each) and phase blindness (60 draws).
 Neither the oracle nor the closed form touches the engine's branch table.
 """

@@ -385,23 +385,37 @@ def test_oracle_composed_and_factor_by_factor_agree():
             assert np.max(np.abs(oracle_run(scenario) - stepped)) <= 1e-12
 
 
+def _closed_form_amplitudes(scenario):
+    rows, residual = closed_form(scenario.init, scenario.iterations)
+    layout = build_layout(len(scenario.iterations))
+    return StateVector(layout, rows=rows, residual=residual).amplitudes
+
+
 def test_oracle_matches_closed_form():
     rng = np.random.default_rng(89)
-    for n in range(1, 8):
-        for mode in INIT_MODES:
-            scenario = random_canonical_scenario(rng, n, mode)
-            closed = closed_form(scenario.init, scenario.iterations)
-            assert np.max(np.abs(oracle_run(scenario, compose=False) - closed)) <= 1e-10
+    scenarios = [random_canonical_scenario(rng, n, mode)
+                 for n in range(1, 8) for mode in INIT_MODES]
+    # extended rounds up to 11, which are 14 qubits: past the composed oracle
+    scenarios += [random_extended_scenario(rng, n, mode)
+                  for n in (*range(1, 8), 11) for mode in INIT_MODES]
+    for scenario in scenarios:
+        closed = _closed_form_amplitudes(scenario)
+        assert np.max(np.abs(oracle_run(scenario, compose=False) - closed)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [12, 17])
 def test_closed_form_matches_engine_beyond_the_oracle(n):
-    # the composed oracle stops at 10 qubits; 17 rounds are the 20-qubit cap
+    # the composed oracle stops at 10 qubits; 17 rounds are the 20-qubit cap,
+    # where an extended run populates all 131,072 memory strings
     rng = np.random.default_rng(92 + n)
-    for mode in INIT_MODES:
-        scenario = random_canonical_scenario(rng, n, mode)
-        closed = closed_form(scenario.init, scenario.iterations)
-        assert np.max(np.abs(run(scenario).amplitudes - closed)) <= 1e-10
+    scenarios = [random_canonical_scenario(rng, n, mode) for mode in INIT_MODES]
+    scenarios.append(random_extended_scenario(rng, n))
+    for scenario, populated in zip(scenarios, (2, 2, 2, 1 << n)):
+        state = run(scenario)
+        rows, residual = closed_form(scenario.init, scenario.iterations)
+        assert rows.size == populated
+        assert np.array_equal(rows, state.rows)
+        assert np.max(np.abs(residual - state.residual)) <= 1e-10
 
 
 def test_closed_form_capacity_error_checked_before_allocation():
@@ -417,28 +431,22 @@ def test_closed_form_capacity_error_checked_before_allocation():
     assert peak < 1 << 20, f"peak {peak} bytes"
 
 
-def test_closed_form_refuses_extended_rounds():
-    # steering mixes the control's branches, which the closed form keeps apart
-    scenario = random_extended_scenario(np.random.default_rng(4), 3)
-    with pytest.raises(ValidationError, match="canonical rounds only"):
-        closed_form(scenario.init, scenario.iterations)
-    later = (IterationSpec(),) + scenario.iterations[:1]  # canonical, then extended
-    with pytest.raises(ValidationError, match="canonical rounds only"):
-        closed_form(scenario.init, later)
-
-
 def test_oracle_never_calls_the_engine(monkeypatch):
     rng = np.random.default_rng(90)
     scenarios = [random_canonical_scenario(rng, 2, mode) for mode in INIT_MODES]
     scenarios.append(random_extended_scenario(rng, 2))
-    engine = [run(scenario).amplitudes for scenario in scenarios]
+    engine = [run(scenario) for scenario in scenarios]
     for name in ("initialize", "iterate", "iterate_extended"):
         monkeypatch.setattr(verify, name, None)  # any call raises TypeError
     for name in ("initialize", "StateVector", "_controlled_update"):
         monkeypatch.setattr(machine, name, None)
-    for scenario, amps in zip(scenarios, engine):
+    for scenario, state in zip(scenarios, engine):
         for compose in (True, False):
-            assert np.max(np.abs(oracle_run(scenario, compose=compose) - amps)) <= 1e-10
+            oracle = oracle_run(scenario, compose=compose)
+            assert np.max(np.abs(oracle - state.amplitudes)) <= 1e-10
+        rows, residual = closed_form(scenario.init, scenario.iterations)
+        assert np.array_equal(rows, state.rows)
+        assert np.max(np.abs(residual - state.residual)) <= 1e-10
 
 
 def test_structure_checks_catch_swapped_feedback_and_update(monkeypatch):
@@ -453,6 +461,24 @@ def test_structure_checks_catch_swapped_feedback_and_update(monkeypatch):
 
     monkeypatch.setattr(machine, "_controlled_update", swapped)
     for name in ("oracle_equivalence", "property_dilation_blocks",
+                 "property_symbolic_expansion"):
+        dev, tol = verify.CHECKS[name](machine.seeded_generator(1729))
+        assert dev > tol, name
+
+
+def test_structure_checks_catch_swapped_steering(monkeypatch):
+    # inside the engine, each extended round steers C with r1 where P reads 0
+    original = machine._controlled_update
+
+    def swapped(rows, residual, layout, steps):
+        steps = list(steps)
+        if len(steps) == 5:  # an extended round: U, CNOT, F, V, R
+            control, target, g0, g1 = steps[4]
+            steps[4] = (control, target, g1, g0)
+        return original(rows, residual, layout, steps)
+
+    monkeypatch.setattr(machine, "_controlled_update", swapped)
+    for name in ("oracle_equivalence", "property_extended_identity",
                  "property_symbolic_expansion"):
         dev, tol = verify.CHECKS[name](machine.seeded_generator(1729))
         assert dev > tol, name
