@@ -14,28 +14,26 @@ complex ``residual`` over (C, S, P): ``residual[i, c, s, p]`` is the
 amplitude of ``|c, rows[i], s, p>``.  A memory string whose amplitudes
 are all exactly zero has no row, so a canonical run holds two rows
 (0^k and 1^k) however many rounds it has.  Gates are 2x2 updates of
-two basic slices of an array axis, never a global unitary (the explicit
-Kronecker-built unitary exists only in the verification oracle):
+two slices of the residual, never a global unitary (the explicit
+Kronecker-built unitary exists only in the verification oracle).  There
+are two kinds:
 
-- a gate among C, S and P updates the residual's axes;
-- a gate with a memory control or target first expands the rows on that
-  memory's bit: rows that differ only in that bit become one entry of a
-  block with an explicit axis for the bit (an absent partner counts as
-  zero); the update runs on the block's axes, and collapsing the block
-  drops the rows left exactly zero.
+- a gate onto C, S or P updates one residual axis; a memory control
+  selects the rows whose label has that memory's bit at the control
+  value;
+- the only gate onto a memory is its write, the CNOT from C into a slot
+  that neither it nor any later slot has taken yet: it splits each row
+  into the child with the bit clear, which keeps the row's C=0 half,
+  and the child with the bit set, which keeps its C=1 half.
 
-Every gate takes one path, ``_controlled_update``, which expands once on
-the memories its steps name, applies the steps in order and collapses
-once.  A round is one such call on its slot M_k, so its five gates
-(controlled-U, memory write, feedback, policy update, steering) are axis
-updates of one block: the write splits each row by C and the policy
-update fixes the M_k axis, exactly as on the dense tensor.
-``partial_trace`` reads the same expansion: on the kept memories' bits
-it leaves one label per traced memory string that occurs, so a marginal
-costs the populated rows, never 2**n.  A round grows the state as
-the paper's machine does: round k appends M_k in |0> by shifting every
-row label left by one bit, and it runs on no other slot, so no memory
-record is ever written twice.
+Every gate takes one path, ``_controlled_update``, which applies its
+steps in order to one copy of the residual and drops the rows left
+exactly zero.  A round is one such call: it appends M_k in |0> by
+shifting every row label left by one bit, and its five gates
+(controlled-U, memory write, feedback, policy update, steering) run on
+no other slot, so no memory record is ever written twice.
+``partial_trace`` groups the rows on the kept memories' bits, so a
+marginal costs the populated rows, never 2**n.
 
 ``RegisterLayout`` holds the size rule: a layout of more memory slots
 than ``MAX_ITERATIONS`` (17 slots, 20 qubits) raises ``CapacityError``
@@ -307,13 +305,15 @@ def _memory_bit(layout: RegisterLayout, memory: str) -> int:
 
 def _apply_gate(
     block: np.ndarray, target_axis: int, gate: np.ndarray, control_axis: int,
-    control_value: int,
+    control_value: int | np.ndarray,
 ) -> None:
     """In-place 2x2 update of the target axis where the control axis reads a value.
 
     Fixing the control axis and the target axis to 0 or 1 gives two basic
     slices that pair amplitudes differing only in the target bit.  Both
-    slices are views, so the update writes straight into ``block``.
+    slices are views, so the update writes straight into ``block``.  A
+    boolean row mask as ``control_value`` on axis 0 selects rows instead:
+    the reads copy and the writes scatter back, with the same arithmetic.
     """
     index = [slice(None)] * block.ndim
     index[control_axis], index[target_axis] = control_value, 0
@@ -326,75 +326,43 @@ def _apply_gate(
     block[lo] = new0
 
 
-def _expand_rows(rows: np.ndarray, residual: np.ndarray, bits: list[int]):
-    """Rows grouped on some memory bits, each bit made an explicit axis.
-
-    Returns the sorted labels with those bits clear and a block of shape
-    ``(labels, 2, ..., 2, 2, 2, 2)``: one axis per bit, in the order
-    given, then C, S, P.  A combination with no row is zero.  With no
-    bits the rows are already the distinct sorted labels, and the block is
-    a copy of the residual.
-    """
-    if not bits:
-        return rows, residual.copy()
-    low = rows & ~sum(bits)
-    labels = np.unique(low)
-    block = np.zeros((labels.size,) + (2,) * (len(bits) + 3), dtype=np.complex128)
-    index = [np.searchsorted(labels, low)]
-    index += [((rows & bit) != 0).astype(np.intp) for bit in bits]
-    block[tuple(index)] = residual
-    return labels, block
-
-
-def _block_axes(memories: list[str]) -> dict[str, int]:
-    """Axis of each register in the block ``_expand_rows`` builds on ``memories``."""
-    axis = {r: 1 + i for i, r in enumerate(memories)}
-    axis.update((r, a + len(memories)) for r, a in _RESIDUAL_AXIS.items())
-    return axis
-
-
-def _collapse_rows(labels: np.ndarray, block: np.ndarray, bits: list[int]):
-    """Inverse of ``_expand_rows``: sorted rows, rows exactly zero dropped."""
-    offsets = np.zeros(1, dtype=np.int64)
-    for bit in bits:
-        offsets = (offsets[:, None] | np.array([0, bit], dtype=np.int64)).reshape(-1)
-    rows = (labels[:, None] | offsets).reshape(-1)
-    residual = block.reshape(-1, 2, 2, 2)
-    if (rows[1:] < rows[:-1]).any():
-        order = np.argsort(rows, kind="stable")
-        rows, residual = rows[order], residual[order]
-    keep = (residual != 0).any(axis=(1, 2, 3))
-    if keep.all():
-        return rows, residual
-    return rows[keep], residual[keep]
-
-
 def _controlled_update(
     rows: np.ndarray, residual: np.ndarray, layout: RegisterLayout, steps
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply each ``(control, target, g0, g1)`` step in order; skip identities.
 
-    A step applies g0/g1 to ``target`` where ``control`` reads 0/1.  The
-    rows are expanded once on the bits of the memory registers the
-    remaining steps name, in first-use order, so every step is an update
-    of the axes of one block (none for gates among C, S and P), and
-    collapsed once.  Returns the rows and residual of the result; the
-    inputs are not modified.
+    A step applies g0/g1 to ``target`` where ``control`` reads 0/1, on one
+    copy of the residual.  A memory takes only its write (see the module
+    docstring); any other memory target raises ``LayoutError``.  Rows
+    left exactly zero are dropped.  The inputs are not modified.
     """
     steps = [s for s in steps if not (s[2].is_identity and s[3].is_identity)]
     if not steps:
         return rows, residual
-    memories = list(dict.fromkeys(
-        r for step in steps for r in step[:2] if r not in _RESIDUAL_AXIS
-    ))
-    axis = _block_axes(memories)
-    bits = [_memory_bit(layout, r) for r in memories]
-    labels, block = _expand_rows(rows, residual, bits)
+    residual = residual.copy()
     for control, target, g0, g1 in steps:
-        for value, gate in ((0, g0), (1, g1)):
-            if not gate.is_identity:
-                _apply_gate(block, axis[target], gate.matrix(), axis[control], value)
-    return _collapse_rows(labels, block, bits)
+        if target in _RESIDUAL_AXIS:
+            if control in _RESIDUAL_AXIS:
+                axis, values = _RESIDUAL_AXIS[control], (0, 1)
+            else:
+                on = (rows & _memory_bit(layout, control)) != 0
+                axis, values = 0, (~on, on)
+            for value, gate in zip(values, (g0, g1)):
+                if not gate.is_identity:
+                    _apply_gate(residual, _RESIDUAL_AXIS[target], gate.matrix(), axis, value)
+            continue
+        bit = _memory_bit(layout, target)
+        if (control, g0, g1) != ("C", IDENTITY, PAULI_X) or (rows & (2 * bit - 1)).any():
+            raise LayoutError(f"memory {target} takes only its write: a CNOT from C "
+                              f"before any write to it or to a later slot")
+        split = np.zeros((rows.size, 2, 2, 2, 2), dtype=np.complex128)
+        split[:, 0, 0], split[:, 1, 1] = residual[:, 0], residual[:, 1]
+        rows = (rows[:, None] | np.array([0, bit])).reshape(-1)
+        residual = split.reshape(-1, 2, 2, 2)
+    keep = (residual != 0).any(axis=(1, 2, 3))
+    if keep.all():
+        return rows, residual
+    return rows[keep], residual[keep]
 
 
 def initialize(spec: InitSpec, layout: RegisterLayout) -> StateVector:
@@ -417,7 +385,12 @@ def initialize(spec: InitSpec, layout: RegisterLayout) -> StateVector:
 def apply_controlled(
     state: StateVector, control: str, target: str, g0: GateSpec, g1: GateSpec
 ) -> StateVector:
-    """Apply g0/g1 to ``target`` on the control-bit-0/1 components."""
+    """Apply g0/g1 to ``target`` on the control-bit-0/1 components.
+
+    A memory takes only its write: a memory target raises ``LayoutError``
+    unless the gate is ``write_memory``'s, on a slot that neither it nor
+    any later slot has taken yet.
+    """
     if control == target:
         raise LayoutError(f"control and target are the same register {control!r}")
     state.layout.position(control)
@@ -438,8 +411,8 @@ def iterate(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
 
     A canonical round is controlled-U, memory write, feedback and policy
     update; a spec with an r pair adds the steering of the control.  Its
-    steps are one ``_controlled_update`` on M_k, so every gate of
-    the round is an axis update of one block.
+    steps are one ``_controlled_update`` call: the write splits each row
+    by C, and every other gate updates a residual axis.
     """
     n = state.layout.n_memories
     if k != n + 1:
@@ -531,16 +504,21 @@ def partial_trace(state: StateVector, keep) -> np.ndarray:
     if unknown:
         raise LayoutError(f"unknown register id(s): {sorted(unknown)}")
     check_capacity(4 ** len(keep), f"marginal over {len(keep)} registers")
-    # rho = M M^dagger.  Expanding the rows on the kept memories' bits
+    # rho = M M^dagger.  Grouping the rows on the kept memories' bits
     # leaves one label per traced memory string that occurs, in ascending
     # order, so with every row populated M is exactly the dense state's
     # kept-axes-first reshape.  Block axes: label, kept memories, C, S, P.
     names = layout.register_names()
     kept = [r for r in names if r in keep and r not in _RESIDUAL_AXIS]
-    _, block = _expand_rows(
-        state.rows, state.residual, [_memory_bit(layout, r) for r in kept]
-    )
-    axis = _block_axes(kept)
+    block = state.residual
+    if kept:
+        bits = [_memory_bit(layout, r) for r in kept]
+        labels, group = np.unique(state.rows & ~sum(bits), return_inverse=True)
+        block = np.zeros((labels.size,) + (2,) * (len(kept) + 3), dtype=np.complex128)
+        index = [group] + [((state.rows & bit) != 0).astype(np.intp) for bit in bits]
+        block[tuple(index)] = state.residual
+    axis = {r: 1 + i for i, r in enumerate(kept)}
+    axis.update((r, a + len(kept)) for r, a in _RESIDUAL_AXIS.items())
     kept_axes = [axis[r] for r in names if r in keep]
     # C if traced, then the label, then S and P: the summation order of
     # the matmul below, which the marginals' last bits depend on

@@ -206,6 +206,10 @@ def test_apply_controlled_matches_kron_oracle_on_every_register_pair(control, ta
     matrix = controlled_unitary_matrix(layout, control, target, g0, g1)
     assert np.array_equal(matrix, _kron_chain(layout, control, target, g0, g1))
     state = StateVector(layout, amps)
+    if target.startswith("M"):  # a memory takes only its write
+        with pytest.raises(LayoutError, match=f"^memory {target} takes only its write"):
+            apply_controlled(state, control, target, raw_gate(g0), raw_gate(g1))
+        return
     out = apply_controlled(state, control, target, raw_gate(g0), raw_gate(g1))
     np.testing.assert_allclose(out.amplitudes, matrix @ amps, rtol=0, atol=1e-12)
 
@@ -225,11 +229,26 @@ def test_write_memory_trivial_on_zero_control():
     np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
 
-def test_write_memory_twice_is_involution():
-    layout = build_layout(1)
+def test_each_slot_is_written_once_and_in_order():
+    layout = build_layout(2)
     state = initialize(InitSpec(alpha=0.6, beta=0.8), layout)
-    out = write_memory(write_memory(state, 1), 1)
-    np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+    once = write_memory(state, 1)
+    assert once.rows.tolist() == [0b00, 0b10]
+    both = write_memory(once, 2)
+    assert both.rows.tolist() == [0b00, 0b11]
+    after_m2 = write_memory(state, 2)
+    attempts = [
+        lambda: write_memory(once, 1),  # M1 a second time
+        lambda: write_memory(after_m2, 1),  # M1 after M2
+        lambda: apply_controlled(state, "C", "M1", PAULI_X, IDENTITY),
+        lambda: apply_controlled(state, "C", "M1", IDENTITY, raw_gate(PAULI_X.matrix())),
+        lambda: apply_controlled(state, "S", "M1", IDENTITY, PAULI_X),
+        lambda: apply_controlled(state, "P", "M1", IDENTITY, PAULI_X),
+        lambda: apply_controlled(state, "M2", "M1", IDENTITY, PAULI_X),
+    ]
+    for attempt in attempts:
+        with pytest.raises(LayoutError, match="^memory M1 takes only its write"):
+            attempt()
 
 
 def test_write_memory_out_of_range():

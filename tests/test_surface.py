@@ -7,8 +7,11 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import branchsim
 from branchsim import analysis, cli, machine, verify
+from branchsim.scenario import builtin_scenarios
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,3 +80,20 @@ def test_verify_checks_match_the_benchmark_list(monkeypatch):
     import tracing
 
     assert sorted(verify.CHECKS) == sorted(tracing.VERIFY_CHECKS)
+
+
+def test_benchmark_replay_equals_the_engine_exactly(monkeypatch):
+    # the replay writes each slot of a pre-sized layout through the public
+    # per-op entry points; the engine grows the layout one slot per round
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+
+    rng = np.random.default_rng(31)
+    scenarios = list(builtin_scenarios())
+    for build in (verify.random_canonical_scenario, verify.random_extended_scenario):
+        scenarios += [build(rng, n, mode)
+                      for n in range(8) for mode in machine.INIT_MODES]
+    for scenario in scenarios:
+        state = machine.run(scenario)
+        assert tracing.replay(tracing.Tracer(), scenario, state), scenario.name
