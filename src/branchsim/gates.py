@@ -4,7 +4,9 @@ A ``GateSpec`` is checked and resolved to its read-only 2x2 matrix when
 it is constructed, and it holds only the fields its kind uses: none for
 a fixed gate, ``angle`` for a rotation, ``raw`` for a raw matrix.  An
 angle is kept as written, radians or an exact string such as "pi/3" or
-"-5*pi/4"; ``radians`` is the one place that evaluates it.
+"-5*pi/4"; ``radians`` is the one place that evaluates it.  A raw
+matrix's unitarity is checked in closed form on its eight floats
+(``unitarity_deviation_2x2``), not by a numpy product.
 
 The ``rx``/``ry``/``rz`` kinds follow the half-angle convention, e.g.
 rx(a) = cos(a/2) I - i sin(a/2) X.  ``real_rotation`` is the plain plane
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import UNITARITY_TOL, unitarity_deviation
+from .linalg import UNITARITY_TOL
 
 _FIXED = {
     "identity": np.eye(2, dtype=np.complex128),
@@ -59,6 +61,21 @@ KINDS = tuple(_FIXED) + ANGLE_KINDS + ("raw",)
 RawMatrix = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 _ANGLE_RE = re.compile(r"^(-?)(?:(\d+)\*)?pi(?:/([1-9]\d*))?$")
+
+
+def unitarity_deviation_2x2(a: complex, b: complex, c: complex, d: complex) -> float:
+    """max |m†m - I| of m = ((a, b), (c, d)): how far each column's squared
+    norm is from 1, and the size of the columns' inner product.  A product
+    overflows only where a column norm does, so that term is inf and comes
+    before the overlap's possible nan: the result is inf, never nan."""
+    if not all(map(cmath.isfinite, (a, b, c, d))):
+        raise ValidationError("matrix contains non-finite entries")
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    cr, ci, dr, di = c.real, c.imag, d.real, d.imag
+    return max(abs(ar * ar + ai * ai + cr * cr + ci * ci - 1.0),
+               abs(br * br + bi * bi + dr * dr + di * di - 1.0),
+               math.hypot(ar * br + ai * bi + cr * dr + ci * di,
+                          ar * bi - ai * br + cr * di - ci * dr))
 
 
 def radians(angle: float | str) -> float:
@@ -104,7 +121,8 @@ class GateSpec:
             m = np.array(self.raw, dtype=np.complex128)
             if m.shape != (2, 2):
                 raise ValidationError(f"raw gate must be 2x2, got {m.shape}")
-            dev = unitarity_deviation(m)
+            (a, b), (c, d) = m.tolist()
+            dev = unitarity_deviation_2x2(a, b, c, d)
             if dev > UNITARITY_TOL:
                 raise ValidationError(f"raw gate is not unitary (deviation {dev:.3e})")
         else:

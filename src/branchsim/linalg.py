@@ -1,8 +1,10 @@
 """Small dense linear algebra shared by the simulator: the size cap's
 check for matrices, the fixed tolerances, unitarity and density-matrix
-checks, and purity.  A density matrix's eigenvalue floor is checked on
-its exact spectrum (``eigvalsh``) at every size.  The partial trace reads the branch table, so it lives
-with the table in ``machine``.
+checks, and purity.  ``unitarity_deviation`` serves matrices of any size,
+such as ``verify``'s dilation blocks W_c; a raw one-qubit gate is checked
+in closed form in ``gates``.  A density matrix's eigenvalue floor is
+checked on its exact spectrum (``eigvalsh``) at every size.  The partial
+trace reads the branch table, so it lives with the table in ``machine``.
 
 Matrices are row-major ``complex128`` arrays.  Tensor ordering is
 most-significant-first: the left Kronecker factor owns the high bits of

@@ -216,14 +216,20 @@ def _table_deviation(state, table) -> float:
 _MIN_WEIGHT = 0.05  # least |a|^2 and |b|^2 of a random amplitude pair
 
 
-def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def random_unitaries(rng: np.random.Generator, k: int, dim: int = 2) -> np.ndarray:
+    """k Haar-random dim x dim unitaries, shape (k, dim, dim): QR of a complex
+    Ginibre matrix with R's diagonal phases moved into Q (Mezzadri,
+    arXiv:math-ph/0609050).  Each matrix takes its real then its imaginary
+    part from the stream, so the batch equals k successive single draws bit
+    for bit and leaves the generator at the same point."""
+    z = rng.normal(size=(k, 2, dim, dim))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
-def random_gate(rng: np.random.Generator) -> GateSpec:
-    return raw_gate(random_unitary(rng))
+def random_gates(rng: np.random.Generator, k: int) -> list[GateSpec]:
+    return [raw_gate(u) for u in random_unitaries(rng, k)]
 
 
 def random_amplitude_pair(rng: np.random.Generator) -> tuple[complex, complex]:
@@ -246,20 +252,16 @@ def random_init(rng: np.random.Generator, mode: str | None = None) -> InitSpec:
         gamma, delta = random_amplitude_pair(rng)
     return InitSpec(
         alpha=alpha, beta=beta, gamma=gamma, delta=delta, mode=mode,
-        system_init=random_gate(rng),
+        system_init=random_gates(rng, 1)[0],
     )
 
 
 def random_canonical_scenario(
     rng: np.random.Generator, n_iterations: int, mode: str | None = None
 ) -> Scenario:
+    gates = random_gates(rng, 6 * n_iterations)
     iterations = tuple(
-        IterationSpec(
-            u0=random_gate(rng), u1=random_gate(rng),
-            f0=random_gate(rng), f1=random_gate(rng),
-            v0=random_gate(rng), v1=random_gate(rng),
-        )
-        for _ in range(n_iterations)
+        IterationSpec(*gates[6 * i:6 * i + 6]) for i in range(n_iterations)
     )
     return Scenario(name="random-canonical", init=random_init(rng, mode),
                     iterations=iterations)
@@ -269,9 +271,10 @@ def random_extended_scenario(
     rng: np.random.Generator, n_iterations: int, mode: str | None = None
 ) -> Scenario:
     base = random_canonical_scenario(rng, n_iterations, mode)
+    gates = random_gates(rng, 2 * n_iterations)
     iterations = tuple(
-        replace(it, r0=random_gate(rng), r1=random_gate(rng))
-        for it in base.iterations
+        replace(it, r0=r0, r1=r1)
+        for it, r0, r1 in zip(base.iterations, gates[::2], gates[1::2])
     )
     return replace(base, iterations=iterations)
 
@@ -454,7 +457,8 @@ def _check_extended_identity(rng):
         scenario = random_canonical_scenario(rng, 1)
         spec = scenario.iterations[0]
         if trial % 2:  # a drawn R pair, against the extended round's closed form
-            spec = steered = replace(spec, r0=random_gate(rng), r1=random_gate(rng))
+            r0, r1 = random_gates(rng, 2)
+            spec = steered = replace(spec, r0=r0, r1=r1)
         else:  # an identity R pair, against the canonical round's closed form
             steered = replace(spec, r0=IDENTITY, r1=IDENTITY)
         state = iterate_extended(initialize(scenario.init, build_layout(0)), 1, steered)

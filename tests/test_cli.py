@@ -307,6 +307,22 @@ def test_raw_gate_whose_unitarity_check_overflows_exits_3(tmp_path, raw):
     assert (proc.stdout, proc.stderr) == ("", err.getvalue())
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_raw_gate_with_a_non_finite_entry_exits_3(tmp_path, value):
+    # json.dumps writes NaN, Infinity and -Infinity, which json.loads accepts
+    doc = json.loads(emit_scenario(builtin_scenario("pauli-flips")))
+    doc["iterations"][0]["u1"] = {"raw": [[[1, 0], [0, 0]], [[0, value], [1, 0]]]}
+    path = tmp_path / "non-finite.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--scenario", str(path)], stdout=out, stderr=err)
+    assert (code, out.getvalue(), caught) == (EXIT_VALIDATION, "", [])
+    assert err.getvalue() == (
+        "validation error: iterations[0].u1: matrix contains non-finite entries\n")
+
+
 _IDENTITY_RAW = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 _BAD_GATES = {
     "infinite-angle": {"named": "rx", "angle": math.inf},

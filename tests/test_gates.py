@@ -1,11 +1,24 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from branchsim import verify
 from branchsim.errors import ValidationError
-from branchsim.gates import IDENTITY, PAULI_X, GateSpec, radians, raw_gate
+from branchsim.gates import (
+    IDENTITY,
+    PAULI_X,
+    GateSpec,
+    radians,
+    raw_gate,
+    unitarity_deviation_2x2,
+)
 from branchsim.linalg import UNITARITY_TOL, unitarity_deviation
+from branchsim.machine import IterationSpec
+from branchsim.scenario import Scenario
+from test_cli import _OVERFLOWING_RAW, _TINY_RAW
 
 
 def test_rx_convention_matches_half_angle_form():
@@ -89,3 +102,79 @@ def test_gate_spec_keeps_one_angle_as_written():
         GateSpec("rx", angle="tau")
     with pytest.raises(ValidationError, match="must be finite"):
         GateSpec("rx", angle="9" * 400 + "*pi")
+
+
+def _entries(m):
+    (a, b), (c, d) = np.asarray(m, dtype=np.complex128).tolist()
+    return a, b, c, d
+
+
+def test_closed_form_deviation_agrees_with_numpy_on_either_side_of_the_tolerance():
+    rng = np.random.default_rng(2024)
+    haar = verify.random_unitaries(rng, 2000)
+    # scaled by 1 +- eps, a unitary deviates by about 2 eps: 9.8e-10 to 1.02e-9
+    sign = rng.choice([-1.0, 1.0], size=(2000, 1, 1))
+    eps = sign * rng.uniform(4.9e-10, 5.1e-10, size=(2000, 1, 1))
+    noise = 1e-12 * (rng.normal(size=haar.shape) + 1j * rng.normal(size=haar.shape))
+    verdicts = set()
+    for m in [*haar, *((1 + eps) * haar + noise)]:
+        closed, numpy_dev = unitarity_deviation_2x2(*_entries(m)), unitarity_deviation(m)
+        assert abs(closed - numpy_dev) <= 1e-15
+        assert (closed <= UNITARITY_TOL) == (numpy_dev <= UNITARITY_TOL)
+        verdicts.add(closed <= UNITARITY_TOL)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("raw", _OVERFLOWING_RAW)
+def test_closed_form_deviation_is_inf_where_a_product_overflows(raw):
+    entries = [complex(*z) for row in raw for z in row]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert unitarity_deviation_2x2(*entries) == math.inf
+        with pytest.raises(ValidationError, match=r"not unitary \(deviation inf\)"):
+            GateSpec("raw", raw=(tuple(entries[:2]), tuple(entries[2:])))
+
+
+def test_closed_form_accepts_a_gate_unitary_to_rounding():
+    gate = GateSpec("raw", raw=tuple(tuple(complex(*z) for z in row) for row in _TINY_RAW))
+    assert unitarity_deviation_2x2(*_entries(gate.matrix())) == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_closed_form_rejects_non_finite_entries(value):
+    with pytest.raises(ValidationError, match="^matrix contains non-finite entries$"):
+        GateSpec("raw", raw=((1, 0), (complex(0, value), 1)))
+
+
+def _single_haar_draw(rng):
+    """The per-gate Haar draw, kept as the reference for the batched one."""
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("k", [1, 6, 102])
+def test_batched_haar_draw_equals_successive_single_draws(k):
+    batched, single = np.random.default_rng(k), np.random.default_rng(k)
+    draws = verify.random_unitaries(batched, k)
+    for u in draws:
+        assert np.array_equal(u, _single_haar_draw(single))
+    assert batched.bit_generator.state == single.bit_generator.state
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["canonical", "extended"])
+def test_random_scenarios_equal_a_per_gate_draw(monkeypatch, extended):
+    def gate(rng):
+        return raw_gate(_single_haar_draw(rng))
+
+    n = 4
+    drawn = (verify.random_extended_scenario if extended
+             else verify.random_canonical_scenario)(np.random.default_rng(7), n)
+    rng = np.random.default_rng(7)
+    iterations = [IterationSpec(*(gate(rng) for _ in range(6))) for _ in range(n)]
+    # random_init's system_init, one gate drawn alone
+    monkeypatch.setattr(verify, "random_gates", lambda rng, k: [gate(rng) for _ in range(k)])
+    init = verify.random_init(rng)
+    if extended:
+        iterations = [replace(it, r0=gate(rng), r1=gate(rng)) for it in iterations]
+    assert drawn == Scenario(name="random-canonical", init=init, iterations=iterations)

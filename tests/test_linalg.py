@@ -21,7 +21,7 @@ from branchsim.machine import (
     initialize,
     partial_trace,
 )
-from branchsim.verify import random_unitary
+from branchsim.verify import random_unitaries
 
 
 def test_unitarity_deviation_identity():
@@ -173,7 +173,7 @@ def test_purity_of_branch_mixture():
 
 def _rotated_spectrum(eps: float) -> np.ndarray:
     """U diag(0.6, 0.3, 0.1 + eps, -eps) U^dagger: unit trace, one eigenvalue -eps."""
-    u = random_unitary(np.random.default_rng(31), 4)
+    u = random_unitaries(np.random.default_rng(31), 1, 4)[0]
     rho = (u * [0.6, 0.3, 0.1 + eps, -eps]) @ u.conj().T
     return (rho + rho.conj().T) / 2
 

@@ -43,7 +43,7 @@ from branchsim.verify import (
     oracle_run,
     random_canonical_scenario,
     random_extended_scenario,
-    random_unitary,
+    random_unitaries,
 )
 
 from oracles import dense_fold
@@ -198,7 +198,7 @@ def test_apply_controlled_matches_kron_oracle_on_every_register_pair(control, ta
     rng = np.random.default_rng(11)
     amps = rng.normal(size=64) + 1j * rng.normal(size=64)
     amps /= np.linalg.norm(amps)
-    g0, g1 = random_unitary(rng), random_unitary(rng)
+    g0, g1 = random_unitaries(rng, 2)
     layout = build_layout(3)
     # the oracle's index-form gate is exactly the np.kron chain of 2x2 factors
     terms = list(verify._controlled_terms(layout, control, target, g0, g1))
@@ -561,7 +561,7 @@ def test_dense_amplitudes_round_trip_exactly():
     rng = np.random.default_rng(17)
     layout = build_layout(3)
     single = np.zeros(64, dtype=complex)  # one populated memory string, 101
-    single.reshape(2, 8, 4)[:, 0b101, :] = random_unitary(rng, 8)[:, 0].reshape(2, 4)
+    single.reshape(2, 8, 4)[:, 0b101, :] = random_unitaries(rng, 1, 8)[0, :, 0].reshape(2, 4)
     full = rng.normal(size=64) + 1j * rng.normal(size=64)
     full /= np.linalg.norm(full)
     for amps, n_rows in ((single, 1), (full, 8)):

@@ -10,7 +10,7 @@ from branchsim import builtin_scenario, cli, run
 from branchsim import scenario as scenario_module
 from branchsim.analysis import outcome_probability
 from branchsim.errors import CapacityError, ParseError, ValidationError
-from branchsim.gates import GateSpec, radians, raw_gate
+from branchsim.gates import GateSpec, radians
 from branchsim.linalg import UNITARITY_TOL
 from branchsim.machine import InitSpec, IterationSpec
 from branchsim.scenario import (
@@ -21,7 +21,7 @@ from branchsim.scenario import (
     parse_angle,
     parse_scenario,
 )
-from branchsim.verify import random_extended_scenario, random_unitary
+from branchsim.verify import random_extended_scenario, random_gates
 
 
 def _document(**overrides):
@@ -271,8 +271,7 @@ def test_scenario_round_trip_with_raw_gate_and_measure():
         init=InitSpec(alpha=0.6, beta=0.8j, gamma=0.8, delta=0.6,
                       mode="correlated_c_to_p"),
         iterations=(
-            IterationSpec(u0=raw_gate(random_unitary(rng)),
-                          u1=raw_gate(random_unitary(rng))),
+            IterationSpec(*random_gates(rng, 2)),
         ),
         analyses=(
             AnalysisRequest("branches"),
