@@ -25,9 +25,14 @@ from .errors import CapacityError, ShapeError, ValidationError
 QUBIT_CAP = 20
 
 
+def within_capacity(entries: int) -> bool:
+    """Whether an object of ``entries`` entries fits the 2**QUBIT_CAP cap."""
+    return entries <= 1 << QUBIT_CAP
+
+
 def check_capacity(entries: int, what: str) -> None:
     """Raise ``CapacityError`` before allocating ``what`` past 2**QUBIT_CAP entries."""
-    if entries > 1 << QUBIT_CAP:
+    if not within_capacity(entries):
         raise CapacityError(f"{what} has {entries} entries; cap is 2**{QUBIT_CAP}")
 
 

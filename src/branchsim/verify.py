@@ -6,12 +6,18 @@ Kronecker-built global operator, never the engine's branch table.  The
 operator is held in index (COO) form, ``A (x) B`` having rows
 ``r_a*d_b + r_b``, columns ``c_a*d_b + c_b`` and values ``v_a*v_b``
 (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
-123:85-100, 2000), so each control-value term has 2**n entries rather
-than 4**n.  It is applied to the vector by scatter-add, or densified
-where a composed matrix is wanted.  Agreement between the two routes is
-the core correctness check.  Two more routes check the engine's
-structure: the composed global unitary of a canonical run splits into
-``|0><0| (x) W_0 + |1><1| (x) W_1`` on the control (a controlled
+123:85-100, 2000), so it has two entries in each of its 2**n rows rather
+than 4**n entries.  Where the entries sit depends only on the layout and
+the control and target positions: that index pattern is built once by the
+Kronecker chain, with each entry's gate slot carried as the target
+factor's value, and each call gathers its gates' values through it.
+Patterns are cached for the layouts whose dense matrix fits the
+2**20-entry cap (at most 10 qubits) and built per call beyond it.  The
+operator is applied to the vector by one gather-multiply-sum, or
+densified where a composed matrix is wanted.  Agreement between the two
+routes is the core correctness check.  Two more routes check the
+engine's structure: the composed global unitary of a canonical run
+splits into ``|0><0| (x) W_0 + |1><1| (x) W_1`` on the control (a controlled
 Stinespring dilation, with memories, system and policy as the kept
 environment) and must reproduce the run, and ``closed_form`` gives any
 run's branch table from each round's pair of 8x8 maps on (C, S, P),
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -31,7 +37,7 @@ import numpy as np
 from . import analysis, machine
 from .errors import ValidationError
 from .gates import GateSpec, IDENTITY, PAULI_X, raw_gate
-from .linalg import check_capacity, unitarity_deviation
+from .linalg import check_capacity, unitarity_deviation, within_capacity
 from .machine import (
     INIT_MODES,
     InitSpec,
@@ -65,62 +71,97 @@ class CheckResult:
 
 # ---------------------------------------------------------------------------
 # Oracle construction: global operators as explicit Kronecker products in
-# index (COO) form, applied by scatter-add or densified and multiplied by @
+# index (COO) form, applied by gather-multiply-sum or densified and
+# multiplied by @
 
 def _coo_kron(a, b):
-    """(rows, cols, values, dim) of A (x) B from those of A and B."""
+    """(rows, cols, values, dim) of A (x) B from those of A and B.
+
+    An operand lists its nonzero rows, and line k of its cols and values
+    holds the k-th entry of each of those rows; A (x) B pairs every row and
+    entry of A with every row and entry of B.
+    """
     (ra, ca, va, da), (rb, cb, vb, db) = a, b
-    return ((ra[:, None] * db + rb).ravel(), (ca[:, None] * db + cb).ravel(),
-            (va[:, None] * vb).ravel(), da * db)
+    rows = (ra[:, None] * db + rb).ravel()
+    cols = (ca[:, None, :, None] * db + cb[None, :, None, :]).reshape(-1, rows.size)
+    values = (va[:, None, :, None] * vb[None, :, None, :]).reshape(-1, rows.size)
+    return rows, cols, values, da * db
 
 
 def _coo_identity(qubits: int):
     idx = np.arange(1 << qubits)
-    return idx, idx, np.ones(idx.size, dtype=np.complex128), idx.size
+    return idx, idx[None], np.ones((1, idx.size), np.uint8), idx.size
 
 
-def _controlled_terms(layout: RegisterLayout, control: str, target: str,
-                      g0: np.ndarray, g1: np.ndarray):
-    """Yield (rows, cols, values) of ``|v><v|_control (x) g_v (x) I...`` for
-    v = 0, 1: each term has exactly 2**total_qubits entries."""
-    n = layout.total_qubits
-    c_pos, t_pos = layout.position(control), layout.position(target)
+def _build_pattern(n: int, c_pos: int, t_pos: int):
+    """Index pattern ``(rows, cols, slots)`` of ``sum_v |v><v|_control (x)
+    g_v (x) I...`` on n qubits, whatever the gates: for e = 0, 1, row
+    ``rows[i]`` holds entry ``slots[e, i]`` of ``(g0, g1)`` flattened at
+    column ``cols[e, i]``, and is zero elsewhere.  Each term's Kronecker
+    chain carries the gate slot of each target entry as that factor's
+    value, in uint8 since the slots run to 7.
+    """
     lo, hi = sorted((c_pos, t_pos))
-    for value, gate in ((0, g0), (1, g1)):
+    terms = []
+    for value in (0, 1):
         factors = {
-            c_pos: (np.array([value]), np.array([value]), np.ones(1, np.complex128), 2),
-            t_pos: (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), gate.ravel(), 2),
+            c_pos: (np.array([value]), np.array([[value]]),
+                    np.ones((1, 1), np.uint8), 2),
+            t_pos: (np.array([0, 1]), np.array([[0, 0], [1, 1]]),
+                    np.array([[0, 2], [1, 3]], np.uint8) + 4 * value, 2),
         }
         chain = (_coo_identity(lo), factors[lo], _coo_identity(hi - lo - 1),
                  factors[hi], _coo_identity(n - hi - 1))
-        yield reduce(_coo_kron, [f for f in chain if f[3] > 1])[:3]
+        # folded from the right, so the growing product is the right operand,
+        # whose rows numpy's broadcast walks innermost
+        chain = [f for f in reversed(chain) if f[3] > 1]
+        terms.append(reduce(lambda acc, f: _coo_kron(f, acc), chain)[:3])
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*terms))
+
+
+@lru_cache(maxsize=None)
+def _cached_pattern(n: int, c_pos: int, t_pos: int):
+    """``_build_pattern`` with int32 rows and columns, read-only, for the
+    layouts ``_controlled_entries`` caches."""
+    rows, cols, slots = _build_pattern(n, c_pos, t_pos)
+    pattern = rows.astype(np.int32), cols.astype(np.int32), slots
+    for array in pattern:
+        array.flags.writeable = False
+    return pattern
+
+
+def _controlled_entries(layout: RegisterLayout, control: str, target: str,
+                        g0: np.ndarray, g1: np.ndarray):
+    """``(rows, cols, values)`` of ``sum_v |v><v|_control (x) g_v (x) I...``:
+    two entries (cols and values of shape (2, 2**total_qubits)) in each
+    row, gathered from the gates through the layout's index pattern.
+
+    The pattern is cached only where the dense matrix fits the 2**20-entry
+    cap (at most 10 qubits), so no kept pattern has more than 2**10 rows; a
+    larger layout's pattern is built for each call and not kept.
+    """
+    n = layout.total_qubits
+    pattern = _cached_pattern if within_capacity(4 ** n) else _build_pattern
+    rows, cols, slots = pattern(n, layout.position(control), layout.position(target))
+    return rows, cols, np.concatenate((g0, g1), axis=None)[slots]
 
 
 def controlled_unitary_matrix(
     layout: RegisterLayout, control: str, target: str, g0: np.ndarray, g1: np.ndarray
 ) -> np.ndarray:
-    """Sum over control values of projector (x) gate (x) identities, dense.
+    """Sum over control values of projector (x) gate (x) identities, dense,
+    filled from the layout's cached index pattern.
 
     The matrix has 4**total_qubits entries, so a layout beyond 10 qubits
-    raises ``CapacityError`` before anything is allocated.
+    raises ``CapacityError`` before anything is allocated; the patterns
+    are cached for exactly the layouts that pass.
     """
     check_capacity(4 ** layout.total_qubits,
                    f"a {layout.total_qubits}-qubit global matrix")
     total = np.zeros((1 << layout.total_qubits,) * 2, dtype=np.complex128)
-    for rows, cols, values in _controlled_terms(layout, control, target, g0, g1):
-        total[rows, cols] = values
+    rows, cols, values = _controlled_entries(layout, control, target, g0, g1)
+    total[rows, cols] = values
     return total
-
-
-def _apply_controlled_terms(terms, amps: np.ndarray) -> np.ndarray:
-    """The operator's sum of terms times ``amps``, by scatter-add of each
-    term's products over its rows; no matrix is materialized."""
-    out = np.zeros_like(amps)
-    for rows, cols, values in terms:
-        products = values * amps[cols]
-        out.real += np.bincount(rows, products.real, minlength=amps.size)
-        out.imag += np.bincount(rows, products.imag, minlength=amps.size)
-    return out
 
 
 def round_gates(k: int, spec: IterationSpec):
@@ -153,7 +194,7 @@ def initial_vector(init: InitSpec, n_memories: int) -> np.ndarray:
     p_prime = PAULI_X.matrix() @ p if init.mode != "uncorrelated" else p
 
     def branch(c, p):
-        return np.kron(np.kron(np.kron(c, memory), s), p)
+        return reduce(lambda a, b: np.multiply.outer(a, b).ravel(), (c, memory, s, p))
 
     return branch([init.alpha, 0], p) + branch([0, init.beta], p_prime)
 
@@ -163,8 +204,9 @@ def oracle_run(scenario: Scenario, compose: bool = True) -> np.ndarray:
 
     With ``compose`` each round's dense controlled factors are multiplied
     into one iteration matrix first, which caps it at 10 qubits; otherwise
-    each factor's index-form terms are applied to the vector in turn (same
-    operator, 2**total_qubits entries per term, up to the 20-qubit cap).
+    each factor's index-form entries, two in each row, are applied to the
+    vector in turn by one gather-multiply-sum (same operator, up to the
+    20-qubit cap).
     """
     layout = build_layout(len(scenario.iterations))
     amps = initial_vector(scenario.init, layout.n_memories)
@@ -173,7 +215,10 @@ def oracle_run(scenario: Scenario, compose: bool = True) -> np.ndarray:
             amps = iteration_matrix(layout, k, spec) @ amps
             continue
         for gate in round_gates(k, spec):
-            amps = _apply_controlled_terms(_controlled_terms(layout, *gate), amps)
+            rows, cols, values = _controlled_entries(layout, *gate)
+            out = np.empty_like(amps)
+            out[rows] = values[0] * amps[cols[0]] + values[1] * amps[cols[1]]
+            amps = out
     return amps
 
 

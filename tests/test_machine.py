@@ -201,8 +201,8 @@ def test_apply_controlled_matches_kron_oracle_on_every_register_pair(control, ta
     g0, g1 = random_unitaries(rng, 2)
     layout = build_layout(3)
     # the oracle's index-form gate is exactly the np.kron chain of 2x2 factors
-    terms = list(verify._controlled_terms(layout, control, target, g0, g1))
-    assert [rows.size for rows, _, _ in terms] == [64, 64]
+    rows, cols, values = verify._controlled_entries(layout, control, target, g0, g1)
+    assert rows.shape == (64,) and cols.shape == values.shape == (2, 64)
     matrix = controlled_unitary_matrix(layout, control, target, g0, g1)
     assert np.array_equal(matrix, _kron_chain(layout, control, target, g0, g1))
     state = StateVector(layout, amps)
@@ -525,6 +525,45 @@ def test_oracle_capacity_error_checked_before_allocation():
     for scenario, amps in ((canonical, oracle_run(canonical, compose=False)),
                            (extended, stepped)):
         assert np.max(np.abs(amps - run(scenario).amplitudes)) <= 1e-10
+
+
+def test_oracle_pattern_cache_keeps_no_layout_past_the_cap():
+    # patterns are cached only for layouts whose dense matrix fits the
+    # 2**20-entry cap: 10 qubits, 2**10 rows; a 14-qubit draw keeps none
+    rng = np.random.default_rng(94)
+    small, large = random_extended_scenario(rng, 2), random_extended_scenario(rng, 11)
+    verify._cached_pattern.cache_clear()
+    oracle_run(large, compose=False)
+    assert verify._cached_pattern.cache_info().currsize == 0
+    oracle_run(small, compose=False)
+    # C-S, P-S, P-C, and C-Mk, Mk-P for k = 1, 2
+    assert verify._cached_pattern.cache_info().currsize == 7
+    oracle_run(large, compose=False)
+    assert verify._cached_pattern.cache_info().currsize == 7
+    layout, (g0, g1) = build_layout(2), random_unitaries(rng, 2)
+    rows, cols, values = verify._controlled_entries(layout, "C", "S", g0, g1)
+    assert values.flags.writeable
+    for array in (rows, cols, *verify._cached_pattern(layout.total_qubits, 0, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("rounds", [7, 8])
+def test_stepped_oracle_matches_engine_on_both_sides_of_the_pattern_cache(rounds):
+    # 10 qubits read cached patterns, 11 build theirs for each gate
+    rng = np.random.default_rng(95 + rounds)
+    for scenario in (random_canonical_scenario(rng, rounds),
+                     random_extended_scenario(rng, rounds)):
+        stepped = oracle_run(scenario, compose=False)
+        assert np.max(np.abs(stepped - run(scenario).amplitudes)) <= 1e-10
+
+
+def test_run_checks_equal_on_a_cold_and_a_warm_pattern_cache():
+    verify._cached_pattern.cache_clear()
+    cold = verify.run_checks(seed=1729)
+    assert verify._cached_pattern.cache_info().currsize > 0
+    assert verify.run_checks(seed=1729) == cold
+    assert all(result.passed for result in cold)
 
 
 _GATE_FIELDS = ("u0", "u1", "f0", "f1", "v0", "v1", "r0", "r1")
