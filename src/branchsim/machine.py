@@ -13,21 +13,22 @@ the most significant bit of each label) and an ``(len(rows), 2, 2, 2)``
 complex ``residual`` over (C, S, P): ``residual[i, c, s, p]`` is the
 amplitude of ``|c, rows[i], s, p>``.  A memory string whose amplitudes
 are all exactly zero has no row, so a canonical run holds two rows
-(0^k and 1^k) however many rounds it has.  Gates are 2x2 updates of
-two slices of the residual, never a global unitary (the explicit
-Kronecker-built unitary exists only in the verification oracle).  There
-are two kinds:
+(0^k and 1^k) however many rounds it has.  A gate pair (g0 where the
+control reads 0, g1 where it reads 1) is one update of the residual,
+never a global unitary (the explicit Kronecker-built unitary exists only
+in the verification oracle).  There are two kinds:
 
-- a gate onto C, S or P updates one residual axis; a memory control
-  selects the rows whose label has that memory's bit at the control
-  value;
+- a pair onto C, S or P updates one residual axis: both halves at once,
+  with the 2x2 gate of each amplitude's control bit, which a memory
+  control reads from each row's label;
 - the only gate onto a memory is its write, the CNOT from C into a slot
   that neither it nor any later slot has taken yet: it splits each row
   into the child with the bit clear, which keeps the row's C=0 half,
   and the child with the bit set, which keeps its C=1 half.
 
 Every gate takes one path, ``_controlled_update``, which applies its
-steps in order to one copy of the residual and drops the rows left
+steps in order to one rows-last ``(C, S, P, row)`` copy of the residual,
+so each pair's arithmetic runs along the rows, and drops the rows left
 exactly zero.  A round is one such call: it appends M_k in |0> by
 shifting every row label left by one bit, and its five gates
 (controlled-U, memory write, feedback, policy update, steering) run on
@@ -303,27 +304,9 @@ def _memory_bit(layout: RegisterLayout, memory: str) -> int:
     return 1 << (layout.system - 1 - layout.position(memory))
 
 
-def _apply_gate(
-    block: np.ndarray, target_axis: int, gate: np.ndarray, control_axis: int,
-    control_value: int | np.ndarray,
-) -> None:
-    """In-place 2x2 update of the target axis where the control axis reads a value.
-
-    Fixing the control axis and the target axis to 0 or 1 gives two basic
-    slices that pair amplitudes differing only in the target bit.  Both
-    slices are views, so the update writes straight into ``block``.  A
-    boolean row mask as ``control_value`` on axis 0 selects rows instead:
-    the reads copy and the writes scatter back, with the same arithmetic.
-    """
-    index = [slice(None)] * block.ndim
-    index[control_axis], index[target_axis] = control_value, 0
-    lo = tuple(index)
-    index[target_axis] = 1
-    hi = tuple(index)
-    a0, a1 = block[lo], block[hi]
-    new0 = gate[0, 0] * a0 + gate[0, 1] * a1
-    block[hi] = gate[1, 0] * a0 + gate[1, 1] * a1
-    block[lo] = new0
+# Bit index arrays that broadcast along one axis of the (C, S, P, row) block.
+_BIT = [np.arange(2).reshape([-1 if a == axis else 1 for a in range(4)])
+        for axis in range(3)]
 
 
 def _controlled_update(
@@ -332,37 +315,49 @@ def _controlled_update(
     """Apply each ``(control, target, g0, g1)`` step in order; skip identities.
 
     A step applies g0/g1 to ``target`` where ``control`` reads 0/1, on one
-    copy of the residual.  A memory takes only its write (see the module
+    rows-last ``(C, S, P, row)`` copy of the residual.  The pair is one
+    broadcast update, ``G[control bit, out, 0] * lo + G[..., 1] * hi``
+    with ``lo``/``hi`` the target bit's halves, written into two buffers
+    that the steps reuse.  A memory takes only its write (see the module
     docstring); any other memory target raises ``LayoutError``.  Rows
     left exactly zero are dropped.  The inputs are not modified.
     """
     steps = [s for s in steps if not (s[2].is_identity and s[3].is_identity)]
     if not steps:
         return rows, residual
-    residual = residual.copy()
+    block = residual.transpose(1, 2, 3, 0).copy()  # a copy: never a view of the input
+    out = tmp = None
     for control, target, g0, g1 in steps:
         if target in _RESIDUAL_AXIS:
+            t = _RESIDUAL_AXIS[target] - 1
             if control in _RESIDUAL_AXIS:
-                axis, values = _RESIDUAL_AXIS[control], (0, 1)
+                bit = _BIT[_RESIDUAL_AXIS[control] - 1]
             else:
-                on = (rows & _memory_bit(layout, control)) != 0
-                axis, values = 0, (~on, on)
-            for value, gate in zip(values, (g0, g1)):
-                if not gate.is_identity:
-                    _apply_gate(residual, _RESIDUAL_AXIS[target], gate.matrix(), axis, value)
+                bit = ((rows & _memory_bit(layout, control)) != 0).view(np.uint8)
+            # (..., in): the gate of each element's control bit, at its output row
+            coef = np.array((g0.matrix(), g1.matrix()))[bit, _BIT[t]]
+            if out is None:
+                out, tmp = np.empty_like(block), np.empty_like(block)
+            half = (slice(None),) * t
+            np.multiply(coef[..., 0], block[half + (slice(0, 1),)], out=out)
+            np.multiply(coef[..., 1], block[half + (slice(1, 2),)], out=tmp)
+            block, out = np.add(out, tmp, out=out), block
             continue
         bit = _memory_bit(layout, target)
         if (control, g0, g1) != ("C", IDENTITY, PAULI_X) or (rows & (2 * bit - 1)).any():
             raise LayoutError(f"memory {target} takes only its write: a CNOT from C "
                               f"before any write to it or to a later slot")
-        split = np.zeros((rows.size, 2, 2, 2, 2), dtype=np.complex128)
-        split[:, 0, 0], split[:, 1, 1] = residual[:, 0], residual[:, 1]
+        out = tmp = None
+        split = np.zeros((2, 2, 2, rows.size, 2), dtype=np.complex128)
+        split[0, ..., 0], split[1, ..., 1] = block[0], block[1]
         rows = (rows[:, None] | np.array([0, bit])).reshape(-1)
-        residual = split.reshape(-1, 2, 2, 2)
+        block = split.reshape(2, 2, 2, -1)
+    del out, tmp  # free the buffers before the transpose copies the block
+    residual = block.transpose(3, 0, 1, 2)
     keep = (residual != 0).any(axis=(1, 2, 3))
-    if keep.all():
-        return rows, residual
-    return rows[keep], residual[keep]
+    if not keep.all():
+        rows, residual = rows[keep], residual[keep]
+    return rows, np.ascontiguousarray(residual)
 
 
 def initialize(spec: InitSpec, layout: RegisterLayout) -> StateVector:
@@ -374,7 +369,7 @@ def initialize(spec: InitSpec, layout: RegisterLayout) -> StateVector:
     vec_s = spec.system_init.matrix() @ np.array([1, 0], dtype=np.complex128)
     vec_p = np.array([spec.gamma, spec.delta], dtype=np.complex128)
     rows = np.zeros(1, dtype=np.int64)
-    residual = np.kron(np.kron(vec_c, vec_s), vec_p).reshape(1, 2, 2, 2)
+    residual = np.multiply.outer(np.multiply.outer(vec_c, vec_s), vec_p)[None]
     if spec.mode in ("correlated_c_to_p", "copy_c_to_p_from_zero"):
         rows, residual = _controlled_update(
             rows, residual, layout, [("C", "P", IDENTITY, PAULI_X)]

@@ -596,6 +596,35 @@ def test_builtins_equal_dense_tensor_axis_fold_exactly():
         assert np.array_equal(run(scenario).amplitudes, dense_fold(scenario)), scenario.name
 
 
+def test_wide_runs_equal_dense_tensor_axis_fold_exactly():
+    # 13 rounds: the extended draw holds 8,192 rows, so every gate runs
+    # long contiguous loops, not the hypothesis draws' few elements
+    rng = np.random.default_rng(29)
+    for build, n_rows in ((random_canonical_scenario, 2), (random_extended_scenario, 8192)):
+        scenario = build(rng, 13)
+        state = run(scenario)
+        assert state.rows.size == n_rows
+        assert np.array_equal(state.amplitudes, dense_fold(scenario))
+
+
+def test_engine_never_writes_its_input():
+    # a one-row residual's rows-last transpose is already contiguous, so
+    # the engine's working block must be a copy, never the input itself
+    rng = np.random.default_rng(31)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state = StateVector(build_layout(0), amps / np.linalg.norm(amps))
+    rows, residual = state.rows.tobytes(), state.residual.tobytes()
+    g0, g1 = (raw_gate(g) for g in random_unitaries(rng, 2))
+    pairs = [(c, t) for c in "CSP" for t in "CSP" if c != t]
+    for control, target in pairs:
+        apply_controlled(state, control, target, g0, g1)
+    machine._controlled_update(state.rows, state.residual, state.layout,
+                               [(c, t, g0, g1) for c, t in pairs])
+    iterate(state, 1, IterationSpec(g0, g1, g1, g0, g0, g1, g1, g0))
+    assert state.rows.tobytes() == rows and state.residual.tobytes() == residual
+    assert not (state.rows.flags.writeable or state.residual.flags.writeable)
+
+
 def test_dense_amplitudes_round_trip_exactly():
     rng = np.random.default_rng(17)
     layout = build_layout(3)
