@@ -30,6 +30,10 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_VERIFY = 4
 
+# A scenario document larger than this exits 3 before it is decoded: about
+# 15 times a 17-round extended document with every gate raw (67 KB emitted).
+MAX_DOCUMENT_BYTES = 1 << 20
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -66,8 +70,12 @@ def _cmd_run(args, stdout, stderr) -> int:
     if args.seed is not None and args.seed < 0:  # checked before any file is read
         raise ValidationError(f"seed must be a non-negative integer, got {args.seed}")
     if args.scenario is not None:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            scenario = parse_scenario(fh.read())
+        with open(args.scenario, "rb") as fh:
+            data = fh.read(MAX_DOCUMENT_BYTES + 1)
+        if len(data) > MAX_DOCUMENT_BYTES:
+            raise ValidationError(f"scenario document is larger than "
+                                  f"{MAX_DOCUMENT_BYTES} bytes")
+        scenario = parse_scenario(data.decode("utf-8"))
     else:
         scenario = builtin_scenario(args.example)
     if args.seed is not None:

@@ -26,9 +26,10 @@ in the verification oracle).  There are two kinds:
   into the child with the bit clear, which keeps the row's C=0 half,
   and the child with the bit set, which keeps its C=1 half.
 
-Every gate takes one path, ``_controlled_update``, which applies its
-steps in order to one rows-last ``(C, S, P, row)`` copy of the residual,
-so each pair's arithmetic runs along the rows, and drops the rows left
+Every round's gate, and each ``apply_controlled`` call, takes one path,
+``_controlled_update``, which applies its steps in order to one
+rows-last ``(C, S, P, row)`` copy of the residual, so each pair's
+arithmetic runs along the rows, and drops the rows left
 exactly zero.  A round is one such call: it appends M_k in |0> by
 shifting every row label left by one bit, and its five gates
 (controlled-U, memory write, feedback, policy update, steering) run on
@@ -371,9 +372,7 @@ def initialize(spec: InitSpec, layout: RegisterLayout) -> StateVector:
     rows = np.zeros(1, dtype=np.int64)
     residual = np.multiply.outer(np.multiply.outer(vec_c, vec_s), vec_p)[None]
     if spec.mode in ("correlated_c_to_p", "copy_c_to_p_from_zero"):
-        rows, residual = _controlled_update(
-            rows, residual, layout, [("C", "P", IDENTITY, PAULI_X)]
-        )
+        residual[0, 1] = residual[0, 1, :, ::-1].copy()  # CNOT C->P: flip P where C=1
     return StateVector(layout, rows=rows, residual=residual)
 
 

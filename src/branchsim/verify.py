@@ -2,27 +2,27 @@
 
 The oracle here is deliberately naive: the initial state is a sum of
 Kronecker products of vectors, and each controlled gate is an explicit
-Kronecker-built global operator, never the engine's branch table.  The
-operator is held in index (COO) form, ``A (x) B`` having rows
-``r_a*d_b + r_b``, columns ``c_a*d_b + c_b`` and values ``v_a*v_b``
-(Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
-123:85-100, 2000), so it has two entries in each of its 2**n rows rather
-than 4**n entries.  Where the entries sit depends only on the layout and
-the control and target positions: that index pattern is built once by the
-Kronecker chain, with each entry's gate slot carried as the target
-factor's value, and each call gathers its gates' values through it.
-Patterns are cached for the layouts whose dense matrix fits the
-2**20-entry cap (at most 10 qubits) and built per call beyond it.  The
-operator is applied to the vector by one gather-multiply-sum, or
-densified where a composed matrix is wanted.  Agreement between the two
-routes is the core correctness check.  Two more routes check the
-engine's structure: the composed global unitary of a canonical run
-splits into ``|0><0| (x) W_0 + |1><1| (x) W_1`` on the control (a controlled
-Stinespring dilation, with memories, system and policy as the kept
-environment) and must reproduce the run, and ``closed_form`` gives any
-run's branch table from each round's pair of 8x8 maps on (C, S, P),
-built from the oracle's own gates.  The test suite imports the oracle,
-the closed form and the random draws from here.
+Kronecker-defined global operator, never the engine's branch table.  Its
+entries are read off the Kronecker entry rule (Van Loan, "The ubiquitous
+Kronecker product", J. Comput. Appl. Math. 123:85-100, 2000): row i of
+``sum_v |v><v|_control (x) g_v (x) I...`` holds ``g_v[i_t, e]``, with v
+and i_t the control's and the target's bits of i, at column i with the
+target's bit set to e, for e = 0, 1, and is zero elsewhere.  So the
+operator is two int32 columns and two values per row, in natural row
+order, rather than 4**n entries.  That index pattern depends only on the
+qubit count and the control and target positions; it is cached for the
+layouts whose dense matrix fits the 2**20-entry cap (at most 10 qubits)
+and built per call beyond it.  The operator is applied to the vector by
+one gather-multiply-sum, or densified where a composed matrix is wanted.
+Agreement between the two routes is the core correctness check.  Two
+more routes check the engine's structure: the composed global unitary
+of a canonical run splits into ``|0><0| (x) W_0 + |1><1| (x) W_1`` on the
+control (a controlled Stinespring dilation, with memories, system and
+policy as the kept environment) and must reproduce the run, and
+``closed_form`` gives any run's branch table from each round's pair of
+8x8 maps on (C, S, P), built from the oracle's own gates.  The test
+suite imports the oracle, the closed form and the random draws from
+here.
 """
 
 from __future__ import annotations
@@ -70,61 +70,28 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Oracle construction: global operators as explicit Kronecker products in
-# index (COO) form, applied by gather-multiply-sum or densified and
-# multiplied by @
+# Oracle construction: global operators from the Kronecker entry rule,
+# applied by gather-multiply-sum or densified and multiplied by @
 
-def _coo_kron(a, b):
-    """(rows, cols, values, dim) of A (x) B from those of A and B.
-
-    An operand lists its nonzero rows, and line k of its cols and values
-    holds the k-th entry of each of those rows; A (x) B pairs every row and
-    entry of A with every row and entry of B.
+def _pattern(n: int, c_pos: int, t_pos: int):
+    """Index pattern ``(cols, slots)`` of ``sum_v |v><v|_control (x) g_v
+    (x) I...`` on n qubits, whatever the gates: for e = 0, 1, row i holds
+    entry ``slots[e, i] = 4*v + 2*i_t + e`` of ``(g0, g1)`` flattened at
+    column ``cols[e, i]``, by the entry rule of the module docstring.
     """
-    (ra, ca, va, da), (rb, cb, vb, db) = a, b
-    rows = (ra[:, None] * db + rb).ravel()
-    cols = (ca[:, None, :, None] * db + cb[None, :, None, :]).reshape(-1, rows.size)
-    values = (va[:, None, :, None] * vb[None, :, None, :]).reshape(-1, rows.size)
-    return rows, cols, values, da * db
-
-
-def _coo_identity(qubits: int):
-    idx = np.arange(1 << qubits)
-    return idx, idx[None], np.ones((1, idx.size), np.uint8), idx.size
-
-
-def _build_pattern(n: int, c_pos: int, t_pos: int):
-    """Index pattern ``(rows, cols, slots)`` of ``sum_v |v><v|_control (x)
-    g_v (x) I...`` on n qubits, whatever the gates: for e = 0, 1, row
-    ``rows[i]`` holds entry ``slots[e, i]`` of ``(g0, g1)`` flattened at
-    column ``cols[e, i]``, and is zero elsewhere.  Each term's Kronecker
-    chain carries the gate slot of each target entry as that factor's
-    value, in uint8 since the slots run to 7.
-    """
-    lo, hi = sorted((c_pos, t_pos))
-    terms = []
-    for value in (0, 1):
-        factors = {
-            c_pos: (np.array([value]), np.array([[value]]),
-                    np.ones((1, 1), np.uint8), 2),
-            t_pos: (np.array([0, 1]), np.array([[0, 0], [1, 1]]),
-                    np.array([[0, 2], [1, 3]], np.uint8) + 4 * value, 2),
-        }
-        chain = (_coo_identity(lo), factors[lo], _coo_identity(hi - lo - 1),
-                 factors[hi], _coo_identity(n - hi - 1))
-        # folded from the right, so the growing product is the right operand,
-        # whose rows numpy's broadcast walks innermost
-        chain = [f for f in reversed(chain) if f[3] > 1]
-        terms.append(reduce(lambda acc, f: _coo_kron(f, acc), chain)[:3])
-    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*terms))
+    c_shift, t_shift = n - 1 - c_pos, n - 1 - t_pos
+    i = np.arange(1 << n, dtype=np.int32)
+    t = 1 << t_shift
+    cols = np.stack((i & ~t, i | t))
+    slots = (4 * (i >> c_shift & 1) + 2 * (i >> t_shift & 1)
+             + np.arange(2, dtype=np.int32)[:, None])
+    return cols, slots
 
 
 @lru_cache(maxsize=None)
 def _cached_pattern(n: int, c_pos: int, t_pos: int):
-    """``_build_pattern`` with int32 rows and columns, read-only, for the
-    layouts ``_controlled_entries`` caches."""
-    rows, cols, slots = _build_pattern(n, c_pos, t_pos)
-    pattern = rows.astype(np.int32), cols.astype(np.int32), slots
+    """``_pattern``, read-only, for the layouts ``_controlled_entries`` caches."""
+    pattern = _pattern(n, c_pos, t_pos)
     for array in pattern:
         array.flags.writeable = False
     return pattern
@@ -132,18 +99,18 @@ def _cached_pattern(n: int, c_pos: int, t_pos: int):
 
 def _controlled_entries(layout: RegisterLayout, control: str, target: str,
                         g0: np.ndarray, g1: np.ndarray):
-    """``(rows, cols, values)`` of ``sum_v |v><v|_control (x) g_v (x) I...``:
-    two entries (cols and values of shape (2, 2**total_qubits)) in each
-    row, gathered from the gates through the layout's index pattern.
+    """``(cols, values)`` of ``sum_v |v><v|_control (x) g_v (x) I...``:
+    each row's two entries, shape (2, 2**total_qubits), gathered from the
+    gates through the layout's index pattern.
 
     The pattern is cached only where the dense matrix fits the 2**20-entry
     cap (at most 10 qubits), so no kept pattern has more than 2**10 rows; a
     larger layout's pattern is built for each call and not kept.
     """
     n = layout.total_qubits
-    pattern = _cached_pattern if within_capacity(4 ** n) else _build_pattern
-    rows, cols, slots = pattern(n, layout.position(control), layout.position(target))
-    return rows, cols, np.concatenate((g0, g1), axis=None)[slots]
+    pattern = _cached_pattern if within_capacity(4 ** n) else _pattern
+    cols, slots = pattern(n, layout.position(control), layout.position(target))
+    return cols, np.concatenate((g0, g1), axis=None)[slots]
 
 
 def controlled_unitary_matrix(
@@ -159,8 +126,8 @@ def controlled_unitary_matrix(
     check_capacity(4 ** layout.total_qubits,
                    f"a {layout.total_qubits}-qubit global matrix")
     total = np.zeros((1 << layout.total_qubits,) * 2, dtype=np.complex128)
-    rows, cols, values = _controlled_entries(layout, control, target, g0, g1)
-    total[rows, cols] = values
+    cols, values = _controlled_entries(layout, control, target, g0, g1)
+    total[np.arange(len(total)), cols] = values
     return total
 
 
@@ -215,10 +182,8 @@ def oracle_run(scenario: Scenario, compose: bool = True) -> np.ndarray:
             amps = iteration_matrix(layout, k, spec) @ amps
             continue
         for gate in round_gates(k, spec):
-            rows, cols, values = _controlled_entries(layout, *gate)
-            out = np.empty_like(amps)
-            out[rows] = values[0] * amps[cols[0]] + values[1] * amps[cols[1]]
-            amps = out
+            cols, values = _controlled_entries(layout, *gate)
+            amps = values[0] * amps[cols[0]] + values[1] * amps[cols[1]]
     return amps
 
 

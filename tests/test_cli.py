@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from branchsim.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
     EXIT_VERIFY,
+    MAX_DOCUMENT_BYTES,
     build_parser,
     main,
 )
@@ -71,6 +73,28 @@ def test_run_invalid_scenario(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["run", "--scenario", str(path)]) == EXIT_VALIDATION
     assert "validation error" in capsys.readouterr().err
+
+
+def test_document_past_the_byte_cap_exits_3_before_it_is_decoded(tmp_path, capsys):
+    # the same document padded with spaces: at the cap it runs, one byte past
+    # it exits 3 having held little more than the bytes it read
+    doc = (GOLDEN / "pauli-flips.scenario.json").read_bytes()
+    at_cap, past_cap = tmp_path / "at-cap.json", tmp_path / "past-cap.json"
+    at_cap.write_bytes(doc.ljust(MAX_DOCUMENT_BYTES))
+    past_cap.write_bytes(doc.ljust(MAX_DOCUMENT_BYTES + 1))
+    tracemalloc.start()
+    try:
+        code = main(["run", "--scenario", str(past_cap)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert peak < 2 * MAX_DOCUMENT_BYTES, f"peak {peak} bytes"
+    assert main(["run", "--scenario", str(at_cap)]) == EXIT_OK
+    golden = (GOLDEN / "pauli-flips.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
 
 
 def test_run_unknown_example(capsys):

@@ -191,18 +191,28 @@ def _kron_chain(layout, control, target, g0, g1):
     return total
 
 
-@pytest.mark.parametrize("control, target", [
-    (c, t) for c in _REGISTERS_3 for t in _REGISTERS_3 if c != t
+@pytest.mark.parametrize("memories, control, target", [
+    pytest.param(3, c, t, id=f"{c}-{t}")
+    for c in _REGISTERS_3 for t in _REGISTERS_3 if c != t
+] + [
+    # 10 qubits, the widest layout whose patterns are cached: a round's
+    # pairs, then the two farthest apart
+    pytest.param(7, c, t, id=f"7-memories-{c}-{t}")
+    for c, t in (("C", "S"), ("C", "M7"), ("P", "S"), ("M7", "P"), ("P", "C"),
+                 ("M1", "P"), ("C", "P"))
 ])
-def test_apply_controlled_matches_kron_oracle_on_every_register_pair(control, target):
+def test_apply_controlled_matches_kron_oracle_on_every_register_pair(
+    memories, control, target
+):
+    layout = build_layout(memories)
+    size = 1 << layout.total_qubits
     rng = np.random.default_rng(11)
-    amps = rng.normal(size=64) + 1j * rng.normal(size=64)
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
     amps /= np.linalg.norm(amps)
     g0, g1 = random_unitaries(rng, 2)
-    layout = build_layout(3)
     # the oracle's index-form gate is exactly the np.kron chain of 2x2 factors
-    rows, cols, values = verify._controlled_entries(layout, control, target, g0, g1)
-    assert rows.shape == (64,) and cols.shape == values.shape == (2, 64)
+    cols, values = verify._controlled_entries(layout, control, target, g0, g1)
+    assert cols.shape == values.shape == (2, size)
     matrix = controlled_unitary_matrix(layout, control, target, g0, g1)
     assert np.array_equal(matrix, _kron_chain(layout, control, target, g0, g1))
     state = StateVector(layout, amps)
@@ -541,9 +551,9 @@ def test_oracle_pattern_cache_keeps_no_layout_past_the_cap():
     oracle_run(large, compose=False)
     assert verify._cached_pattern.cache_info().currsize == 7
     layout, (g0, g1) = build_layout(2), random_unitaries(rng, 2)
-    rows, cols, values = verify._controlled_entries(layout, "C", "S", g0, g1)
+    cols, values = verify._controlled_entries(layout, "C", "S", g0, g1)
     assert values.flags.writeable
-    for array in (rows, cols, *verify._cached_pattern(layout.total_qubits, 0, 3)):
+    for array in (cols, *verify._cached_pattern(layout.total_qubits, 0, 3)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
