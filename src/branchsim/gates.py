@@ -5,8 +5,8 @@ it is constructed, and it holds only the fields its kind uses: none for
 a fixed gate, ``angle`` for a rotation, ``raw`` for a raw matrix.  An
 angle is kept as written, radians or an exact string such as "pi/3" or
 "-5*pi/4"; ``radians`` is the one place that evaluates it.  A raw
-matrix's unitarity is checked in closed form on its eight floats
-(``unitarity_deviation_2x2``), not by a numpy product.
+matrix's unitarity is checked in closed form on the eight floats of its
+``raw`` entries (``unitarity_deviation_2x2``), not by a numpy product.
 
 The ``rx``/``ry``/``rz`` kinds follow the half-angle convention, e.g.
 rx(a) = cos(a/2) I - i sin(a/2) X.  ``real_rotation`` is the plain plane
@@ -68,7 +68,8 @@ def unitarity_deviation_2x2(a: complex, b: complex, c: complex, d: complex) -> f
     norm is from 1, and the size of the columns' inner product.  A product
     overflows only where a column norm does, so that term is inf and comes
     before the overlap's possible nan: the result is inf, never nan."""
-    if not all(map(cmath.isfinite, (a, b, c, d))):
+    if not (cmath.isfinite(a) and cmath.isfinite(b)
+            and cmath.isfinite(c) and cmath.isfinite(d)):
         raise ValidationError("matrix contains non-finite entries")
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     cr, ci, dr, di = c.real, c.imag, d.real, d.imag
@@ -121,7 +122,7 @@ class GateSpec:
             m = np.array(self.raw, dtype=np.complex128)
             if m.shape != (2, 2):
                 raise ValidationError(f"raw gate must be 2x2, got {m.shape}")
-            (a, b), (c, d) = m.tolist()
+            (a, b), (c, d) = self.raw
             dev = unitarity_deviation_2x2(a, b, c, d)
             if dev > UNITARITY_TOL:
                 raise ValidationError(f"raw gate is not unitary (deviation {dev:.3e})")

@@ -4,7 +4,7 @@ Scenario documents are JSON.  Angles may be written as decimal radians
 or as exact strings like "pi/3" or "5*pi/4" (optionally negated), which
 avoids transcription error for the rational-of-pi angles used by the
 built-in scenarios; a gate keeps its angle as written, so it reads back
-equal.  Complex values are written as [re, im] pairs.
+equal.  Complex values are numbers or [re, im] pairs; a bool is no number.
 """
 
 from __future__ import annotations
@@ -81,20 +81,20 @@ def _object(obj, path: str | None, required: tuple, optional: tuple,
     return obj
 
 
-def _number(value, path: str, what: str) -> float:
-    """A JSON number as a float; ``what`` is the message for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(what, path)
+def _number(value, what: str, path: str, field: str = "") -> float:
+    """A JSON int or float (by exact type, so never a bool) as a float."""
+    if type(value) not in (int, float):
+        raise ParseError(what, path + field)  # the path is joined only to raise
     try:
         return float(value)
     except OverflowError as exc:  # an integer beyond the float range
-        raise ParseError("number is outside the floating-point range", path) from exc
+        raise ParseError("number is outside the floating-point range", path + field) from exc
 
 
 def parse_angle(value, path: str) -> float | str:
     """A gate angle as written: radians, or an exact 'M*pi/N' style string."""
     if not isinstance(value, str):
-        return _number(value, path, "angle must be a number or a pi expression")
+        return _number(value, "angle must be a number or a pi expression", path)
     try:
         radians(value)
     except ValidationError as exc:
@@ -102,11 +102,10 @@ def parse_angle(value, path: str) -> float | str:
     return value
 
 
-def _parse_complex(value, path: str) -> complex:
+def _parse_complex(value, path: str, field: str = "") -> complex:
     what = "expected a number or [re, im] pair"
-    if isinstance(value, list) and len(value) == 2:
-        return complex(_number(value[0], path, what), _number(value[1], path, what))
-    return complex(_number(value, path, what), 0.0)
+    re, im = value if type(value) is list and len(value) == 2 else (value, 0.0)
+    return complex(_number(re, what, path, field), _number(im, what, path, field))
 
 
 def _parse_gate(obj, path: str) -> GateSpec:
@@ -116,13 +115,13 @@ def _parse_gate(obj, path: str) -> GateSpec:
         raise ParseError("gate cannot be both named and raw", path)
     if "raw" in obj:
         rows = _object(obj, path, ("raw",), ())["raw"]
-        if not (isinstance(rows, list) and len(rows) == 2
-                and all(isinstance(r, list) and len(r) == 2 for r in rows)):
+        if not (type(rows) is list and len(rows) == 2 and type(rows[0]) is list
+                and type(rows[1]) is list and len(rows[0]) == len(rows[1]) == 2):
             raise ParseError("raw gate must be a 2x2 matrix of [re, im] pairs", path)
-        fields = {"kind": "raw", "raw": tuple(
-            tuple(_parse_complex(z, f"{path}.raw[{i}][{j}]") for j, z in enumerate(row))
-            for i, row in enumerate(rows)
-        )}
+        (a, b), (c, d) = rows
+        fields = {"kind": "raw", "raw": (
+            (_parse_complex(a, path, ".raw[0][0]"), _parse_complex(b, path, ".raw[0][1]")),
+            (_parse_complex(c, path, ".raw[1][0]"), _parse_complex(d, path, ".raw[1][1]")))}
     elif "named" in obj:
         kind = obj["named"]
         if kind not in KINDS or kind == "raw":
@@ -192,7 +191,7 @@ def parse_scenario(text: str) -> Scenario:
     if "system_init" in init_doc:
         system_init = _parse_gate(init_doc["system_init"], "init.system_init")
     init = InitSpec(
-        **{a: _parse_complex(init_doc[a], f"init.{a}") for a in _AMPLITUDES},
+        **{a: _parse_complex(init_doc[a], "init.", a) for a in _AMPLITUDES},
         mode=init_doc["mode"],
         system_init=system_init,
     )

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import analysis, machine
 from .errors import ValidationError
-from .gates import GateSpec, IDENTITY, PAULI_X, raw_gate
+from .gates import GateSpec, IDENTITY, PAULI_X
 from .linalg import check_capacity, unitarity_deviation, within_capacity
 from .machine import (
     INIT_MODES,
@@ -239,7 +239,7 @@ def random_unitaries(rng: np.random.Generator, k: int, dim: int = 2) -> np.ndarr
 
 
 def random_gates(rng: np.random.Generator, k: int) -> list[GateSpec]:
-    return [raw_gate(u) for u in random_unitaries(rng, k)]
+    return [GateSpec("raw", raw=tuple(map(tuple, u))) for u in random_unitaries(rng, k).tolist()]
 
 
 def random_amplitude_pair(rng: np.random.Generator) -> tuple[complex, complex]:

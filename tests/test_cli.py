@@ -386,6 +386,39 @@ def test_bad_gate_in_any_slot_names_the_slot(tmp_path, form, slot):
     assert lines[0].startswith((f"{kind} error: {slot}:", f"{kind} error: {slot}."))
 
 
+_BEYOND_FLOAT = "1" + "0" * 400  # a JSON integer that json.loads keeps exact
+_NOT_A_NUMBER = "expected a number or [re, im] pair"
+_OUT_OF_RANGE = "number is outside the floating-point range"
+_BAD_ENTRIES = {  # written into the document as is; the message for each
+    "true": ("true", _NOT_A_NUMBER),
+    "string": ('"1"', _NOT_A_NUMBER),
+    "null": ("null", _NOT_A_NUMBER),
+    "triple": ("[1, 2, 3]", _NOT_A_NUMBER),
+    "nested-re": ("[[1], 0]", _NOT_A_NUMBER),
+    "bool-re": ("[true, 1]", _NOT_A_NUMBER),
+    "beyond-float": (_BEYOND_FLOAT, _OUT_OF_RANGE),
+    "beyond-float-re": (f'[{_BEYOND_FLOAT}, "x"]', _OUT_OF_RANGE),  # re decides first
+    "beyond-float-im": (f'["x", {_BEYOND_FLOAT}]', _NOT_A_NUMBER),
+}
+
+
+@pytest.mark.parametrize("slot", ["iterations[0].u1.raw[1][0]", "init.alpha"])
+@pytest.mark.parametrize("form", _BAD_ENTRIES)
+def test_bad_complex_entry_exits_2_with_its_path(tmp_path, form, slot):
+    text, message = _BAD_ENTRIES[form]
+    doc = json.loads(emit_scenario(builtin_scenario("pauli-flips")))
+    if slot == "init.alpha":
+        doc["init"]["alpha"] = "@entry@"
+    else:
+        doc["iterations"][0]["u1"] = {"raw": [[[1, 0], [0, 0]], ["@entry@", [1, 0]]]}
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(doc).replace('"@entry@"', text), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = main(["run", "--scenario", str(path)], stdout=out, stderr=err)
+    assert (code, out.getvalue()) == (EXIT_PARSE, "")
+    assert err.getvalue() == f"parse error: {slot}: {message}\n"
+
+
 def test_run_seed_flag_overrides_measure_seed(tmp_path, capsys):
     scenario = replace(builtin_scenario("pauli-flips"), measure_seed=3)
     path = tmp_path / "measured.json"
