@@ -1,8 +1,8 @@
 """Command-line interface: run scenarios, list examples, self-verify.
 
-Exit codes: 0 success, 1 I/O failure, 2 parse error, 3 validation error,
-4 verification check failure.  Diagnostics go to stderr; reports and
-listings go to stdout unless --out redirects them.
+Exit codes: 0 success, 1 I/O or out-of-memory failure, 2 parse error,
+3 validation error, 4 verification check failure.  Diagnostics go to
+stderr; reports and listings go to stdout unless --out redirects them.
 """
 
 from __future__ import annotations
@@ -126,6 +126,9 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         return handler(args, stdout, stderr)
     except OSError as exc:
         print(f"error: {exc}", file=stderr)
+        return EXIT_IO
+    except MemoryError:
+        print("error: out of memory", file=stderr)
         return EXIT_IO
     except (ParseError, UnicodeDecodeError) as exc:  # a scenario file not in UTF-8
         print(f"parse error: {exc}", file=stderr)

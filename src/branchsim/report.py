@@ -6,9 +6,11 @@ runs and survive a parse round-trip unchanged.
 
 The branch table, nearly all of a large report, stays as
 ``analysis.BranchTable`` arrays until ``emit_report`` streams it to a file
-object, ``ROWS_PER_CHUNK`` rows at a time, formatting each number once.
-The bytes are those of the indented ``json.dumps``, which writes the rest
-and stays the format's definition.
+object in chunks of ``ROWS_PER_CHUNK`` rows, each in one ``%`` pass that
+formats its numbers in place (a row that may hold an integral value, which
+``json.dumps`` writes with ".0", goes through a token template).  The bytes
+are those of the indented ``json.dumps``, which writes the rest and stays
+the format's definition.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -148,9 +151,20 @@ def build_report(scenario: Scenario, state: StateVector) -> RunReport:
 
 
 ROWS_PER_CHUNK = 4096
-_PAIR = "\n        [\n          %s,\n          %s\n        ]"
-_ENTRY = ('    %s: {\n      "probability": %s,\n      "substate": ['
+_PAIR = "\n        [\n          %.12g,\n          %.12g\n        ]"
+# a row after its quoted label, which each row's template starts with
+_ENTRY = (': {\n      "probability": %.12g,\n      "substate": ['
           + ",".join([_PAIR] * 8) + "\n      ]\n    }")
+_TOKEN_ENTRY = _ENTRY.replace("%.12g", "%s")
+
+
+def _integral_rows(a: np.ndarray) -> np.ndarray:
+    """Rows of an (r, k) array holding an x whose ``"%.12g"`` text has no "."
+    and no "e", or 0 < |x| < ZERO_FLOOR (a superset): ``_tokens`` writes them."""
+    m = np.abs(a)
+    if not math.isfinite(m.max()):  # "%.12g" writes nan and inf without complaint
+        raise ValidationError("report values must be finite")
+    return (np.abs(a - np.rint(a)) <= 1e-11 * m + ZERO_FLOOR).any(axis=1)
 
 
 def emit_report(report: RunReport, out) -> None:
@@ -161,16 +175,18 @@ def emit_report(report: RunReport, out) -> None:
     head, _, tail = json.dumps(replace(report, branch_table={}).to_document(),
                                indent=2, sort_keys=True).partition("{}")
     out.write(head)
-    labels = list(map(encode_basestring_ascii, table.entries))
+    labels = [",\n    " + encode_basestring_ascii(k).replace("%", "%%")
+              for k in table.entries]
     for start in range(0, len(labels), ROWS_PER_CHUNK):
         rows = slice(start, start + ROWS_PER_CHUNK)
-        args = [None] * (18 * len(labels[rows]))  # label, weight, 8 (re, im) pairs
-        args[::18] = labels[rows]
-        tokens = _tokens(_numbers(table, rows))
-        for k in range(17):
-            args[k + 1::18] = tokens[k::17]
-        out.write(("{\n" if start == 0 else ",\n")
-                  + ",\n".join([_ENTRY] * len(labels[rows])) % tuple(args))
+        numbers = _numbers(table, rows)
+        integral = _integral_rows(numbers)
+        args = numbers.astype(object)
+        args[integral] = np.array(_tokens(numbers[integral]), object).reshape(-1, 17)
+        templates = map((_ENTRY, _TOKEN_ENTRY).__getitem__, integral.tolist())
+        text = ("".join(chain.from_iterable(zip(labels[rows], templates)))
+                % tuple(args.ravel().tolist()))
+        out.write("{" + text[1:] if start == 0 else text)  # the first row opens it
     out.write(("\n  }" if labels else "{}") + tail)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from branchsim import verify
+from branchsim import cli, verify
 from branchsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -167,6 +167,18 @@ def test_stdout_failing_after_the_first_chunk_is_an_io_error(tmp_path, capsys):
     assert stdout.chunks == 1 and stdout.getvalue().count('"probability"') == ROWS_PER_CHUNK
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+@pytest.mark.parametrize("stage", ["run", "emit_report"])
+def test_out_of_memory_is_exit_1_with_one_line(stage, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, stage, exhausted)
+    assert main(["run", "--example", "pauli-flips"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""
 
 
 def _exit_and_output(parse, argv, capsys):

@@ -12,7 +12,9 @@ from branchsim import analysis, builtin_scenario, run
 from branchsim.errors import ParseError, ValidationError
 from branchsim.report import (
     ROWS_PER_CHUNK,
+    ZERO_FLOOR,
     RunReport,
+    _integral_rows,
     _q,
     _quantized,
     _tokens,
@@ -285,6 +287,73 @@ def test_array_table_chunk_boundaries_equal_json_dumps(rows):
     assert out.getvalue() == _dumps(report)
     assert out.chunks == -(-rows // ROWS_PER_CHUNK)
     assert parse_report(out.getvalue()).to_document() == report.to_document()
+
+
+_FLOOR_EDGES = [ZERO_FLOOR, -ZERO_FLOOR, math.nextafter(ZERO_FLOOR, 0.0),
+                -math.nextafter(ZERO_FLOOR, 0.0), math.nextafter(ZERO_FLOOR, 1.0)]
+# values whose json.dumps text is integral ("0.0", "1.0", "-1.0", ...)
+_INTEGRAL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.99999999999995, -0.99999999999995]),
+    st.integers(1, 50).map(lambda k: 1 - k * 1e-13))
+_MIXED = st.one_of(_INTEGRAL, st.sampled_from([1e-05, 1.5e-05, -1.5e-05] + _FLOOR_EDGES),
+                   st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+       st.lists(st.tuples(st.integers(0, ROWS_PER_CHUNK + 2), st.integers(0, 16), _MIXED),
+                max_size=60),
+       st.tuples(st.integers(0, 16), _INTEGRAL), st.tuples(st.integers(0, 16), _INTEGRAL))
+def test_mixed_tables_across_a_chunk_boundary_equal_json_dumps(seed, extra, cells,
+                                                              last, first):
+    # integral-bearing rows on both sides of the first chunk boundary
+    rng = np.random.default_rng(seed)
+    shape = (ROWS_PER_CHUNK + extra, 17)
+    numbers = rng.uniform(-1.0, 1.0, shape) * 10.0 ** -rng.integers(0, 14, shape)
+    for row, col, value in cells:
+        numbers[min(row, len(numbers) - 1), col] = value
+    numbers[ROWS_PER_CHUNK - 1, last[0]] = last[1]
+    numbers[ROWS_PER_CHUNK, first[0]] = first[1]
+    report = _array_report(numbers)
+    got, want = _emit(report), _dumps(report)
+    if got != want:  # pytest's own diff of two megabyte strings takes minutes
+        at = next(i for i, (a, b) in enumerate(zip(got + "\0", want + "\1")) if a != b)
+        near = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"differs at {at}: {got[near]!r} != {want[near]!r}")
+
+
+_SMALL = [x for x in _EDGES if abs(x) < 1e12]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(-1e12, 1e12, exclude_min=True, exclude_max=True),
+    st.builds(lambda n, k, e: (n + k * 1e-13) * 10.0 ** e,
+              st.integers(-9, 9), st.integers(-60, 60), st.integers(0, 11))),
+    max_size=40))
+def test_integral_screen_flags_every_value_written_without_point_or_exponent(values):
+    a = np.array(_SMALL + _FLOOR_EDGES + values)
+    flagged = _integral_rows(a.reshape(-1, 1)).tolist()
+    for x, flag in zip(a.tolist(), flagged):
+        text = "%.12g" % x
+        if ("." not in text and "e" not in text) or 0 < abs(x) < ZERO_FLOOR:
+            assert flag, text
+
+
+def test_labels_with_percent_signs_and_quotes_equal_json_dumps():
+    report = _array_report(np.full((3, 17), 0.25))
+    labels = ['%.12g', '%s', '1%%"0']  # ascending, as a BranchTable's are
+    report = replace(report, branch_table=replace(
+        report.branch_table, entries=dict(zip(labels, range(3)))))
+    assert _emit(report) == _dumps(report)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writer_rejects_a_non_finite_table_value(bad):
+    numbers = np.full((3, 17), 0.25)
+    numbers[1, 5] = bad
+    with pytest.raises(ValidationError, match="^report values must be finite$"):
+        _emit(_array_report(numbers))
 
 
 def test_writer_peak_memory_on_a_wide_extended_table(tmp_path):
