@@ -58,7 +58,8 @@ def branch_decompose(state: StateVector) -> BranchTable:
     weights = np.sum(np.sum(np.abs(state.residual) ** 2, axis=(2, 3)), axis=1)
     keep = weights > PRUNE_THRESHOLD
     probs = weights[keep]
-    subs = state.residual[keep].reshape(-1, 8) / np.sqrt(probs)[:, None]
+    subs = state.residual[keep].reshape(-1, 8)  # a copy: divided in place
+    subs /= np.sqrt(probs)[:, None]
     check_normalized(subs)
     probs.flags.writeable = False
     subs.flags.writeable = False

@@ -132,11 +132,12 @@ _RESIDUAL_AXIS = {"C": 1, "S": 2, "P": 3}
 
 
 def check_normalized(blocks: np.ndarray) -> None:
-    """Raise unless every row of the 2-D ``blocks`` is finite with unit norm."""
-    if not np.isfinite(blocks).all():
-        raise ValidationError("state contains non-finite amplitudes")
-    dev = np.abs(np.linalg.norm(blocks, axis=1) - 1.0)
-    if dev.size and dev.max() > NORM_TOL:
+    """Raise unless every row of the 2-D complex ``blocks`` is finite with unit norm."""
+    f = np.ascontiguousarray(blocks).view(np.float64)
+    dev = np.abs(np.sqrt(np.einsum("ij,ij->i", f, f)) - 1.0)
+    if dev.size and not dev.max() <= NORM_TOL:  # a nan or inf row fails this too
+        if not np.isfinite(blocks).all():
+            raise ValidationError("state contains non-finite amplitudes")
         raise ValidationError(f"state norm deviates from 1 by {dev.max():.3e}")
 
 
@@ -301,8 +302,9 @@ class InitSpec:
 
 
 def _memory_bit(layout: RegisterLayout, memory: str) -> int:
-    """The bit of memory register ``memory`` in a row label (M1 the highest)."""
-    return 1 << (layout.system - 1 - layout.position(memory))
+    """The bit of memory register ``memory`` in a row label (M1 the highest);
+    ``memory`` is an ``M{k}`` already checked against ``layout``."""
+    return 1 << (layout.n_memories - int(memory[1:]))
 
 
 # Bit index arrays that broadcast along one axis of the (C, S, P, row) block.
@@ -501,23 +503,27 @@ def partial_trace(state: StateVector, keep) -> np.ndarray:
     # rho = M M^dagger.  Grouping the rows on the kept memories' bits
     # leaves one label per traced memory string that occurs, in ascending
     # order, so with every row populated M is exactly the dense state's
-    # kept-axes-first reshape.  Block axes: label, kept memories, C, S, P.
+    # kept-axes-first reshape.  The rows fill the block's axes ``axis``:
+    # label, kept memories, C, S, P.  M's axes ``order`` are the kept
+    # registers, then C if traced, the label, and S and P if traced: the
+    # summation order of the matmul below, which the marginals' last bits
+    # depend on.
     names = layout.register_names()
     kept = [r for r in names if r in keep and r not in _RESIDUAL_AXIS]
+    axis = {r: 1 + i for i, r in enumerate(kept)}
+    axis.update((r, a + len(kept)) for r, a in _RESIDUAL_AXIS.items())
+    order = [axis[r] for r in names if r in keep]
+    order += ([] if "C" in keep else [axis["C"]]) + [0]
+    order += [axis[r] for r in ("S", "P") if r not in keep]
     block = state.residual
     if kept:
         bits = [_memory_bit(layout, r) for r in kept]
         labels, group = np.unique(state.rows & ~sum(bits), return_inverse=True)
-        block = np.zeros((labels.size,) + (2,) * (len(kept) + 3), dtype=np.complex128)
+        shape = (labels.size,) + (2,) * (len(kept) + 3)
+        # zero-filled in M's axis order, so that M is a view of it, not a copy
+        block = np.zeros([shape[a] for a in order], dtype=np.complex128).transpose(
+            sorted(range(len(order)), key=order.__getitem__))  # order's inverse
         index = [group] + [((state.rows & bit) != 0).astype(np.intp) for bit in bits]
         block[tuple(index)] = state.residual
-    axis = {r: 1 + i for i, r in enumerate(kept)}
-    axis.update((r, a + len(kept)) for r, a in _RESIDUAL_AXIS.items())
-    kept_axes = [axis[r] for r in names if r in keep]
-    # C if traced, then the label, then S and P: the summation order of
-    # the matmul below, which the marginals' last bits depend on
-    traced_axes = [] if "C" in keep else [axis["C"]]
-    traced_axes += [0] + [axis[r] for r in ("S", "P") if r not in keep]
-    m = block.transpose(kept_axes + traced_axes).reshape(1 << len(keep), -1)
+    m = block.transpose(order).reshape(1 << len(keep), -1)
     return m @ m.conj().T
-

@@ -8,9 +8,11 @@ The branch table, nearly all of a large report, stays as
 ``analysis.BranchTable`` arrays until ``emit_report`` streams it to a file
 object in chunks of ``ROWS_PER_CHUNK`` rows, each in one ``%`` pass that
 formats its numbers in place (a row that may hold an integral value, which
-``json.dumps`` writes with ".0", goes through a token template).  The bytes
-are those of the indented ``json.dumps``, which writes the rest and stays
-the format's definition.
+``json.dumps`` writes with ".0", goes through a token template).  The
+writer holds one chunk's numbers, arguments and text at a time, so its
+temporary memory does not grow with the row count.  The bytes are those
+of the indented ``json.dumps``, which writes the rest and stays the
+format's definition.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -150,7 +152,7 @@ def build_report(scenario: Scenario, state: StateVector) -> RunReport:
     )
 
 
-ROWS_PER_CHUNK = 4096
+ROWS_PER_CHUNK = 1024
 _PAIR = "\n        [\n          %.12g,\n          %.12g\n        ]"
 # a row after its quoted label, which each row's template starts with
 _ENTRY = (': {\n      "probability": %.12g,\n      "substate": ['
@@ -175,19 +177,20 @@ def emit_report(report: RunReport, out) -> None:
     head, _, tail = json.dumps(replace(report, branch_table={}).to_document(),
                                indent=2, sort_keys=True).partition("{}")
     out.write(head)
-    labels = [",\n    " + encode_basestring_ascii(k).replace("%", "%%")
-              for k in table.entries]
-    for start in range(0, len(labels), ROWS_PER_CHUNK):
-        rows = slice(start, start + ROWS_PER_CHUNK)
-        numbers = _numbers(table, rows)
+    # one iterator over the labels for all chunks; the first label opens the table
+    labels = (sep + "\n    " + encode_basestring_ascii(k).replace("%", "%%")
+              for sep, k in zip(chain("{", repeat(",")), table.entries))
+    for start in range(0, len(table.entries), ROWS_PER_CHUNK):
+        numbers = _numbers(table, slice(start, start + ROWS_PER_CHUNK))
         integral = _integral_rows(numbers)
-        args = numbers.astype(object)
-        args[integral] = np.array(_tokens(numbers[integral]), object).reshape(-1, 17)
+        args = numbers.ravel().tolist()
+        tokens = _tokens(numbers[integral])
+        for j, i in enumerate(np.flatnonzero(integral).tolist()):
+            args[17 * i:17 * i + 17] = tokens[17 * j:17 * j + 17]
         templates = map((_ENTRY, _TOKEN_ENTRY).__getitem__, integral.tolist())
-        text = ("".join(chain.from_iterable(zip(labels[rows], templates)))
-                % tuple(args.ravel().tolist()))
-        out.write("{" + text[1:] if start == 0 else text)  # the first row opens it
-    out.write(("\n  }" if labels else "{}") + tail)
+        out.write("".join(chain.from_iterable(zip(islice(labels, len(numbers)), templates)))
+                  % tuple(args))
+    out.write(("\n  }" if table.entries else "{}") + tail)
 
 
 def _is_number(x) -> bool:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchsim import cli, machine, verify
+from branchsim import analysis, cli, machine, verify
 from branchsim.errors import (
     CapacityError,
     LayoutError,
@@ -772,6 +772,42 @@ def test_state_vector_rejects_nan():
     amps[0] = math.nan
     with pytest.raises(ValidationError):
         StateVector(layout, amps)
+
+
+_NON_FINITE = "^state contains non-finite amplitudes$"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_state_vector_names_non_finite_amplitudes_before_the_norm(bad):
+    residual = np.full((2, 2, 2, 2), 0.5 + 0j)  # norm 2: off-norm as well
+    residual[1, 0, 1, 1] = bad
+    with pytest.raises(ValidationError, match=_NON_FINITE):
+        StateVector(build_layout(1), rows=[0, 1], residual=residual)
+
+
+@pytest.mark.parametrize("scale, dev", [(1.5, "5.000e-01"), (1 + 2e-10, "2.000e-10"),
+                                        (1e200, "inf")])  # the last one's squares overflow
+def test_state_vector_names_a_finite_norm_deviation(scale, dev):
+    residual = np.full((2, 2, 2, 2), 0.25 * scale + 0j)
+    with pytest.raises(ValidationError, match=f"^state norm deviates from 1 by {dev}$"):
+        StateVector(build_layout(1), rows=[0, 1], residual=residual)
+    within = np.full((2, 2, 2, 2), 0.25 * (1 + 5e-11) + 0j)  # inside NORM_TOL
+    StateVector(build_layout(1), rows=[0, 1], residual=within)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([1, 2], _NON_FINITE),  # row 2's substate is nan, row 1's is off-norm
+    ([1], "^state norm deviates from 1 by 1.000e\\+00$")])
+def test_branch_decompose_checks_its_substates(rows, message, monkeypatch):
+    # the state's own check admits any residual, so only the substates' check runs
+    monkeypatch.setattr(machine, "check_normalized", lambda blocks: None)
+    residual = np.full((3, 2, 2, 2), 0.25 + 0j)
+    residual[1] *= 1e200  # its weight overflows to inf: the substate reads 0
+    residual[2, 0, 0, 0] = math.inf  # inf / inf: the substate holds nan
+    state = StateVector(build_layout(2), rows=[0] + rows, residual=residual[[0] + rows])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValidationError, match=message):
+        analysis.branch_decompose(state)
 
 
 def test_canonical_runs_only_populate_uniform_memory_strings():

@@ -48,6 +48,15 @@ def _dumps(report: RunReport) -> str:
     return json.dumps(report.to_document(), indent=2, sort_keys=True)
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    """``assert got == want``, failing with the first differing offset:
+    pytest's own diff of two megabyte strings takes minutes."""
+    if got != want:
+        at = next(i for i, (a, b) in enumerate(zip(got + "\0", want + "\1")) if a != b)
+        near = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"differs at {at}: {got[near]!r} != {want[near]!r}")
+
+
 def test_report_round_trip_identity():
     for name in ("pauli-flips", "rotations-feedback", "reinforce-two-step"):
         scenario = builtin_scenario(name)
@@ -262,7 +271,7 @@ def test_array_table_edge_values_equal_json_dumps():
     n = len(edges)
     report = _array_report(edges[(np.arange(n)[:, None] + np.arange(17)) % n])
     text = _emit(report)
-    assert text == _dumps(report)
+    _assert_same_text(text, _dumps(report))
     assert '"probability": 1.0,' in text and '"probability": 0.0,' in text
 
 
@@ -284,7 +293,7 @@ def test_array_table_chunk_boundaries_equal_json_dumps(rows):
     report = _array_report(numbers)
     out = _ChunkCounter()
     emit_report(report, out)
-    assert out.getvalue() == _dumps(report)
+    _assert_same_text(out.getvalue(), _dumps(report))
     assert out.chunks == -(-rows // ROWS_PER_CHUNK)
     assert parse_report(out.getvalue()).to_document() == report.to_document()
 
@@ -315,11 +324,7 @@ def test_mixed_tables_across_a_chunk_boundary_equal_json_dumps(seed, extra, cell
     numbers[ROWS_PER_CHUNK - 1, last[0]] = last[1]
     numbers[ROWS_PER_CHUNK, first[0]] = first[1]
     report = _array_report(numbers)
-    got, want = _emit(report), _dumps(report)
-    if got != want:  # pytest's own diff of two megabyte strings takes minutes
-        at = next(i for i, (a, b) in enumerate(zip(got + "\0", want + "\1")) if a != b)
-        near = slice(max(at - 60, 0), at + 60)
-        pytest.fail(f"differs at {at}: {got[near]!r} != {want[near]!r}")
+    _assert_same_text(_emit(report), _dumps(report))
 
 
 _SMALL = [x for x in _EDGES if abs(x) < 1e12]
@@ -369,7 +374,27 @@ def test_writer_peak_memory_on_a_wide_extended_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(report.branch_table.entries) == 2 ** 14
-    assert peak < 24 * 2 ** 20
+    assert peak < 10 * 2 ** 20
+
+
+class _Discard:
+    def write(self, s):
+        return len(s)
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_writer_memory_is_bounded_by_one_chunk(n):
+    scenario = replace(random_extended_scenario(np.random.default_rng(3), n),
+                       analyses=(AnalysisRequest("branches"),))
+    report = build_report(scenario, run(scenario))
+    tracemalloc.start()  # the built report is not counted
+    try:
+        emit_report(report, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.branch_table.entries) == 2 ** n
+    assert peak <= 3 * 2 ** 20
 
 
 def test_wide_extended_report_equals_json_dumps_and_scalar_quantizer():
@@ -379,7 +404,7 @@ def test_wide_extended_report_equals_json_dumps_and_scalar_quantizer():
     state = run(scenario)
     report = build_report(scenario, state)
     assert len(report.branch_table.entries) == 1024
-    assert _emit(report) == _dumps(report)
+    _assert_same_text(_emit(report), _dumps(report))
     doc_table = report.to_document()["branch_table"]
     table = analysis.branch_decompose(state)
     for label, i in table.entries.items():
