@@ -4,8 +4,8 @@ Branches are labeled by the concatenated memory bit string; projecting
 onto a string and renormalizing yields the branch's pure substate over
 the remaining (control, system, policy) registers.  A state stores one
 row per populated memory string, so the decomposition reads its rows
-and hands them on as arrays: a label's row indexes the Born weights and
-the normalized substates.
+and hands them on as arrays: the i-th label names row i of the Born
+weights and of the normalized substates.
 
 A marginal is the validated reduced density matrix itself.  For one
 memory slot it is 2x2: its diagonal gives the branch weights, and its
@@ -30,20 +30,14 @@ PRUNE_THRESHOLD = 1e-12
 PURITY_ONE = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchTable:
-    """Populated branches as read-only arrays, one row per branch."""
+    """Populated branches, one row per branch: ``entries`` holds the labels in
+    row order, each its row's memory string in ``n_memories`` binary digits."""
 
-    entries: dict[str, int]  # label -> row, labels ascending
+    entries: tuple[str, ...]  # ascending
     weights: np.ndarray  # (r,) Born weights
     substates: np.ndarray  # (r, 8) normalized, over (C, S, P) in ket order
-
-    def __eq__(self, other):  # exact: the same labels, bit-identical arrays
-        if not isinstance(other, BranchTable):
-            return NotImplemented
-        return (self.entries == other.entries
-                and np.array_equal(self.weights, other.weights)
-                and np.array_equal(self.substates, other.substates))
 
     def probabilities(self) -> dict[str, float]:
         return dict(zip(self.entries, self.weights.tolist()))
@@ -65,10 +59,8 @@ def branch_decompose(state: StateVector) -> BranchTable:
     subs.flags.writeable = False
     # rows are sorted, so labels come out sorted.
     label = f"0{layout.n_memories}b"
-    entries = {
-        format(row, label): i for i, row in enumerate(state.rows[keep].tolist())
-    }
-    return BranchTable(entries, probs, subs)
+    return BranchTable(tuple(format(row, label) for row in state.rows[keep].tolist()),
+                       probs, subs)
 
 
 def memory_marginal(state: StateVector, k: int) -> np.ndarray:

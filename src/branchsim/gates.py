@@ -142,9 +142,3 @@ class GateSpec:
 
 IDENTITY = GateSpec("identity")
 PAULI_X = GateSpec("pauli_x")
-
-
-def raw_gate(matrix) -> GateSpec:
-    """Wrap an explicit 2x2 unitary, given as an array or nested rows."""
-    rows = np.asarray(matrix, dtype=np.complex128).tolist()
-    return GateSpec("raw", raw=tuple(map(tuple, rows)))

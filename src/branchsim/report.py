@@ -8,11 +8,11 @@ The branch table, nearly all of a large report, stays as
 ``analysis.BranchTable`` arrays until ``emit_report`` streams it to a file
 object in chunks of ``ROWS_PER_CHUNK`` rows, each in one ``%`` pass that
 formats its numbers in place (a row that may hold an integral value, which
-``json.dumps`` writes with ".0", goes through a token template).  The
-writer holds one chunk's numbers, arguments and text at a time, so its
-temporary memory does not grow with the row count.  The bytes are those
-of the indented ``json.dumps``, which writes the rest and stays the
-format's definition.
+``json.dumps`` writes with ".0", goes through a token template) and writes
+its labels, of the digits 0 and 1, as they are.  The writer holds one
+chunk's numbers, arguments and text at a time, so its temporary memory
+does not grow with the row count.  The bytes are those of the indented
+``json.dumps``, which writes the rest and stays the format's definition.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -94,7 +93,7 @@ def build_report(scenario: Scenario, state: StateVector) -> RunReport:
     norm = state.norm()
     norm_dev = abs(norm - 1.0)
     checks: dict = {"norm": {"pass": norm_dev <= NORM_TOL, "deviation": _q(norm_dev)}}
-    branch_table = analysis.BranchTable({}, np.zeros(0), np.zeros((0, 8), np.complex128))
+    branch_table = analysis.BranchTable((), np.zeros(0), np.zeros((0, 8), np.complex128))
     marginals: list = []
     probabilities: dict = {}
 
@@ -171,14 +170,15 @@ def _integral_rows(a: np.ndarray) -> np.ndarray:
 
 def emit_report(report: RunReport, out) -> None:
     """Write ``json.dumps(report.to_document(), indent=2, sort_keys=True)`` to
-    ``out``, for a report from ``build_report`` (its table a ``BranchTable``)."""
+    ``out``, for a report from ``build_report`` (its table a ``BranchTable``,
+    whose labels hold only the digits 0 and 1 and so are written unescaped)."""
     table = report.branch_table
     # "branch_table" is the first key, so the first "{}" is its placeholder
     head, _, tail = json.dumps(replace(report, branch_table={}).to_document(),
                                indent=2, sort_keys=True).partition("{}")
     out.write(head)
     # one iterator over the labels for all chunks; the first label opens the table
-    labels = (sep + "\n    " + encode_basestring_ascii(k).replace("%", "%%")
+    labels = (sep + '\n    "' + k + '"'
               for sep, k in zip(chain("{", repeat(",")), table.entries))
     for start in range(0, len(table.entries), ROWS_PER_CHUNK):
         numbers = _numbers(table, slice(start, start + ROWS_PER_CHUNK))

@@ -333,9 +333,11 @@ def _check_golden_rotations_feedback(rng):
     expected_p = (2.0 + math.sqrt(2.0)) / 4.0
     dev = abs(analysis.outcome_probability(state, "S", 1) - expected_p) / _LOOSE_TOL
     table = analysis.branch_decompose(state)
+    if table.entries != ("000", "111"):  # a missing branch has no substate to read
+        return max(dev, 2.0), 1.0
     c, s = math.cos(5 * math.pi / 8), math.sin(5 * math.pi / 8)
     # substates are over (C, S, P); P follows C on each branch
-    sub0, sub1 = table.substates[[table.entries["000"], table.entries["111"]]]
+    sub0, sub1 = table.substates
     dev = max(dev, abs(sub0[0b000] - c) / _TOL, abs(sub0[0b010] - (-1j * s)) / _TOL)
     dev = max(dev, abs(sub1[0b101] - c) / _TOL, abs(sub1[0b111] - (+1j * s)) / _TOL)
     _, pur = analysis.separability_check(state, "S")
@@ -430,7 +432,7 @@ def _check_branch_conservation(rng):
         layout = state.layout
         rebuilt = np.zeros_like(state.amplitudes)
         shape = [2] * layout.total_qubits
-        for label, i in table.entries.items():
+        for i, label in enumerate(table.entries):
             index = [slice(None)] * layout.total_qubits
             for axis, ch in zip(layout.memories, label):
                 index[axis] = int(ch)

@@ -10,6 +10,13 @@ owns the most significant bit, then M1..Mn, then S, then P.
 
 import numpy as np
 
+from branchsim.gates import IDENTITY, PAULI_X, GateSpec
+
+
+def raw_gate(matrix) -> GateSpec:
+    """``GateSpec("raw", ...)`` of an explicit 2x2 matrix, given as an array or rows."""
+    return GateSpec("raw", raw=tuple(map(tuple, np.asarray(matrix, np.complex128).tolist())))
+
 
 def positions(n_memories: int) -> dict[str, int]:
     pos = {"C": 0, "S": n_memories + 1, "P": n_memories + 2}
@@ -43,8 +50,6 @@ def _dense_controlled(amps, n_memories, control, target, g0, g1):
 
 def dense_fold(scenario) -> np.ndarray:
     """Final amplitudes of ``scenario`` from the dense tensor-axis engine."""
-    from branchsim.gates import IDENTITY, PAULI_X
-
     init = scenario.init
     vec_c = np.array([init.alpha, init.beta], dtype=np.complex128)
     vec_s = init.system_init.matrix() @ np.array([1, 0], dtype=np.complex128)

@@ -69,7 +69,8 @@ def test_criterion_3_rotations_feedback_golden():
     # four-digit amplitudes are checked here
     passed, dev = _run_check(_check_golden_rotations_feedback, None)
     table = branch_decompose(run(builtin_scenario("rotations-feedback")))
-    sub0, sub1 = table.substates[[table.entries["000"], table.entries["111"]]]
+    assert table.entries == ("000", "111")
+    sub0, sub1 = table.substates
     printed_dev = max(
         abs(sub0[0b000] - (-0.3827)), abs(sub0[0b010] - (-0.9239j)),
         abs(sub1[0b101] - (-0.3827)), abs(sub1[0b111] - (+0.9239j)),

@@ -27,7 +27,7 @@ INV_SQRT2 = 1 / math.sqrt(2)
 
 def test_branch_decompose_ghz():
     table = branch_decompose(run(builtin_scenario("pauli-flips")))
-    assert table.entries == {"000": 0, "111": 1}
+    assert table.entries == ("000", "111")
     np.testing.assert_allclose(table.weights, [0.5, 0.5], atol=1e-12)
     # substates over (C, S, P): |000> and |111>
     np.testing.assert_allclose(table.substates, np.eye(8)[[0b000, 0b111]], atol=1e-12)
@@ -75,7 +75,7 @@ def test_branch_reconstruction_reproduces_global_state():
     table = branch_decompose(state)
     layout = state.layout
     rebuilt = np.zeros_like(state.amplitudes).reshape([2] * layout.total_qubits)
-    for label, i in table.entries.items():
+    for i, label in enumerate(table.entries):
         index = [slice(None)] * layout.total_qubits
         for axis, ch in zip(layout.memories, label):
             index[axis] = int(ch)

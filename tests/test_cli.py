@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from branchsim import cli, verify
+from branchsim import analysis, cli, verify
 from branchsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -503,6 +503,21 @@ def test_verify_tolerance_injection_fails(capsys, monkeypatch):
     assert captured.err.splitlines() == [
         "verify failed: property_norm_preservation deviated by 1.000000e+00"
     ]
+
+
+def test_verify_fails_without_a_traceback_on_a_missing_golden_branch(capsys, monkeypatch):
+    decompose = analysis.branch_decompose
+
+    def drop_last_row(state):
+        table = decompose(state)
+        return replace(table, entries=table.entries[:-1], weights=table.weights[:-1],
+                       substates=table.substates[:-1])
+
+    monkeypatch.setattr(analysis, "branch_decompose", drop_last_row)
+    assert main(["verify", "--only", "golden"]) == EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert ("golden_rotations_feedback: FAIL "
+            "(deviation 2.000000e+00, tolerance 1.000000e+00)") in lines
 
 
 def test_verify_output_deterministic(capsys):

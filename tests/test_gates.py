@@ -12,12 +12,12 @@ from branchsim.gates import (
     PAULI_X,
     GateSpec,
     radians,
-    raw_gate,
     unitarity_deviation_2x2,
 )
 from branchsim.linalg import UNITARITY_TOL, unitarity_deviation
 from branchsim.machine import IterationSpec
 from branchsim.scenario import Scenario
+from oracles import raw_gate
 from test_cli import _OVERFLOWING_RAW, _TINY_RAW
 
 

@@ -14,7 +14,7 @@ from branchsim.errors import (
     ProjectionError,
     ValidationError,
 )
-from branchsim.gates import IDENTITY, PAULI_X, GateSpec, raw_gate
+from branchsim.gates import IDENTITY, PAULI_X, GateSpec
 from branchsim.machine import (
     INIT_MODES,
     InitSpec,
@@ -46,7 +46,7 @@ from branchsim.verify import (
     random_unitaries,
 )
 
-from oracles import dense_fold
+from oracles import dense_fold, raw_gate
 
 INV_SQRT2 = 1 / math.sqrt(2)
 

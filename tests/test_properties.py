@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from branchsim import branch_decompose, builtin_scenario, run
-from branchsim.gates import GateSpec, raw_gate
+from branchsim.gates import GateSpec
 from branchsim.linalg import purity
 from branchsim.machine import (
     InitSpec,
@@ -20,6 +20,8 @@ from branchsim.machine import (
     measure_control,
     partial_trace,
 )
+
+from oracles import raw_gate
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi,
                    allow_nan=False, allow_infinity=False)
