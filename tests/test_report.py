@@ -71,6 +71,22 @@ def test_report_is_byte_identical_across_runs():
         assert first == second, scenario.name
 
 
+def test_reports_compare_equal_exactly():
+    """Two builds of one run agree bit for bit before quantization, which the
+    12-digit emitted bytes cannot show."""
+    for scenario in builtin_scenarios():
+        report = build_report(scenario, run(scenario))
+        again = build_report(scenario, run(scenario))
+        table, other = report.branch_table, again.branch_table
+        assert table.entries == other.entries, scenario.name
+        for field in ("weights", "substates"):
+            mine, theirs = getattr(table, field), getattr(other, field)
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes(), (scenario.name, field)
+        rest = {k: v for k, v in vars(report).items() if k != "branch_table"}
+        assert rest == {k: v for k, v in vars(again).items() if k != "branch_table"}
+
+
 def test_report_ghz_branch_table():
     scenario = builtin_scenario("pauli-flips")
     report = build_report(scenario, run(scenario))
