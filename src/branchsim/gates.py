@@ -113,21 +113,26 @@ class GateSpec:
         if (self.raw is None) == raw:
             need = "requires a" if raw else "takes no"
             raise ValidationError(f"gate {kind!r} {need} raw matrix")
-        if rotation:
-            angle = radians(self.angle)
-            if not math.isfinite(angle):
-                raise ValidationError("gate angle must be finite")
-            m = np.array(_ROTATIONS[kind](angle), dtype=np.complex128)
-        elif raw:
-            m = np.array(self.raw, dtype=np.complex128)
-            if m.shape != (2, 2):
-                raise ValidationError(f"raw gate must be 2x2, got {m.shape}")
-            (a, b), (c, d) = self.raw
-            dev = unitarity_deviation_2x2(a, b, c, d)
-            if dev > UNITARITY_TOL:
-                raise ValidationError(f"raw gate is not unitary (deviation {dev:.3e})")
-        else:
-            m = _FIXED[kind]  # shared by every gate of this kind
+        try:
+            if rotation:
+                angle = radians(self.angle)
+                if not math.isfinite(angle):
+                    raise ValidationError("gate angle must be finite")
+                m = np.array(_ROTATIONS[kind](angle), dtype=np.complex128)
+            elif raw:
+                m = np.array(self.raw, dtype=np.complex128)
+                if m.shape != (2, 2):
+                    raise ValidationError(f"raw gate must be 2x2, got {m.shape}")
+                (a, b), (c, d) = self.raw
+                dev = unitarity_deviation_2x2(a, b, c, d)
+                if dev > UNITARITY_TOL:
+                    raise ValidationError(f"raw gate is not unitary (deviation {dev:.3e})")
+            else:
+                m = _FIXED[kind]  # shared by every gate of this kind
+        except (TypeError, ValueError, OverflowError) as exc:  # a wrong type, or too large
+            raise ValidationError(
+                "gate angle must be a float or an angle expression" if rotation
+                else "raw gate must be a 2x2 matrix of complex numbers") from exc
         m.flags.writeable = False
         object.__setattr__(self, "_matrix", m)
 

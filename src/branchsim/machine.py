@@ -75,13 +75,19 @@ PROJECTION_FLOOR = 1e-12
 INIT_MODES = ("uncorrelated", "correlated_c_to_p", "copy_c_to_p_from_zero")
 
 
+_POSITIONS = tuple(  # {register id: position} of each slot count, in ket order
+    {r: i for i, r in enumerate(("C", *(f"M{k}" for k in range(1, n + 1)), "S", "P"))}
+    for n in range(MAX_ITERATIONS + 1))
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Registers C, M1..Mn, S, P at bit positions 0..n+2 (0 = most significant)."""
+    """Registers C, M1..Mn, S, P at bit positions 0..n+2 (0 = most significant).
+
+    A register id is a name that ``register_names()`` lists, and its
+    position is its index there."""
 
     n_memories: int
-
-    control = 0  # a class constant, not a field: C is always the top bit
 
     def __post_init__(self):
         if not 0 <= self.n_memories <= MAX_ITERATIONS:
@@ -89,37 +95,18 @@ class RegisterLayout:
                                 f"{self.n_memories + 3} qubits; cap is {QUBIT_CAP}")
 
     @property
-    def memories(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n_memories + 1))
-
-    @property
-    def system(self) -> int:
-        return self.n_memories + 1
-
-    @property
-    def policy(self) -> int:
-        return self.n_memories + 2
-
-    @property
     def total_qubits(self) -> int:
         return self.n_memories + 3
 
     def register_names(self) -> tuple[str, ...]:
-        mems = tuple(f"M{k}" for k in range(1, self.n_memories + 1))
-        return ("C", *mems, "S", "P")
+        return tuple(_POSITIONS[self.n_memories])
 
     def position(self, name: str) -> int:
-        if name == "C":
-            return self.control
-        if name == "S":
-            return self.system
-        if name == "P":
-            return self.policy
-        if name.startswith("M") and name[1:].isdigit():
-            k = int(name[1:])
-            if 1 <= k <= self.n_memories:
-                return k
-        raise LayoutError(f"unknown register id {name!r}")
+        """The index of ``name`` in ``register_names()``; ``LayoutError`` if unlisted."""
+        try:
+            return _POSITIONS[self.n_memories][name]
+        except (KeyError, TypeError):  # TypeError: an unhashable id
+            raise LayoutError(f"unknown register id {name!r}") from None
 
 
 def build_layout(n_iterations: int) -> RegisterLayout:
@@ -302,9 +289,8 @@ class InitSpec:
 
 
 def _memory_bit(layout: RegisterLayout, memory: str) -> int:
-    """The bit of memory register ``memory`` in a row label (M1 the highest);
-    ``memory`` is an ``M{k}`` already checked against ``layout``."""
-    return 1 << (layout.n_memories - int(memory[1:]))
+    """The bit of memory register ``memory`` in a row label (M1 the highest)."""
+    return 1 << (layout.n_memories - layout.position(memory))
 
 
 # Bit index arrays that broadcast along one axis of the (C, S, P, row) block.
@@ -496,7 +482,8 @@ def partial_trace(state: StateVector, keep) -> np.ndarray:
     keep = set(keep)
     if not keep:
         raise LayoutError("keep set must be non-empty")
-    unknown = keep - set(layout.register_names())
+    names = layout.register_names()
+    unknown = keep - set(names)
     if unknown:
         raise LayoutError(f"unknown register id(s): {sorted(unknown)}")
     check_capacity(4 ** len(keep), f"marginal over {len(keep)} registers")
@@ -508,7 +495,6 @@ def partial_trace(state: StateVector, keep) -> np.ndarray:
     # registers, then C if traced, the label, and S and P if traced: the
     # summation order of the matmul below, which the marginals' last bits
     # depend on.
-    names = layout.register_names()
     kept = [r for r in names if r in keep and r not in _RESIDUAL_AXIS]
     axis = {r: 1 + i for i, r in enumerate(kept)}
     axis.update((r, a + len(kept)) for r, a in _RESIDUAL_AXIS.items())

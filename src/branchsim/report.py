@@ -63,7 +63,7 @@ def _numbers(table: analysis.BranchTable, rows=slice(None)) -> np.ndarray:
     return np.column_stack([table.weights[rows], table.substates[rows].view(np.float64)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunReport:
     """JSON-shaped result of one run.  ``build_report`` gives a ``BranchTable``,
     quantized as it is written; ``parse_report`` gives the document's dict."""

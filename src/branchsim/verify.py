@@ -434,7 +434,7 @@ def _check_branch_conservation(rng):
         shape = [2] * layout.total_qubits
         for i, label in enumerate(table.entries):
             index = [slice(None)] * layout.total_qubits
-            for axis, ch in zip(layout.memories, label):
+            for axis, ch in enumerate(label, start=1):
                 index[axis] = int(ch)
             rebuilt.reshape(shape)[tuple(index)] = (
                 math.sqrt(table.weights[i]) * table.substates[i].reshape(2, 2, 2)

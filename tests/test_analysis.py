@@ -77,7 +77,7 @@ def test_branch_reconstruction_reproduces_global_state():
     rebuilt = np.zeros_like(state.amplitudes).reshape([2] * layout.total_qubits)
     for i, label in enumerate(table.entries):
         index = [slice(None)] * layout.total_qubits
-        for axis, ch in zip(layout.memories, label):
+        for axis, ch in enumerate(label, start=1):
             index[axis] = int(ch)
         rebuilt[tuple(index)] = (
             math.sqrt(table.weights[i]) * table.substates[i].reshape(2, 2, 2)

@@ -90,6 +90,23 @@ def test_gate_spec_rejects_a_field_its_kind_does_not_use(fields, message):
         GateSpec(**fields)
 
 
+@pytest.mark.parametrize("fields", [
+    dict(kind="raw", raw=((1, 0), (0,))),
+    dict(kind="raw", raw="ab"),
+    dict(kind="raw", raw=((None, 0), (0, 1))),
+    dict(kind="raw", raw=(("1", "0"), ("0", "1"))),
+    dict(kind="raw", raw=((10**200, 0), (0, 1))),
+    dict(kind="rx", angle=[1]),
+    dict(kind="rx", angle=10**400),
+], ids=["ragged", "string", "none-entry", "string-entries", "huge-int-entry", "list-angle",
+        "huge-int-angle"])
+def test_gate_spec_of_a_wrong_type_raises_validation_error(fields):
+    message = ("gate angle must be a float or an angle expression" if "angle" in fields
+               else "raw gate must be a 2x2 matrix of complex numbers")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        GateSpec(**fields)
+
+
 def test_gate_spec_keeps_one_angle_as_written():
     exact = GateSpec("rx", angle="pi/2")
     assert exact.angle == "pi/2"

@@ -17,6 +17,7 @@ from branchsim.errors import (
 from branchsim.gates import IDENTITY, PAULI_X, GateSpec
 from branchsim.machine import (
     INIT_MODES,
+    MAX_ITERATIONS,
     InitSpec,
     IterationSpec,
     RegisterLayout,
@@ -46,7 +47,7 @@ from branchsim.verify import (
     random_unitaries,
 )
 
-from oracles import dense_fold, raw_gate
+from oracles import dense_fold, positions, raw_gate
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -76,6 +77,36 @@ def test_build_layout_capacity():
         with pytest.raises(CapacityError,
                            match=f"^{n} iterations needs {n + 3} qubits; cap is 20$"):
             RegisterLayout(n)
+
+
+def _unlisted(n: int) -> list:
+    """Ids no n-slot layout lists: near misses of its names, and an unhashable one."""
+    return ["M0", "M01", "M\u0661", f"M{n + 1}", "m1", "", "C ", ["C"]]
+
+
+@pytest.mark.parametrize("n", range(MAX_ITERATIONS + 1))
+def test_a_register_is_a_name_its_layout_lists_at_its_index(n):
+    layout = build_layout(n)
+    names = layout.register_names()
+    assert [layout.position(r) for r in names] == list(range(n + 3))
+    assert {r: layout.position(r) for r in names} == positions(n)
+    for name in _unlisted(n):
+        with pytest.raises(LayoutError, match="^unknown register id"):
+            layout.position(name)
+
+
+@pytest.mark.parametrize("name", _unlisted(3), ids=repr)
+def test_every_entry_point_rejects_an_unlisted_register(name):
+    state = run(random_canonical_scenario(np.random.default_rng(5), 3))
+    calls = [lambda: state.probability(name, 1),
+             lambda: analysis.outcome_probability(state, name, 0),
+             lambda: apply_controlled(state, name, "S", PAULI_X, PAULI_X),
+             lambda: apply_controlled(state, "C", name, IDENTITY, PAULI_X)]
+    if not isinstance(name, list):
+        calls.append(lambda: analysis.register_marginal(state, {name}))
+    for call in calls:
+        with pytest.raises(LayoutError, match="^unknown register id"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ _reports = st.builds(
 @example(_fixed_report({"b": {"probability": 0.5, "substate": [[1, -0.0]]},
                         "a": {"probability": 5e-324, "substate": [[0.0, 1e16]]}}))
 def test_parse_report_reads_back_indented_sorted_json_dumps(report):
-    assert parse_report(_dumps(report)) == report
+    assert parse_report(_dumps(report)).to_document() == report.to_document()
 
 
 def _bits(values) -> list[str]:
