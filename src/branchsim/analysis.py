@@ -122,7 +122,7 @@ def no_cloning_witness(
     """
     if a == b:
         raise LayoutError(f"witness needs two distinct registers, got {a!r} twice")
-    rho_pair = register_marginal(state, {a, b})
+    rho_pair = register_marginal(state, (a, b))
     rho_first, rho_second = _pair_marginals(rho_pair)
     product = np.kron(rho_first, rho_second)
     product_fidelity = min(fidelity(rho_pair, product), 1.0)
@@ -135,5 +135,5 @@ def no_cloning_witness(
 
 def separability_check(state: StateVector, register: str) -> tuple[bool, float]:
     """A register factors out of the global pure state iff its marginal is pure."""
-    p = purity(register_marginal(state, {register}))
+    p = purity(register_marginal(state, (register,)))
     return p >= PURITY_ONE, p

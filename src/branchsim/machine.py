@@ -474,18 +474,15 @@ def partial_trace(state: StateVector, keep) -> np.ndarray:
 
     The registers are those of ``state.layout``, and the kept ones are
     ordered by their layout position regardless of the order of
-    ``keep``.  Only the state's populated rows are read.  A result with
-    more than 2**QUBIT_CAP entries raises ``CapacityError`` before any
-    allocation.
+    ``keep``; an id the layout does not list raises ``LayoutError``.
+    Only the state's populated rows are read.  A result with more than
+    2**QUBIT_CAP entries raises ``CapacityError`` before any allocation.
     """
     layout = state.layout
-    keep = set(keep)
+    names = layout.register_names()
+    keep = {names[layout.position(r)] for r in keep}
     if not keep:
         raise LayoutError("keep set must be non-empty")
-    names = layout.register_names()
-    unknown = keep - set(names)
-    if unknown:
-        raise LayoutError(f"unknown register id(s): {sorted(unknown)}")
     check_capacity(4 ** len(keep), f"marginal over {len(keep)} registers")
     # rho = M M^dagger.  Grouping the rows on the kept memories' bits
     # leaves one label per traced memory string that occurs, in ascending

@@ -12,8 +12,9 @@ operator is two int32 columns and two values per row, in natural row
 order, rather than 4**n entries.  That index pattern depends only on the
 qubit count and the control and target positions; it is cached for the
 layouts whose dense matrix fits the 2**20-entry cap (at most 10 qubits)
-and built per call beyond it.  The operator is applied to the vector by
-one gather-multiply-sum, or densified where a composed matrix is wanted.
+and built per call beyond it.  Every operator is applied by one
+gather-multiply-sum, to the vector or to each column of a matrix; a
+composed global matrix is the same kernel applied to the identity.
 Agreement between the two routes is the core correctness check.  Two
 more routes check the engine's structure: the composed global unitary
 of a canonical run splits into ``|0><0| (x) W_0 + |1><1| (x) W_1`` on the
@@ -71,13 +72,13 @@ class CheckResult:
 
 # ---------------------------------------------------------------------------
 # Oracle construction: global operators from the Kronecker entry rule,
-# applied by gather-multiply-sum or densified and multiplied by @
+# applied by gather-multiply-sum
 
 def _pattern(n: int, c_pos: int, t_pos: int):
-    """Index pattern ``(cols, slots)`` of ``sum_v |v><v|_control (x) g_v
-    (x) I...`` on n qubits, whatever the gates: for e = 0, 1, row i holds
-    entry ``slots[e, i] = 4*v + 2*i_t + e`` of ``(g0, g1)`` flattened at
-    column ``cols[e, i]``, by the entry rule of the module docstring.
+    """Read-only index pattern ``(cols, slots)`` of ``sum_v |v><v|_control
+    (x) g_v (x) I...`` on n qubits, whatever the gates: for e = 0, 1, row i
+    holds entry ``slots[e, i] = 4*v + 2*i_t + e`` of ``(g0, g1)`` flattened
+    at column ``cols[e, i]``, by the entry rule of the module docstring.
     """
     c_shift, t_shift = n - 1 - c_pos, n - 1 - t_pos
     i = np.arange(1 << n, dtype=np.int32)
@@ -85,16 +86,11 @@ def _pattern(n: int, c_pos: int, t_pos: int):
     cols = np.stack((i & ~t, i | t))
     slots = (4 * (i >> c_shift & 1) + 2 * (i >> t_shift & 1)
              + np.arange(2, dtype=np.int32)[:, None])
+    cols.flags.writeable = slots.flags.writeable = False
     return cols, slots
 
 
-@lru_cache(maxsize=None)
-def _cached_pattern(n: int, c_pos: int, t_pos: int):
-    """``_pattern``, read-only, for the layouts ``_controlled_entries`` caches."""
-    pattern = _pattern(n, c_pos, t_pos)
-    for array in pattern:
-        array.flags.writeable = False
-    return pattern
+_cached_pattern = lru_cache(maxsize=None)(_pattern)
 
 
 def _controlled_entries(layout: RegisterLayout, control: str, target: str,
@@ -113,22 +109,25 @@ def _controlled_entries(layout: RegisterLayout, control: str, target: str,
     return cols, np.concatenate((g0, g1), axis=None)[slots]
 
 
-def controlled_unitary_matrix(
-    layout: RegisterLayout, control: str, target: str, g0: np.ndarray, g1: np.ndarray
-) -> np.ndarray:
-    """Sum over control values of projector (x) gate (x) identities, dense,
-    filled from the layout's cached index pattern.
+def controlled_product(layout: RegisterLayout, gate, x: np.ndarray) -> np.ndarray:
+    """The ``(control, target, g0, g1)`` gate's global operator times x, a
+    vector or a matrix (each column), from its two entries per row."""
+    cols, values = _controlled_entries(layout, *gate)
+    values = values.reshape(values.shape + (1,) * (x.ndim - 1))
+    return values[0] * x[cols[0]] + values[1] * x[cols[1]]
 
-    The matrix has 4**total_qubits entries, so a layout beyond 10 qubits
-    raises ``CapacityError`` before anything is allocated; the patterns
-    are cached for exactly the layouts that pass.
+
+def global_unitary(layout: RegisterLayout, gates) -> np.ndarray:
+    """Dense product of controlled gates, the first applied first: the
+    identity with each gate applied in turn.  It has 4**total_qubits
+    entries, so a layout beyond 10 qubits raises ``CapacityError`` before
+    anything is allocated; the patterns are cached for exactly the layouts
+    that pass.
     """
-    check_capacity(4 ** layout.total_qubits,
-                   f"a {layout.total_qubits}-qubit global matrix")
-    total = np.zeros((1 << layout.total_qubits,) * 2, dtype=np.complex128)
-    cols, values = _controlled_entries(layout, control, target, g0, g1)
-    total[np.arange(len(total)), cols] = values
-    return total
+    n = layout.total_qubits
+    check_capacity(4 ** n, f"a {n}-qubit global matrix")
+    return reduce(lambda w, gate: controlled_product(layout, gate, w), gates,
+                  np.eye(1 << n, dtype=np.complex128))
 
 
 def round_gates(k: int, spec: IterationSpec):
@@ -140,15 +139,6 @@ def round_gates(k: int, spec: IterationSpec):
         gates.append(("P", "C", spec.r0, spec.r1))
     return [(control, target, g0.matrix(), g1.matrix())
             for control, target, g0, g1 in gates]
-
-
-def iteration_matrix(layout: RegisterLayout, k: int, spec: IterationSpec) -> np.ndarray:
-    """Explicit global unitary of one round: (R .) V . F . CNOT . U."""
-    factors = (controlled_unitary_matrix(layout, *gate) for gate in round_gates(k, spec))
-    w = next(factors)
-    for factor in factors:
-        w = factor @ w
-    return w
 
 
 def initial_vector(init: InitSpec, n_memories: int) -> np.ndarray:
@@ -169,21 +159,19 @@ def initial_vector(init: InitSpec, n_memories: int) -> np.ndarray:
 def oracle_run(scenario: Scenario, compose: bool = True) -> np.ndarray:
     """Run a scenario by explicit global-matrix arithmetic.
 
-    With ``compose`` each round's dense controlled factors are multiplied
-    into one iteration matrix first, which caps it at 10 qubits; otherwise
-    each factor's index-form entries, two in each row, are applied to the
-    vector in turn by one gather-multiply-sum (same operator, up to the
-    20-qubit cap).
+    With ``compose`` each round's gates are first composed into its dense
+    global unitary, which caps it at 10 qubits; otherwise each gate is
+    applied to the vector in turn (same operator, up to the 20-qubit cap).
     """
     layout = build_layout(len(scenario.iterations))
     amps = initial_vector(scenario.init, layout.n_memories)
     for k, spec in enumerate(scenario.iterations, start=1):
+        gates = round_gates(k, spec)
         if compose:
-            amps = iteration_matrix(layout, k, spec) @ amps
+            amps = global_unitary(layout, gates) @ amps
             continue
-        for gate in round_gates(k, spec):
-            cols, values = _controlled_entries(layout, *gate)
-            amps = values[0] * amps[cols[0]] + values[1] * amps[cols[1]]
+        for gate in gates:
+            amps = controlled_product(layout, gate, amps)
     return amps
 
 
@@ -201,8 +189,7 @@ def closed_form(init: InitSpec, iterations) -> tuple[np.ndarray, np.ndarray]:
     rows, residual = np.zeros(1, dtype=np.int64), initial_vector(init, 0)[None]
     for spec in iterations:
         u, _, f, (_, _, *v), *r = round_gates(1, spec)  # U, CNOT, F, V (, R)
-        fu = controlled_unitary_matrix(layout, *f) @ controlled_unitary_matrix(layout, *u)
-        steer = controlled_unitary_matrix(layout, *r[0]) if r else np.eye(8)
+        fu, steer = global_unitary(layout, [u, f]), global_unitary(layout, r)
         t = np.stack([steer @ np.kron(eye4, v[c]) @ fu @ np.kron(_PROJ[c], eye4)
                       for c in (0, 1)])
         residual = (t @ residual.T).transpose(2, 0, 1).reshape(-1, 8)  # (row, c)
@@ -428,18 +415,12 @@ def _check_branch_conservation(rng):
         state = machine.run(scenario)
         table = analysis.branch_decompose(state)
         dev = max(dev, abs(sum(table.probabilities().values()) - 1.0))
-        # reconstruction: sqrt(p_b) |b>_M (x) substate re-interleaved
-        layout = state.layout
-        rebuilt = np.zeros_like(state.amplitudes)
-        shape = [2] * layout.total_qubits
-        for i, label in enumerate(table.entries):
-            index = [slice(None)] * layout.total_qubits
-            for axis, ch in enumerate(label, start=1):
-                index[axis] = int(ch)
-            rebuilt.reshape(shape)[tuple(index)] = (
-                math.sqrt(table.weights[i]) * table.substates[i].reshape(2, 2, 2)
-            )
-        dev = max(dev, float(np.max(np.abs(rebuilt - state.amplitudes))))
+        # reconstruction: sqrt(p_b) |b>_M (x) substate re-interleaved, (C, M, SP)
+        rebuilt = np.zeros((2, 1 << n, 4), dtype=np.complex128)
+        rebuilt[:, [int(label, 2) for label in table.entries]] = (
+            np.sqrt(table.weights)[:, None] * table.substates
+        ).reshape(-1, 2, 4).transpose(1, 0, 2)
+        dev = max(dev, float(np.max(np.abs(rebuilt.ravel() - state.amplitudes))))
         # branch weights equal the joint memory marginal diagonal
         joint = analysis.register_marginal(
             state, {f"M{k}" for k in range(1, n + 1)}
@@ -504,10 +485,9 @@ def _check_dilation_blocks(rng):
         extended = trial % 3 == 2
         draw = random_extended_scenario if extended else random_canonical_scenario
         scenario = draw(rng, n)
-        layout = build_layout(n)
-        w = np.eye(1 << layout.total_qubits, dtype=np.complex128)
-        for k, spec in enumerate(scenario.iterations, start=1):
-            w = iteration_matrix(layout, k, spec) @ w
+        w = global_unitary(build_layout(n), [
+            gate for k, spec in enumerate(scenario.iterations, start=1)
+            for gate in round_gates(k, spec)])
         d = w.shape[0] // 2
         w0, w1 = w[:d, :d], w[d:, d:]
         off = max(np.max(np.abs(w[:d, d:])), np.max(np.abs(w[d:, :d])))

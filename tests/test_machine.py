@@ -39,8 +39,8 @@ from branchsim.scenario import (
     emit_scenario,
 )
 from branchsim.verify import (
-    controlled_unitary_matrix,
     closed_form,
+    global_unitary,
     oracle_run,
     random_canonical_scenario,
     random_extended_scenario,
@@ -101,9 +101,11 @@ def test_every_entry_point_rejects_an_unlisted_register(name):
     calls = [lambda: state.probability(name, 1),
              lambda: analysis.outcome_probability(state, name, 0),
              lambda: apply_controlled(state, name, "S", PAULI_X, PAULI_X),
-             lambda: apply_controlled(state, "C", name, IDENTITY, PAULI_X)]
-    if not isinstance(name, list):
-        calls.append(lambda: analysis.register_marginal(state, {name}))
+             lambda: apply_controlled(state, "C", name, IDENTITY, PAULI_X),
+             lambda: analysis.register_marginal(state, [name]),
+             lambda: analysis.register_marginal(state, {1, "M01"}),  # mixed types
+             lambda: analysis.separability_check(state, name),
+             lambda: analysis.no_cloning_witness(state, name, "S")]
     for call in calls:
         with pytest.raises(LayoutError, match="^unknown register id"):
             call()
@@ -244,7 +246,7 @@ def test_apply_controlled_matches_kron_oracle_on_every_register_pair(
     # the oracle's index-form gate is exactly the np.kron chain of 2x2 factors
     cols, values = verify._controlled_entries(layout, control, target, g0, g1)
     assert cols.shape == values.shape == (2, size)
-    matrix = controlled_unitary_matrix(layout, control, target, g0, g1)
+    matrix = global_unitary(layout, [(control, target, g0, g1)])
     assert np.array_equal(matrix, _kron_chain(layout, control, target, g0, g1))
     state = StateVector(layout, amps)
     if target.startswith("M"):  # a memory takes only its write
@@ -253,6 +255,23 @@ def test_apply_controlled_matches_kron_oracle_on_every_register_pair(
         return
     out = apply_controlled(state, control, target, raw_gate(g0), raw_gate(g1))
     np.testing.assert_allclose(out.amplitudes, matrix @ amps, rtol=0, atol=1e-12)
+
+
+def test_global_unitary_is_the_ordered_product_of_kron_chains():
+    # 6 qubits: a round's gates folded onto the identity by the gather
+    # kernel, against the product of their np.kron chains, first applied first
+    layout = build_layout(3)
+    eye = np.eye(1 << layout.total_qubits, dtype=np.complex128)
+    assert np.array_equal(global_unitary(layout, []), eye)
+    rng = np.random.default_rng(12)
+    for scenario in (random_canonical_scenario(rng, 3), random_extended_scenario(rng, 3)):
+        for k, spec in enumerate(scenario.iterations, start=1):
+            gates = verify.round_gates(k, spec)
+            expected = eye
+            for gate in gates:
+                expected = _kron_chain(layout, *gate) @ expected
+            np.testing.assert_allclose(global_unitary(layout, gates), expected,
+                                       rtol=0, atol=1e-12)
 
 
 def test_write_memory_entangles_control_and_slot():
@@ -584,7 +603,8 @@ def test_oracle_pattern_cache_keeps_no_layout_past_the_cap():
     layout, (g0, g1) = build_layout(2), random_unitaries(rng, 2)
     cols, values = verify._controlled_entries(layout, "C", "S", g0, g1)
     assert values.flags.writeable
-    for array in (cols, *verify._cached_pattern(layout.total_qubits, 0, 3)):
+    for array in (cols, *verify._cached_pattern(layout.total_qubits, 0, 3),
+                  *verify._pattern(14, 0, 3)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
