@@ -3,9 +3,10 @@
 Branches are labeled by the concatenated memory bit string; projecting
 onto a string and renormalizing yields the branch's pure substate over
 the remaining (control, system, policy) registers.  A state stores one
-row per populated memory string, so the decomposition reads its rows
-and hands them on as arrays: the i-th label names row i of the Born
-weights and of the normalized substates.
+row per populated memory string, so the decomposition hands its rows on
+as arrays: row i, the memory string as an integer, with the i-th Born
+weight and normalized substate.  No label is built; ``entries`` and the
+report writer spell the rows out in binary when asked.
 
 A marginal is the validated reduced density matrix itself.  For one
 memory slot it is 2x2: its diagonal gives the branch weights, and its
@@ -32,15 +33,27 @@ PURITY_ONE = 1.0 - 1e-9
 
 @dataclass(frozen=True, eq=False)
 class BranchTable:
-    """Populated branches, one row per branch: ``entries`` holds the labels in
-    row order, each its row's memory string in ``n_memories`` binary digits."""
+    """Populated branches, one per row: ``rows`` holds each branch's memory
+    string as an integer, and its label is that string in ``n_memories``
+    binary digits (``entries``, built on demand)."""
 
-    entries: tuple[str, ...]  # ascending
+    n_memories: int
+    rows: np.ndarray  # (r,) int64, ascending
     weights: np.ndarray  # (r,) Born weights
     substates: np.ndarray  # (r, 8) normalized, over (C, S, P) in ket order
 
+    @property
+    def entries(self) -> tuple[str, ...]:
+        label = f"0{self.n_memories}b"
+        return tuple(format(row, label) for row in self.rows.tolist())
+
     def probabilities(self) -> dict[str, float]:
         return dict(zip(self.entries, self.weights.tolist()))
+
+    def weight_sum(self) -> float:
+        """The weights added left to right, as a plain loop does: ``sum()``
+        compensates from Python 3.12, so its last digits vary by version."""
+        return float(np.add.accumulate(self.weights)[-1])
 
 
 def branch_decompose(state: StateVector) -> BranchTable:
@@ -55,12 +68,10 @@ def branch_decompose(state: StateVector) -> BranchTable:
     subs = state.residual[keep].reshape(-1, 8)  # a copy: divided in place
     subs /= np.sqrt(probs)[:, None]
     check_normalized(subs)
-    probs.flags.writeable = False
-    subs.flags.writeable = False
-    # rows are sorted, so labels come out sorted.
-    label = f"0{layout.n_memories}b"
-    return BranchTable(tuple(format(row, label) for row in state.rows[keep].tolist()),
-                       probs, subs)
+    rows = state.rows[keep]  # sorted, as the state's rows are
+    for a in (rows, probs, subs):
+        a.flags.writeable = False
+    return BranchTable(layout.n_memories, rows, probs, subs)
 
 
 def memory_marginal(state: StateVector, k: int) -> np.ndarray:

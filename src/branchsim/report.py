@@ -8,8 +8,10 @@ The branch table, nearly all of a large report, stays as
 ``analysis.BranchTable`` arrays until ``emit_report`` streams it to a file
 object in chunks of ``ROWS_PER_CHUNK`` rows, each in one ``%`` pass that
 formats its numbers in place (a row that may hold an integral value, which
-``json.dumps`` writes with ".0", goes through a token template) and writes
-its labels, of the digits 0 and 1, as they are.  The writer holds one
+``json.dumps`` writes with ".0", goes through a token template).  The table
+holds each branch's memory string as an integer row, and the same pass
+prints its label from it, in pieces of at most 8 binary digits looked up by
+the row's bit fields in tables of digit strings.  The writer holds one
 chunk's numbers, arguments and text at a time, so its temporary memory
 does not grow with the row count.  The bytes are those of the indented
 ``json.dumps``, which writes the rest and stays the format's definition.
@@ -20,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -93,7 +94,8 @@ def build_report(scenario: Scenario, state: StateVector) -> RunReport:
     norm = state.norm()
     norm_dev = abs(norm - 1.0)
     checks: dict = {"norm": {"pass": norm_dev <= NORM_TOL, "deviation": _q(norm_dev)}}
-    branch_table = analysis.BranchTable((), np.zeros(0), np.zeros((0, 8), np.complex128))
+    branch_table = analysis.BranchTable(0, np.zeros(0, np.int64), np.zeros(0),
+                                        np.zeros((0, 8), np.complex128))
     marginals: list = []
     probabilities: dict = {}
 
@@ -101,10 +103,7 @@ def build_report(scenario: Scenario, state: StateVector) -> RunReport:
         if request.kind == "branches":
             # finite and normalized, as branch_decompose checks: the writer cannot fail
             branch_table = analysis.branch_decompose(state)
-            total = 0.0  # a plain loop: sum() compensates from Python 3.12
-            for p in branch_table.weights.tolist():
-                total += p
-            dev = abs(total - 1.0)
+            dev = abs(branch_table.weight_sum() - 1.0)
             checks["branch_probability_sum"] = {"pass": dev <= NORM_TOL,
                                                 "deviation": _q(dev)}
         elif request.kind == "marginal":
@@ -153,10 +152,13 @@ def build_report(scenario: Scenario, state: StateVector) -> RunReport:
 
 ROWS_PER_CHUNK = 1024
 _PAIR = "\n        [\n          %.12g,\n          %.12g\n        ]"
-# a row after its quoted label, which each row's template starts with
+# a row after its label's closing quote
 _ENTRY = (': {\n      "probability": %.12g,\n      "substate": ['
           + ",".join([_PAIR] * 8) + "\n      ]\n    }")
 _TOKEN_ENTRY = _ENTRY.replace("%.12g", "%s")
+# _DIGITS[w][i] is i in w binary digits: a label's pieces, looked up per chunk
+_DIGITS = {w: np.array([format(i, f"0{w}b") for i in range(1 << w)], dtype=object)
+           for w in range(1, 9)}
 
 
 def _integral_rows(a: np.ndarray) -> np.ndarray:
@@ -177,20 +179,25 @@ def emit_report(report: RunReport, out) -> None:
     head, _, tail = json.dumps(replace(report, branch_table={}).to_document(),
                                indent=2, sort_keys=True).partition("{}")
     out.write(head)
-    # one iterator over the labels for all chunks; the first label opens the table
-    labels = (sep + '\n    "' + k + '"'
-              for sep, k in zip(chain("{", repeat(",")), table.entries))
-    for start in range(0, len(table.entries), ROWS_PER_CHUNK):
-        numbers = _numbers(table, slice(start, start + ROWS_PER_CHUNK))
+    n = table.n_memories
+    # (shift, digits) per label piece, most significant first: only the first is short
+    pieces = [(s, _DIGITS[min(n - s, 8)]) for s in range((n - 1) // 8 * 8, -1, -8)]
+    k = len(pieces)
+    label = '\n    "' + "%s" * k + '"'
+    templates = (label + _ENTRY, label + _TOKEN_ENTRY)
+    for start in range(0, table.rows.size, ROWS_PER_CHUNK):
+        rows = slice(start, start + ROWS_PER_CHUNK)
+        numbers = _numbers(table, rows)
         integral = _integral_rows(numbers)
-        args = numbers.ravel().tolist()
-        tokens = _tokens(numbers[integral])
-        for j, i in enumerate(np.flatnonzero(integral).tolist()):
-            args[17 * i:17 * i + 17] = tokens[17 * j:17 * j + 17]
-        templates = map((_ENTRY, _TOKEN_ENTRY).__getitem__, integral.tolist())
-        out.write("".join(chain.from_iterable(zip(islice(labels, len(numbers)), templates)))
-                  % tuple(args))
-    out.write(("\n  }" if table.entries else "{}") + tail)
+        args = np.empty((len(numbers), k + 17), dtype=object)
+        for j, (shift, digits) in enumerate(pieces):
+            args[:, j] = digits[(table.rows[rows] >> shift) & 255]
+        args[:, k:] = numbers
+        args[integral, k:] = np.array(_tokens(numbers[integral]), object).reshape(-1, 17)
+        args = tuple(args.ravel())  # the tuple alone holds the chunk's arguments
+        out.write("," if start else "{")
+        out.write(",".join(map(templates.__getitem__, integral.tolist())) % args)
+    out.write(("\n  }" if table.rows.size else "{}") + tail)
 
 
 def _is_number(x) -> bool:

@@ -414,10 +414,10 @@ def _check_branch_conservation(rng):
                     else random_canonical_scenario(rng, n))
         state = machine.run(scenario)
         table = analysis.branch_decompose(state)
-        dev = max(dev, abs(sum(table.probabilities().values()) - 1.0))
+        dev = max(dev, abs(table.weight_sum() - 1.0))
         # reconstruction: sqrt(p_b) |b>_M (x) substate re-interleaved, (C, M, SP)
         rebuilt = np.zeros((2, 1 << n, 4), dtype=np.complex128)
-        rebuilt[:, [int(label, 2) for label in table.entries]] = (
+        rebuilt[:, table.rows] = (
             np.sqrt(table.weights)[:, None] * table.substates
         ).reshape(-1, 2, 4).transpose(1, 0, 2)
         dev = max(dev, float(np.max(np.abs(rebuilt.ravel() - state.amplitudes))))
@@ -426,8 +426,7 @@ def _check_branch_conservation(rng):
             state, {f"M{k}" for k in range(1, n + 1)}
         )
         diag = np.real(np.diag(joint))
-        for label, p in table.probabilities().items():
-            dev = max(dev, abs(p - diag[int(label, 2)]))
+        dev = max(dev, float(np.max(np.abs(table.weights - diag[table.rows]))))
     return dev, _TOL
 
 

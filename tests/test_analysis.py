@@ -7,6 +7,7 @@ import pytest
 from branchsim import branch_decompose, builtin_scenario, memory_marginal, run
 from branchsim.analysis import (
     PRUNE_THRESHOLD,
+    BranchTable,
     fidelity,
     no_cloning_witness,
     outcome_probability,
@@ -48,6 +49,18 @@ def test_branch_decompose_reinforcement_weights():
     assert probs["00"] == pytest.approx(0.5, abs=1e-10)
     assert probs["10"] == pytest.approx(0.25, abs=1e-10)
     assert probs["11"] == pytest.approx(0.25, abs=1e-10)
+
+
+def test_branch_weight_sum_adds_left_to_right():
+    # each 1e-16 is below half an ulp of 1.0, so a plain loop drops it and a
+    # compensated sum (math.fsum, builtin sum from Python 3.12) keeps it
+    weights = np.array([1.0] + [1e-16] * 10)
+    table = BranchTable(4, np.arange(11), weights, np.zeros((11, 8), np.complex128))
+    loop = 0.0
+    for w in weights.tolist():
+        loop += w
+    assert loop == 1.0 != math.fsum(weights)
+    assert table.weight_sum() == loop
 
 
 def test_branch_decompose_requires_memory():

@@ -510,7 +510,7 @@ def test_verify_fails_without_a_traceback_on_a_missing_golden_branch(capsys, mon
 
     def drop_last_row(state):
         table = decompose(state)
-        return replace(table, entries=table.entries[:-1], weights=table.weights[:-1],
+        return replace(table, rows=table.rows[:-1], weights=table.weights[:-1],
                        substates=table.substates[:-1])
 
     monkeypatch.setattr(analysis, "branch_decompose", drop_last_row)

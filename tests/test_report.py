@@ -260,11 +260,13 @@ def test_tokens_of_the_floor_integral_values_and_exponent_forms():
         "1.0", "1e-05", "1.5e-05"]
 
 
-def _array_report(numbers) -> RunReport:
-    """A report whose branch table has one row per row of ``numbers`` (r, 17)."""
+def _array_report(numbers, rows=None, n_memories=13) -> RunReport:
+    """A report whose branch table has one row per row of ``numbers`` (r, 17),
+    at ``rows`` (default 0, 1, ...) of ``n_memories`` binary digits."""
     numbers = np.asarray(numbers, dtype=np.float64).reshape(-1, 17)
+    rows = np.arange(len(numbers)) if rows is None else np.asarray(rows, np.int64)
     table = analysis.BranchTable(
-        tuple(format(i, "013b") for i in range(len(numbers))),
+        n_memories, rows,
         numbers[:, 0].copy(),
         numbers[:, 1:].copy().view(np.complex128))
     return RunReport("x", 1.0, table, [], {"S_0": 0.5}, {"norm": {"pass": True}})
@@ -301,6 +303,21 @@ def test_array_table_chunk_boundaries_equal_json_dumps(rows):
     _assert_same_text(out.getvalue(), _dumps(report))
     assert out.chunks == -(-rows // ROWS_PER_CHUNK)
     assert parse_report(out.getvalue()).to_document() == report.to_document()
+
+
+@pytest.mark.parametrize("flag_first", [True, False])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17])
+def test_label_pieces_equal_json_dumps(n, flag_first):
+    # one, two and three pieces of at most 8 digits, the first full or short
+    rng = np.random.default_rng(n)
+    rows = np.unique(np.concatenate([[0, 2 ** n - 1], rng.integers(0, 2 ** n, 40)]))
+    numbers = rng.uniform(-1.0, 1.0, (rows.size, 17))
+    numbers[int(not flag_first)::2, 5] = 1.0  # every other row through the token template
+    report = _array_report(numbers, rows, n)
+    assert _integral_rows(numbers).tolist() == [i % 2 == (not flag_first)
+                                                for i in range(rows.size)]
+    assert report.branch_table.entries == tuple(format(r, f"0{n}b") for r in rows)
+    _assert_same_text(_emit(report), _dumps(report))
 
 
 _FLOOR_EDGES = [ZERO_FLOOR, -ZERO_FLOOR, math.nextafter(ZERO_FLOOR, 0.0),
@@ -394,6 +411,20 @@ def test_writer_memory_is_bounded_by_one_chunk(n):
         tracemalloc.stop()
     assert len(report.branch_table.entries) == 2 ** n
     assert peak <= 3 * 2 ** 20
+
+
+def test_branch_decompose_retains_only_its_three_arrays():
+    # a per-row label tuple would be about 1 MiB more on 16,384 rows
+    state = run(random_extended_scenario(np.random.default_rng(3), 14))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = analysis.branch_decompose(state)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table.rows, np.arange(2 ** 14)) and not table.rows.flags.writeable
+    assert retained <= table.rows.nbytes + table.weights.nbytes + table.substates.nbytes + 2 ** 16
 
 
 def test_wide_extended_report_equals_json_dumps_and_scalar_quantizer():
