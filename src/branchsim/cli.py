@@ -109,8 +109,9 @@ def _cmd_verify(args, stdout, stderr) -> int:
     failures = [r for r in results if not r.passed]
     if failures:
         for res in failures:
-            print(f"verify failed: {res.name} deviated by {res.deviation:.6e}",
-                  file=stderr)
+            fault = f": {res.fault}" if res.fault else ""
+            print(f"verify failed: {res.name} deviated by {res.deviation:.6e} "
+                  f"at draw {res.draw}{fault}", file=stderr)
         return EXIT_VERIFY
     return EXIT_OK
 

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from typing import Callable
 
 import numpy as np
 
 from . import analysis, machine
-from .errors import ValidationError
+from .errors import BranchsimError, ValidationError
 from .gates import GateSpec, IDENTITY, PAULI_X
 from .linalg import check_capacity, unitarity_deviation, within_capacity
 from .machine import (
@@ -64,10 +64,16 @@ _PROJ = (
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's largest deviation and the first draw, counted from 0, that
+    reaches it; ``fault`` is the message of a draw that broke an engine
+    invariant, which scores inf."""
+
     name: str
     passed: bool
     deviation: float
     tolerance: float
+    draw: int
+    fault: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +283,46 @@ def random_extended_scenario(
 
 
 # ---------------------------------------------------------------------------
-# Individual checks return (max deviation, tolerance) and pass when deviation
-# <= tolerance: 1.0 for deviations divided by their own, _BOOL_TOL for 0/1 ones.
+# Checks.  Each body is one draw's arithmetic, ``one(rng, draw) -> deviation``;
+# ``_check(name, draws, tolerance)`` registers it in CHECKS as a callable that
+# runs draws 0, 1, ... on one generator and keeps the largest deviation and the
+# first draw that reaches it.  A draw that breaks an engine invariant (raises a
+# BranchsimError) fails the check there with deviation inf, and no later draw
+# runs.  A check passes when deviation <= tolerance: 1.0 for deviations divided
+# by their own, _BOOL_TOL for 0/1 ones.
 
 _TOL = 1e-10  # amplitudes, probabilities, norms, oracle and closed-form agreement
 _LOOSE_TOL = 1e-9  # purity and the feedback outcome probability
 _TIGHT_TOL = 1e-12  # zero up to rounding: phase blindness, identity R, coherences
 _BOOL_TOL = 0.5
 
+CHECKS: dict[str, Callable[[np.random.Generator], CheckResult]] = {}
+
+
+def _check(name: str, draws: int, tolerance: float):
+    def register(one):
+        @wraps(one)
+        def check(rng) -> CheckResult:
+            deviations = np.zeros(draws)
+            for draw in range(draws):
+                try:
+                    deviations[draw] = one(rng, draw)
+                except BranchsimError as exc:
+                    return CheckResult(name, False, math.inf, tolerance, draw, str(exc))
+            draw = int(np.argmax(deviations))
+            deviation = float(deviations[draw])
+            return CheckResult(name, deviation <= tolerance, deviation, tolerance, draw)
+        CHECKS[name] = check
+        return check
+    return register
+
 
 def _bool_dev(condition: bool) -> float:
     return 0.0 if condition else 1.0
 
 
-def _check_golden_pauli_flips(rng):
+@_check("golden_pauli_flips", 1, 1.0)
+def _check_golden_pauli_flips(rng, draw):
     state = machine.run(builtin_scenario("pauli-flips"))
     expected = np.zeros(64, dtype=np.complex128)
     expected[0] = expected[63] = _INV_SQRT2
@@ -300,10 +332,11 @@ def _check_golden_pauli_flips(rng):
         rho = analysis.memory_marginal(state, k)
         dev = max(dev, abs(rho[0, 1]) / _TIGHT_TOL)
         dev = max(dev, max(abs(p - 0.5) for p in rho.diagonal().real) / _TOL)
-    return dev, 1.0
+    return dev
 
 
-def _check_golden_rotations_nofeedback(rng):
+@_check("golden_rotations_nofeedback", 1, 1.0)
+def _check_golden_rotations_nofeedback(rng, draw):
     state = machine.run(builtin_scenario("rotations-nofeedback"))
     dev = abs(analysis.outcome_probability(state, "S", 1) - 1.0) / _TOL
     _, pur = analysis.separability_check(state, "S")
@@ -311,226 +344,180 @@ def _check_golden_rotations_nofeedback(rng):
     expected = np.zeros(64, dtype=np.complex128)
     expected[0b000010] = -1j * _INV_SQRT2
     expected[0b111111] = +1j * _INV_SQRT2
-    dev = max(dev, float(np.max(np.abs(state.amplitudes - expected))) / _TOL)
-    return dev, 1.0
+    return max(dev, float(np.max(np.abs(state.amplitudes - expected))) / _TOL)
 
 
-def _check_golden_rotations_feedback(rng):
+@_check("golden_rotations_feedback", 1, 1.0)
+def _check_golden_rotations_feedback(rng, draw):
     state = machine.run(builtin_scenario("rotations-feedback"))
     expected_p = (2.0 + math.sqrt(2.0)) / 4.0
     dev = abs(analysis.outcome_probability(state, "S", 1) - expected_p) / _LOOSE_TOL
     table = analysis.branch_decompose(state)
     if table.entries != ("000", "111"):  # a missing branch has no substate to read
-        return max(dev, 2.0), 1.0
+        return max(dev, 2.0)
     c, s = math.cos(5 * math.pi / 8), math.sin(5 * math.pi / 8)
     # substates are over (C, S, P); P follows C on each branch
     sub0, sub1 = table.substates
     dev = max(dev, abs(sub0[0b000] - c) / _TOL, abs(sub0[0b010] - (-1j * s)) / _TOL)
     dev = max(dev, abs(sub1[0b101] - c) / _TOL, abs(sub1[0b111] - (+1j * s)) / _TOL)
     _, pur = analysis.separability_check(state, "S")
-    dev = max(dev, _bool_dev(pur < 1.0 - 1e-3) * 2.0)
-    return dev, 1.0
+    return max(dev, _bool_dev(pur < 1.0 - 1e-3) * 2.0)
 
 
-def _check_golden_reinforce_two_step(rng):
+@_check("golden_reinforce_two_step", 1, 1.0)
+def _check_golden_reinforce_two_step(rng, draw):
     state = machine.run(builtin_scenario("reinforce-two-step"))
     probs = analysis.branch_decompose(state).probabilities()
     expected = {"00": 0.5, "10": 0.25, "11": 0.25}
     dev = _bool_dev(set(probs) == set(expected)) * 2.0
     for label, p in expected.items():
         dev = max(dev, abs(probs.get(label, 0.0) - p) / _TOL)
-    return dev, 1.0
+    return dev
 
 
-def _check_oracle_equivalence(rng):
-    scenarios = [random_canonical_scenario(rng, int(rng.integers(1, 5)))
-                 for _ in range(100)]
-    # larger extended draws: 8-10 qubits, then 14, past the composed form's cap
-    scenarios += [random_extended_scenario(rng, n) for n in (5, 6, 7, 11)]
-    dev = 0.0
-    for scenario in scenarios:
-        engine = machine.run(scenario).amplitudes
-        dev = max(dev, float(np.max(np.abs(engine - oracle_run(scenario, compose=False)))))
-    return dev, _TOL
+@_check("oracle_equivalence", 104, _TOL)
+def _check_oracle_equivalence(rng, draw):
+    # 100 canonical draws, then larger extended ones: 8-10 qubits, then 14,
+    # past the composed form's cap
+    if draw < 100:
+        scenario = random_canonical_scenario(rng, int(rng.integers(1, 5)))
+    else:
+        scenario = random_extended_scenario(rng, (5, 6, 7, 11)[draw - 100])
+    engine = machine.run(scenario).amplitudes
+    return float(np.max(np.abs(engine - oracle_run(scenario, compose=False))))
 
 
-def _check_symbolic_expansion(rng):
-    dev = 0.0
-    for trial in range(20):
-        draw = random_extended_scenario if trial % 2 else random_canonical_scenario
-        scenario = draw(rng, int(rng.integers(1, 8)), INIT_MODES[trial % len(INIT_MODES)])
-        closed = closed_form(scenario.init, scenario.iterations)
-        dev = max(dev, _table_deviation(machine.run(scenario), closed))
-    return dev, _TOL
+@_check("property_symbolic_expansion", 20, _TOL)
+def _check_symbolic_expansion(rng, draw):
+    random_scenario = random_extended_scenario if draw % 2 else random_canonical_scenario
+    scenario = random_scenario(rng, int(rng.integers(1, 8)), INIT_MODES[draw % len(INIT_MODES)])
+    closed = closed_form(scenario.init, scenario.iterations)
+    return _table_deviation(machine.run(scenario), closed)
 
 
-def _check_marginal_diagonality(rng):
-    dev = 0.0
-    for _ in range(50):
-        scenario = random_canonical_scenario(rng, int(rng.integers(1, 4)))
-        state = machine.run(scenario)
-        wa = abs(scenario.init.alpha) ** 2
-        wb = abs(scenario.init.beta) ** 2
-        for k in range(1, len(scenario.iterations) + 1):
-            rho = analysis.memory_marginal(state, k)
-            dev = max(dev, abs(rho[0, 1]) / _TIGHT_TOL)
-            dev = max(dev, abs(rho[0, 0].real - wa) / _TOL)
-            dev = max(dev, abs(rho[1, 1].real - wb) / _TOL)
-    return dev, 1.0
+@_check("property_marginal_diagonality", 50, 1.0)
+def _check_marginal_diagonality(rng, draw):
+    scenario = random_canonical_scenario(rng, int(rng.integers(1, 4)))
+    state = machine.run(scenario)
+    wa = abs(scenario.init.alpha) ** 2
+    wb = abs(scenario.init.beta) ** 2
+    rhos = [analysis.memory_marginal(state, k)
+            for k in range(1, len(scenario.iterations) + 1)]
+    return max(max(abs(rho[0, 1]) / _TIGHT_TOL, abs(rho[0, 0].real - wa) / _TOL,
+                   abs(rho[1, 1].real - wb) / _TOL) for rho in rhos)
 
 
-def _check_phase_blindness(rng):
-    dev = 0.0
-    for _ in range(20):
-        scenario = random_canonical_scenario(rng, int(rng.integers(1, 4)))
-        t = rng.uniform(0, 2 * math.pi)
-        phase = complex(math.cos(t), math.sin(t))
-        shifted = replace(
-            scenario, init=replace(scenario.init, beta=scenario.init.beta * phase)
-        )
-        base_state, shifted_state = machine.run(scenario), machine.run(shifted)
-        for k in range(1, len(scenario.iterations) + 1):
-            m1 = analysis.memory_marginal(base_state, k)
-            m2 = analysis.memory_marginal(shifted_state, k)
-            dev = max(dev, float(np.max(np.abs(m1 - m2))))
-    return dev, _TIGHT_TOL
+@_check("property_phase_blindness", 20, _TIGHT_TOL)
+def _check_phase_blindness(rng, draw):
+    scenario = random_canonical_scenario(rng, int(rng.integers(1, 4)))
+    t = rng.uniform(0, 2 * math.pi)
+    phase = complex(math.cos(t), math.sin(t))
+    shifted = replace(
+        scenario, init=replace(scenario.init, beta=scenario.init.beta * phase)
+    )
+    base_state, shifted_state = machine.run(scenario), machine.run(shifted)
+    return max(float(np.max(np.abs(analysis.memory_marginal(base_state, k)
+                                   - analysis.memory_marginal(shifted_state, k))))
+               for k in range(1, len(scenario.iterations) + 1))
 
 
-def _check_no_cloning(rng):
-    dev = 0.0
-    for _ in range(50):
-        scenario = random_canonical_scenario(rng, int(rng.integers(1, 4)))
-        state = machine.run(scenario)
-        entangled, _ = analysis.no_cloning_witness(state, "C", "M1")
-        dev = max(dev, _bool_dev(entangled))
-    return dev, _BOOL_TOL
+@_check("property_no_cloning", 50, _BOOL_TOL)
+def _check_no_cloning(rng, draw):
+    state = machine.run(random_canonical_scenario(rng, int(rng.integers(1, 4))))
+    entangled, _ = analysis.no_cloning_witness(state, "C", "M1")
+    return _bool_dev(entangled)
 
 
-def _check_branch_conservation(rng):
-    dev = 0.0
-    for trial in range(20):
-        n = int(rng.integers(1, 4))
-        scenario = (random_extended_scenario(rng, n) if trial % 2
-                    else random_canonical_scenario(rng, n))
-        state = machine.run(scenario)
-        table = analysis.branch_decompose(state)
-        dev = max(dev, abs(table.weight_sum() - 1.0))
-        # reconstruction: sqrt(p_b) |b>_M (x) substate re-interleaved, (C, M, SP)
-        rebuilt = np.zeros((2, 1 << n, 4), dtype=np.complex128)
-        rebuilt[:, table.rows] = (
-            np.sqrt(table.weights)[:, None] * table.substates
-        ).reshape(-1, 2, 4).transpose(1, 0, 2)
-        dev = max(dev, float(np.max(np.abs(rebuilt.ravel() - state.amplitudes))))
-        # branch weights equal the joint memory marginal diagonal
-        joint = analysis.register_marginal(
-            state, {f"M{k}" for k in range(1, n + 1)}
-        )
-        diag = np.real(np.diag(joint))
-        dev = max(dev, float(np.max(np.abs(table.weights - diag[table.rows]))))
-    return dev, _TOL
+@_check("property_branch_conservation", 20, _TOL)
+def _check_branch_conservation(rng, draw):
+    n = int(rng.integers(1, 4))
+    scenario = (random_extended_scenario(rng, n) if draw % 2
+                else random_canonical_scenario(rng, n))
+    state = machine.run(scenario)
+    table = analysis.branch_decompose(state)
+    # reconstruction: sqrt(p_b) |b>_M (x) substate re-interleaved, (C, M, SP)
+    rebuilt = np.zeros((2, 1 << n, 4), dtype=np.complex128)
+    rebuilt[:, table.rows] = (
+        np.sqrt(table.weights)[:, None] * table.substates
+    ).reshape(-1, 2, 4).transpose(1, 0, 2)
+    # branch weights equal the joint memory marginal diagonal
+    joint = analysis.register_marginal(
+        state, {f"M{k}" for k in range(1, n + 1)}
+    )
+    diag = np.real(np.diag(joint))
+    return max(abs(table.weight_sum() - 1.0),
+               float(np.max(np.abs(rebuilt.ravel() - state.amplitudes))),
+               float(np.max(np.abs(table.weights - diag[table.rows]))))
 
 
-def _check_norm_preservation(rng):
-    dev = 0.0
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        scenario = random_extended_scenario(rng, n)
-        state = initialize(scenario.init, build_layout(0))
+@_check("property_norm_preservation", 20, _TOL)
+def _check_norm_preservation(rng, draw):
+    scenario = random_extended_scenario(rng, int(rng.integers(1, 4)))
+    state = initialize(scenario.init, build_layout(0))
+    dev = abs(state.norm() - 1.0)
+    for k, spec in enumerate(scenario.iterations, start=1):
+        state = iterate_extended(state, k, spec)
         dev = max(dev, abs(state.norm() - 1.0))
-        for k, spec in enumerate(scenario.iterations, start=1):
-            state = iterate_extended(state, k, spec)
-            dev = max(dev, abs(state.norm() - 1.0))
-    return dev, _TOL
+    return dev
 
 
-def _check_extended_identity(rng):
-    dev = 0.0
-    for trial in range(20):
-        scenario = random_canonical_scenario(rng, 1)
-        spec = scenario.iterations[0]
-        if trial % 2:  # a drawn R pair, against the extended round's closed form
-            r0, r1 = random_gates(rng, 2)
-            spec = steered = replace(spec, r0=r0, r1=r1)
-        else:  # an identity R pair, against the canonical round's closed form
-            steered = replace(spec, r0=IDENTITY, r1=IDENTITY)
-        state = iterate_extended(initialize(scenario.init, build_layout(0)), 1, steered)
-        dev = max(dev, _table_deviation(state, closed_form(scenario.init, [spec])))
-    return dev, _TIGHT_TOL
+@_check("property_extended_identity", 20, _TIGHT_TOL)
+def _check_extended_identity(rng, draw):
+    scenario = random_canonical_scenario(rng, 1)
+    spec = scenario.iterations[0]
+    if draw % 2:  # a drawn R pair, against the extended round's closed form
+        r0, r1 = random_gates(rng, 2)
+        spec = steered = replace(spec, r0=r0, r1=r1)
+    else:  # an identity R pair, against the canonical round's closed form
+        steered = replace(spec, r0=IDENTITY, r1=IDENTITY)
+    state = iterate_extended(initialize(scenario.init, build_layout(0)), 1, steered)
+    return _table_deviation(state, closed_form(scenario.init, [spec]))
 
 
-def _check_measurement(rng):
-    dev = 0.0
-    for trial in range(20):
-        scenario = random_extended_scenario(rng, int(rng.integers(1, 4)))
-        state = machine.run(scenario)
-        _, c0, p0 = measure_control(state, 0, force=0)
-        _, c1, p1 = measure_control(state, 0, force=1)
-        dev = max(dev, abs(p0 + p1 - 1.0))
-        dev = max(dev, abs(np.vdot(c0.amplitudes, c1.amplitudes)))
-        seed = int(rng.integers(0, 2**32))
-        first = measure_control(state, seed)[0]
-        second = measure_control(state, seed)[0]
-        dev = max(dev, _bool_dev(first == second))
-    return dev, _TOL
+@_check("property_measurement", 20, _TOL)
+def _check_measurement(rng, draw):
+    state = machine.run(random_extended_scenario(rng, int(rng.integers(1, 4))))
+    _, c0, p0 = measure_control(state, 0, force=0)
+    _, c1, p1 = measure_control(state, 0, force=1)
+    seed = int(rng.integers(0, 2**32))
+    first = measure_control(state, seed)[0]
+    second = measure_control(state, seed)[0]
+    return max(abs(p0 + p1 - 1.0), abs(np.vdot(c0.amplitudes, c1.amplitudes)),
+               _bool_dev(first == second))
 
 
-def _check_dilation_blocks(rng):
+@_check("property_dilation_blocks", 12, _TOL)
+def _check_dilation_blocks(rng, draw):
     """A canonical run's global unitary W is |0><0| (x) W_0 + |1><1| (x) W_1
     with unitary W_c, and that dilation gives the engine's run; an extended
     run, where P steers C, has nonzero off-diagonal C blocks."""
-    dev = 0.0
-    for trial in range(12):
-        n = int(rng.integers(1, 5))  # at most 4 rounds: W has 4**(n + 3) entries
-        extended = trial % 3 == 2
-        draw = random_extended_scenario if extended else random_canonical_scenario
-        scenario = draw(rng, n)
-        w = global_unitary(build_layout(n), [
-            gate for k, spec in enumerate(scenario.iterations, start=1)
-            for gate in round_gates(k, spec)])
-        d = w.shape[0] // 2
-        w0, w1 = w[:d, :d], w[d:, d:]
-        off = max(np.max(np.abs(w[:d, d:])), np.max(np.abs(w[d:, :d])))
-        if extended:
-            dev = max(dev, _bool_dev(off > _TOL))
-            continue
-        dev = max(dev, _bool_dev(off == 0.0),
-                  unitarity_deviation(w0), unitarity_deviation(w1))
-        dilation = np.kron(_PROJ[0], w0) + np.kron(_PROJ[1], w1)
-        engine = machine.run(scenario).amplitudes
-        out = dilation @ initial_vector(scenario.init, n)
-        dev = max(dev, float(np.max(np.abs(out - engine))))
-    return dev, _TOL
+    n = int(rng.integers(1, 5))  # at most 4 rounds: W has 4**(n + 3) entries
+    extended = draw % 3 == 2
+    scenario = (random_extended_scenario if extended else random_canonical_scenario)(rng, n)
+    w = global_unitary(build_layout(n), [
+        gate for k, spec in enumerate(scenario.iterations, start=1)
+        for gate in round_gates(k, spec)])
+    d = w.shape[0] // 2
+    w0, w1 = w[:d, :d], w[d:, d:]
+    off = max(np.max(np.abs(w[:d, d:])), np.max(np.abs(w[d:, :d])))
+    if extended:
+        return _bool_dev(off > _TOL)
+    dilation = np.kron(_PROJ[0], w0) + np.kron(_PROJ[1], w1)
+    engine = machine.run(scenario).amplitudes
+    out = dilation @ initial_vector(scenario.init, n)
+    return max(_bool_dev(off == 0.0), unitarity_deviation(w0), unitarity_deviation(w1),
+               float(np.max(np.abs(out - engine))))
 
 
-def _check_canonical_branch_support(rng):
-    dev = 0.0
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        scenario = random_canonical_scenario(rng, n)
-        probs = analysis.branch_decompose(machine.run(scenario)).probabilities()
-        dev = max(dev, _bool_dev(set(probs) <= {"0" * n, "1" * n}))
-        dev = max(dev, abs(probs.get("0" * n, 0.0) - abs(scenario.init.alpha) ** 2))
-        dev = max(dev, abs(probs.get("1" * n, 0.0) - abs(scenario.init.beta) ** 2))
-    return dev, _TOL
+@_check("property_canonical_branch_support", 20, _TOL)
+def _check_canonical_branch_support(rng, draw):
+    n = int(rng.integers(1, 4))
+    scenario = random_canonical_scenario(rng, n)
+    probs = analysis.branch_decompose(machine.run(scenario)).probabilities()
+    return max(_bool_dev(set(probs) <= {"0" * n, "1" * n}),
+               abs(probs.get("0" * n, 0.0) - abs(scenario.init.alpha) ** 2),
+               abs(probs.get("1" * n, 0.0) - abs(scenario.init.beta) ** 2))
 
-
-CHECKS: dict[str, Callable] = {
-    "golden_pauli_flips": _check_golden_pauli_flips,
-    "golden_reinforce_two_step": _check_golden_reinforce_two_step,
-    "golden_rotations_feedback": _check_golden_rotations_feedback,
-    "golden_rotations_nofeedback": _check_golden_rotations_nofeedback,
-    "oracle_equivalence": _check_oracle_equivalence,
-    "property_branch_conservation": _check_branch_conservation,
-    "property_canonical_branch_support": _check_canonical_branch_support,
-    "property_dilation_blocks": _check_dilation_blocks,
-    "property_extended_identity": _check_extended_identity,
-    "property_marginal_diagonality": _check_marginal_diagonality,
-    "property_measurement": _check_measurement,
-    "property_no_cloning": _check_no_cloning,
-    "property_norm_preservation": _check_norm_preservation,
-    "property_phase_blindness": _check_phase_blindness,
-    "property_symbolic_expansion": _check_symbolic_expansion,
-}
 
 SUITES = {
     "golden": lambda name: name.startswith("golden_"),
@@ -548,13 +535,5 @@ def run_checks(only: str | None = None, seed: int = DEFAULT_SEED) -> list[CheckR
     selected = sorted(
         name for name in CHECKS if only is None or SUITES[only](name)
     )
-    results = []
-    for name in selected:
-        # fresh generator per check: draws are independent of suite filtering
-        rng = seeded_generator(seed)
-        deviation, tolerance = CHECKS[name](rng)
-        results.append(
-            CheckResult(name, passed=deviation <= tolerance,
-                        deviation=float(deviation), tolerance=float(tolerance))
-        )
-    return results
+    # fresh generator per check: draws are independent of suite filtering
+    return [CHECKS[name](seeded_generator(seed)) for name in selected]

@@ -44,8 +44,8 @@ def _verdict(name: str, ok: bool) -> None:
 
 def _run_check(check, rng) -> tuple[bool, float]:
     """(passed, deviation) of a verify check at its fixed tolerance."""
-    dev, tolerance = check(rng)
-    return dev <= tolerance, dev
+    result = check(rng)
+    return result.passed, result.deviation
 
 
 def test_criterion_1_pauli_flips_golden():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from branchsim import analysis, cli, verify
+from branchsim import analysis, cli, machine, verify
 from branchsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -490,7 +490,8 @@ def test_verify_rejects_unknown_suite(capsys):
 def test_verify_tolerance_injection_fails(capsys, monkeypatch):
     # one check past its tolerance fails verify; the others still run and pass
     monkeypatch.setitem(verify.CHECKS, "property_norm_preservation",
-                        lambda rng: (1.0, 0.5))
+                        lambda rng: verify.CheckResult(
+                            "property_norm_preservation", False, 1.0, 0.5, 7))
     assert main(["verify", "--only", "properties"]) == EXIT_VERIFY
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
@@ -501,8 +502,31 @@ def test_verify_tolerance_injection_fails(capsys, monkeypatch):
     assert all(line.startswith("property_") and ": PASS (" in line
                for line in lines if line not in failed)
     assert captured.err.splitlines() == [
-        "verify failed: property_norm_preservation deviated by 1.000000e+00"
+        "verify failed: property_norm_preservation deviated by 1.000000e+00 at draw 7"
     ]
+
+
+def test_verify_fails_every_check_on_an_engine_that_breaks_the_norm(capsys, monkeypatch):
+    # each round's residual grows by 1e-6: the state's own check raises in
+    # every check's first draw, which fails that check rather than the run
+    update = machine._controlled_update
+
+    def drifting(*args):
+        rows, residual = update(*args)
+        return rows, residual * (1 + 1e-6)
+
+    monkeypatch.setattr(machine, "_controlled_update", drifting)
+    assert main(["verify"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 15
+    assert all(": FAIL (deviation inf, tolerance " in line for line in lines)
+    assert ("property_norm_preservation: FAIL "
+            "(deviation inf, tolerance 1.000000e-10)") in lines
+    errors = captured.err.splitlines()
+    assert len(errors) == 15
+    assert ("verify failed: property_norm_preservation deviated by inf at draw 0: "
+            "state norm deviates from 1 by 1.000e-06") in errors
 
 
 def test_verify_fails_without_a_traceback_on_a_missing_golden_branch(capsys, monkeypatch):

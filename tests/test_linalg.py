@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from branchsim.errors import CapacityError, LayoutError, ValidationError
+from branchsim.errors import CapacityError, LayoutError, ShapeError, ValidationError
 from branchsim.gates import GateSpec
 from branchsim.linalg import (
     HERMITICITY_TOL,
     NORM_TOL,
     UNITARITY_TOL,
+    as_matrix,
     purity,
     unitarity_deviation,
     validate_density_matrix,
@@ -22,6 +23,11 @@ from branchsim.machine import (
     partial_trace,
 )
 from branchsim.verify import random_unitaries
+
+
+def test_as_matrix_rejects_a_non_square_matrix():
+    with pytest.raises(ShapeError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        as_matrix(np.zeros((2, 3)))
 
 
 def test_unitarity_deviation_identity():

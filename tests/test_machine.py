@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from branchsim.errors import (
     CapacityError,
     LayoutError,
     ProjectionError,
+    ShapeError,
     ValidationError,
 )
 from branchsim.gates import IDENTITY, PAULI_X, GateSpec
@@ -541,8 +543,8 @@ def test_structure_checks_catch_swapped_feedback_and_update(monkeypatch):
     monkeypatch.setattr(machine, "_controlled_update", swapped)
     for name in ("oracle_equivalence", "property_dilation_blocks",
                  "property_symbolic_expansion"):
-        dev, tol = verify.CHECKS[name](machine.seeded_generator(1729))
-        assert dev > tol, name
+        result = verify.CHECKS[name](machine.seeded_generator(1729))
+        assert result.deviation > result.tolerance, name
 
 
 def test_structure_checks_catch_swapped_steering(monkeypatch):
@@ -559,8 +561,36 @@ def test_structure_checks_catch_swapped_steering(monkeypatch):
     monkeypatch.setattr(machine, "_controlled_update", swapped)
     for name in ("oracle_equivalence", "property_extended_identity",
                  "property_symbolic_expansion"):
-        dev, tol = verify.CHECKS[name](machine.seeded_generator(1729))
-        assert dev > tol, name
+        result = verify.CHECKS[name](machine.seeded_generator(1729))
+        assert result.deviation > result.tolerance, name
+
+
+def test_check_keeps_the_first_draw_of_its_largest_deviation(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", {})
+    check = verify._check("toy", 3, 0.5)(lambda rng, draw: (0.1, 0.9, 0.9)[draw])
+    assert verify.CHECKS == {"toy": check}
+    result = check(None)
+    assert (result.deviation, result.tolerance, result.draw) == (0.9, 0.5, 1)
+    assert not result.passed and result.fault is None
+
+
+def test_check_fails_at_a_draw_that_breaks_an_engine_invariant(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", {})
+    drawn = []
+
+    def one(rng, draw):
+        drawn.append(draw)
+        if draw == 2:
+            raise ValidationError("state norm deviates from 1 by 1.000e-06")
+        return 0.1
+
+    result = verify._check("toy", 5, 0.5)(one)(None)
+    assert drawn == [0, 1, 2]
+    assert result == verify.CheckResult("toy", False, math.inf, 0.5, 2,
+                                        "state norm deviates from 1 by 1.000e-06")
+    # only library errors are a check's failure; anything else is a bug in it
+    with pytest.raises(ZeroDivisionError):
+        verify._check("toy", 1, 0.5)(lambda rng, draw: 1 / 0)(None)
 
 
 def test_oracle_capacity_error_checked_before_allocation():
@@ -823,6 +853,35 @@ def test_state_vector_rejects_nan():
     amps[0] = math.nan
     with pytest.raises(ValidationError):
         StateVector(layout, amps)
+
+
+@pytest.mark.parametrize("rows", [[1, 0], [0, 0], [0, 2], [-1, 0]])
+def test_state_vector_rejects_rows_that_are_not_sorted_memory_strings(rows):
+    # one memory: the rows are 0 and 1, each once, ascending
+    with pytest.raises(ShapeError, match="^rows must be distinct sorted memory "
+                                         "strings of the layout$"):
+        StateVector(build_layout(1), rows=rows, residual=np.full((2, 2, 2, 2), 0.25 + 0j))
+
+
+@pytest.mark.parametrize("rows, residual, shapes", [
+    ([0, 1], np.zeros((2, 8)), "(2,) and (2, 8)"),
+    ([[0, 1]], np.zeros((2, 2, 2, 2)), "(1, 2) and (2, 2, 2, 2)")])
+def test_state_vector_rejects_a_misshapen_table(rows, residual, shapes):
+    message = f"expected rows (r,) and residual (r, 2, 2, 2), got {shapes}"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        StateVector(build_layout(1), rows=rows, residual=residual)
+
+
+def test_state_vector_rejects_a_dense_vector_of_the_wrong_size():
+    message = "expected 16 amplitudes, got shape (8,)"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        StateVector(build_layout(1), np.full(8, 8 ** -0.5 + 0j))
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"amplitudes": np.eye(16)[0], "rows": [0]}])
+def test_state_vector_takes_amplitudes_or_a_table(kwargs):
+    with pytest.raises(ValidationError, match="^give either amplitudes, or rows and residual$"):
+        StateVector(build_layout(1), **kwargs)
 
 
 _NON_FINITE = "^state contains non-finite amplitudes$"
