@@ -12,6 +12,9 @@ A marginal is the validated reduced density matrix itself.  For one
 memory slot it is 2x2: its diagonal gives the branch weights, and its
 off-diagonal entry shows whether the record kept the control's
 coherence.
+
+The no-cloning witness has one rule, for pure and mixed pairs alike: a
+pair is correlated iff its fidelity with its marginals' product is below PURITY_ONE.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .machine import StateVector, check_normalized, partial_trace
 # Branch entries below this weight are floating-point dust and omitted.
 PRUNE_THRESHOLD = 1e-12
 
-# Marginal purity at or above this counts as pure / separable.
+# A purity or product fidelity at or above this counts as one (pure / product).
 PURITY_ONE = 1.0 - 1e-9
 
 
@@ -90,17 +93,12 @@ def outcome_probability(state: StateVector, register: str, outcome: int) -> floa
 
 
 def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
-
-    A pure argument reduces it to an overlap; a mixed pair needs the
-    matrix root.
-    """
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, through
+    the matrix root of ``rho`` for pure and mixed arguments alike."""
     rho = np.asarray(rho, dtype=np.complex128)
     sigma = np.asarray(sigma, dtype=np.complex128)
     if rho.shape != sigma.shape:
         raise ValidationError(f"fidelity shape mismatch: {rho.shape} vs {sigma.shape}")
-    if purity(rho) >= PURITY_ONE or purity(sigma) >= PURITY_ONE:
-        return max(float(np.real(np.trace(rho @ sigma))), 0.0)
     w, v = np.linalg.eigh(rho)
     root = (v * np.sqrt(_eigen_floor(w))) @ v.conj().T
     inner = np.linalg.eigvalsh(root @ sigma @ root)
@@ -117,31 +115,17 @@ def _eigen_floor(w: np.ndarray) -> np.ndarray:
     return np.where(w <= floor, 0.0, w)
 
 
-def _pair_marginals(rho_pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r4 = rho_pair.reshape(2, 2, 2, 2)  # (ket_a, ket_b, bra_a, bra_b)
-    return np.einsum("ijkj->ik", r4), np.einsum("ijik->jk", r4)
-
-
-def no_cloning_witness(
-    state: StateVector, a: str, b: str
-) -> tuple[bool, float]:
-    """Detect whether two registers are correlated rather than a product.
-
-    For a pure pair state, marginal purity is a complete entanglement
-    witness; for a mixed pair, deviation from the product of its own
-    marginals is used.  Returns (entangled, fidelity with that product).
-    """
+def no_cloning_witness(state: StateVector, a: str, b: str) -> tuple[bool, float]:
+    """Whether two registers are correlated rather than a product, for a pure
+    or mixed pair alike: iff their fidelity with the product of their own
+    marginals is below ``PURITY_ONE``.  Returns (entangled, that fidelity)."""
     if a == b:
         raise LayoutError(f"witness needs two distinct registers, got {a!r} twice")
     rho_pair = register_marginal(state, (a, b))
-    rho_first, rho_second = _pair_marginals(rho_pair)
-    product = np.kron(rho_first, rho_second)
+    r4 = rho_pair.reshape(2, 2, 2, 2)  # (ket_a, ket_b, bra_a, bra_b)
+    product = np.kron(np.einsum("ijkj->ik", r4), np.einsum("ijik->jk", r4))
     product_fidelity = min(fidelity(rho_pair, product), 1.0)
-    if purity(rho_pair) >= PURITY_ONE:
-        entangled = purity(rho_first) < PURITY_ONE
-    else:
-        entangled = product_fidelity < PURITY_ONE
-    return entangled, product_fidelity
+    return product_fidelity < PURITY_ONE, product_fidelity
 
 
 def separability_check(state: StateVector, register: str) -> tuple[bool, float]:

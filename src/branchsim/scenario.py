@@ -56,15 +56,15 @@ class Scenario:
         object.__setattr__(self, "iterations", tuple(self.iterations))
         object.__setattr__(self, "analyses", tuple(self.analyses))
         known = build_layout(len(self.iterations)).register_names()
-        for request in self.analyses:
+        for i, request in enumerate(self.analyses):
             for reg in request.registers:
                 if reg not in known:
                     raise ValidationError(
-                        f"analysis {request.kind!r} references unknown "
-                        f"register {reg!r}"
+                        f"analyses[{i}]: analysis {request.kind!r} references "
+                        f"unknown register {reg!r}"
                     )
             if request.kind == "witness" and request.registers[0] == request.registers[1]:
-                raise ValidationError("witness needs two distinct registers")
+                raise ValidationError(f"analyses[{i}]: witness needs two distinct registers")
 
 
 def _object(obj, path: str | None, required: tuple, optional: tuple,
@@ -108,6 +108,14 @@ def _parse_complex(value, path: str, field: str = "") -> complex:
     return complex(_number(re, what, path, field), _number(im, what, path, field))
 
 
+def _build(cls, path: str, **fields):
+    """``cls(**fields)``, a ``ValidationError`` it raises prefixed with ``path``."""
+    try:
+        return cls(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _parse_gate(obj, path: str) -> GateSpec:
     if not isinstance(obj, dict):
         raise ParseError("gate must be an object", path)
@@ -135,10 +143,7 @@ def _parse_gate(obj, path: str) -> GateSpec:
             fields["angle"] = parse_angle(obj["angle"], f"{path}.angle")
     else:
         raise ParseError("gate needs a 'named' or 'raw' field", path)
-    try:
-        return GateSpec(**fields)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return _build(GateSpec, path, **fields)
 
 
 def _parse_analysis(obj, path: str) -> AnalysisRequest:
@@ -190,7 +195,8 @@ def parse_scenario(text: str) -> Scenario:
     system_init = IDENTITY
     if "system_init" in init_doc:
         system_init = _parse_gate(init_doc["system_init"], "init.system_init")
-    init = InitSpec(
+    init = _build(
+        InitSpec, "init",
         **{a: _parse_complex(init_doc[a], "init.", a) for a in _AMPLITUDES},
         mode=init_doc["mode"],
         system_init=system_init,
@@ -200,7 +206,8 @@ def parse_scenario(text: str) -> Scenario:
     for i, it in enumerate(items):
         path = f"iterations[{i}]"
         _object(it, path, _REQUIRED_GATES, _GATES, "iteration must be an object")
-        iterations.append(IterationSpec(
+        iterations.append(_build(
+            IterationSpec, path,
             **{g: _parse_gate(it[g], f"{path}.{g}") for g in _GATES if g in it}
         ))
 

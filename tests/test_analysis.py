@@ -7,6 +7,7 @@ import pytest
 from branchsim import branch_decompose, builtin_scenario, memory_marginal, run
 from branchsim.analysis import (
     PRUNE_THRESHOLD,
+    PURITY_ONE,
     BranchTable,
     fidelity,
     no_cloning_witness,
@@ -16,7 +17,13 @@ from branchsim.analysis import (
 )
 from branchsim.errors import LayoutError
 from branchsim.gates import GateSpec
-from branchsim.machine import InitSpec, build_layout, initialize, write_memory
+from branchsim.machine import (
+    InitSpec,
+    StateVector,
+    build_layout,
+    initialize,
+    write_memory,
+)
 from branchsim.scenario import Scenario
 from branchsim.verify import random_canonical_scenario
 
@@ -224,6 +231,22 @@ def test_witness_system_policy_factorizes_without_feedback():
     entangled, fid = no_cloning_witness(state, "S", "P")
     assert not entangled
     assert fid == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("p, expected", [
+    (0.0, False), (2e-10, False), (4e-10, True), (1e-6, True), (0.5, True),
+])
+def test_witness_pure_pair_follows_the_product_fidelity_rule(p, expected):
+    # sqrt(1-p)|00> + sqrt(p)|11> on (S, P), C in |0>: F with the product of
+    # its marginals diag(1-p, p) is (1-p)^3 + p^3, so p = 4e-10 reads
+    # 1 - 1.2e-9, below PURITY_ONE, while its smaller Schmidt weight is tiny
+    residual = np.zeros((1, 2, 2, 2), dtype=complex)
+    residual[0, 0, 0, 0] = math.sqrt(1.0 - p)
+    residual[0, 0, 1, 1] = math.sqrt(p)
+    state = StateVector(build_layout(0), rows=[0], residual=residual)
+    entangled, fid = no_cloning_witness(state, "S", "P")
+    assert fid == pytest.approx((1.0 - p) ** 3 + p**3, abs=1e-14)
+    assert entangled == (fid < PURITY_ONE) == expected
 
 
 def test_witness_same_register_rejected():

@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from branchsim import branch_decompose, builtin_scenario, run
+from branchsim.analysis import PURITY_ONE, no_cloning_witness
 from branchsim.gates import GateSpec
 from branchsim.linalg import purity
 from branchsim.machine import (
@@ -20,6 +21,7 @@ from branchsim.machine import (
     measure_control,
     partial_trace,
 )
+from branchsim.verify import random_canonical_scenario, random_init
 
 from oracles import raw_gate
 
@@ -113,3 +115,17 @@ def test_reinforcement_weights_follow_closed_form(theta):
     assert abs(probs.get("00", 0.0) - 0.5) <= 1e-10
     assert abs(probs.get("10", 0.0) - 0.5 * math.sin(theta) ** 2) <= 1e-10
     assert abs(probs.get("11", 0.0) - 0.5 * math.cos(theta) ** 2) <= 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=3))
+def test_witness_reads_a_product_uncorrelated_and_a_record_correlated(seed, rounds):
+    # the product half is what verify's property_no_cloning does not check:
+    # a witness answering "correlated" for every pair would pass it
+    rng = np.random.default_rng(seed)
+    state = initialize(random_init(rng, "uncorrelated"), build_layout(0))
+    entangled, fid = no_cloning_witness(state, "S", "P")
+    assert not entangled and fid >= PURITY_ONE
+    state = run(random_canonical_scenario(rng, rounds))
+    entangled, _ = no_cloning_witness(state, "C", "M1")
+    assert entangled
