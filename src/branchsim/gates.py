@@ -1,12 +1,20 @@
-"""One-qubit gate library.
+"""One-qubit gate library and the raw-gate check.
 
-A ``GateSpec`` is checked and resolved to its read-only 2x2 matrix when
-it is constructed, and it holds only the fields its kind uses: none for
-a fixed gate, ``angle`` for a rotation, ``raw`` for a raw matrix.  An
-angle is kept as written, radians or an exact string such as "pi/3" or
-"-5*pi/4"; ``radians`` is the one place that evaluates it.  A raw
-matrix's unitarity is checked in closed form on the eight floats of its
-``raw`` entries (``unitarity_deviation_2x2``), not by a numpy product.
+A ``GateSpec`` is a gate as written, and it holds only the fields its
+kind uses: none for a fixed gate, ``angle`` for a rotation, ``raw`` for
+a raw matrix.  Its fields are checked when it is constructed, and it
+holds no array: ``matrix()`` builds the 2x2 unitary from the library,
+or from ``raw``, on each call.  An angle is kept as written, radians or
+an exact string such as "pi/3" or "-5*pi/4"; ``radians`` is the one
+place that evaluates it.
+
+A raw matrix's numbers are checked by one rule, ``check_raw``: finite
+entries, and ``unitarity_deviation_2x2`` at most ``UNITARITY_TOL``, in
+closed form on the eight floats, not by a numpy product.  A raw
+``GateSpec`` applies it to itself.  ``check_unitary`` applies it to a
+stack of gates, such as a scenario document's raw round gates: one numpy
+pass screens the stack, and the rule decides and words each gate the
+screen flags, first gate first.
 
 The ``rx``/``ry``/``rz`` kinds follow the half-angle convention, e.g.
 rx(a) = cos(a/2) I - i sin(a/2) X.  ``real_rotation`` is the plain plane
@@ -19,20 +27,22 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .linalg import UNITARITY_TOL
 
-_FIXED = {
+_FIXED = {  # read-only, shared by every gate of its kind
     "identity": np.eye(2, dtype=np.complex128),
     "pauli_x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "pauli_y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "pauli_z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
     "hadamard": np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2),
 }
+for _m in _FIXED.values():
+    _m.flags.writeable = False
 
 
 def _rx(a: float) -> list:
@@ -79,6 +89,38 @@ def unitarity_deviation_2x2(a: complex, b: complex, c: complex, d: complex) -> f
                           ar * bi - ai * br + cr * di - ci * dr))
 
 
+def check_raw(a: complex, b: complex, c: complex, d: complex) -> None:
+    """Raise ``ValidationError`` unless ((a, b), (c, d)) is a finite unitary
+    to within ``UNITARITY_TOL``: the one rule every raw gate is held to."""
+    dev = unitarity_deviation_2x2(a, b, c, d)
+    if dev > UNITARITY_TOL:
+        raise ValidationError(f"raw gate is not unitary (deviation {dev:.3e})")
+
+
+def check_unitary(matrices: np.ndarray, path) -> None:
+    """Hold each gate of an ``(n, 2, 2)`` complex stack to ``check_raw``, and
+    raise the first failure as ``"{path(i)}: {message}"``.
+
+    One numpy product screens the stack: a gate whose ``|m†m - I|`` is
+    within half the tolerance passes, so rounding (about 1e-16 here) cannot
+    turn a failure into a pass.  ``check_raw`` decides each other gate, a
+    non-finite one too, in order, so every verdict and message is the rule's.
+    """
+    if not len(matrices):
+        return
+    with np.errstate(all="ignore"):  # an overflow or a non-finite entry is flagged
+        dev = np.abs(np.einsum("nji,njk->nik", matrices.conj(), matrices) - _FIXED["identity"])
+        if dev.max() <= UNITARITY_TOL / 2:  # every gate passes; nan fails this too
+            return
+        flagged = np.flatnonzero(~(dev.max(axis=(1, 2)) <= UNITARITY_TOL / 2))
+    for i in flagged.tolist():
+        (a, b), (c, d) = matrices[i].tolist()
+        try:
+            check_raw(a, b, c, d)
+        except ValidationError as exc:
+            raise ValidationError(f"{path(i)}: {exc}") from exc
+
+
 def radians(angle: float | str) -> float:
     """A number as a float, or an exact 'M*pi/N' string (optionally negated,
     spaces ignored) evaluated as sign * M * pi / N."""
@@ -95,12 +137,11 @@ def radians(angle: float | str) -> float:
 
 @dataclass(frozen=True)
 class GateSpec:
-    """Declarative one-qubit gate: fixed-named, rotation, or raw matrix."""
+    """Declarative one-qubit gate as written: fixed-named, rotation, or raw matrix."""
 
     kind: str
     angle: float | str | None = None
     raw: RawMatrix | None = None
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = self.kind
@@ -114,35 +155,31 @@ class GateSpec:
             need = "requires a" if raw else "takes no"
             raise ValidationError(f"gate {kind!r} {need} raw matrix")
         try:
-            if rotation:
-                angle = radians(self.angle)
-                if not math.isfinite(angle):
-                    raise ValidationError("gate angle must be finite")
-                m = np.array(_ROTATIONS[kind](angle), dtype=np.complex128)
-            elif raw:
-                m = np.array(self.raw, dtype=np.complex128)
-                if m.shape != (2, 2):
-                    raise ValidationError(f"raw gate must be 2x2, got {m.shape}")
+            if rotation and not math.isfinite(radians(self.angle)):
+                raise ValidationError("gate angle must be finite")
+            if raw:
+                shape = np.array(self.raw, dtype=np.complex128).shape
+                if shape != (2, 2):
+                    raise ValidationError(f"raw gate must be 2x2, got {shape}")
                 (a, b), (c, d) = self.raw
-                dev = unitarity_deviation_2x2(a, b, c, d)
-                if dev > UNITARITY_TOL:
-                    raise ValidationError(f"raw gate is not unitary (deviation {dev:.3e})")
-            else:
-                m = _FIXED[kind]  # shared by every gate of this kind
+                check_raw(a, b, c, d)
         except (TypeError, ValueError, OverflowError) as exc:  # a wrong type, or too large
             raise ValidationError(
                 "gate angle must be a float or an angle expression" if rotation
                 else "raw gate must be a 2x2 matrix of complex numbers") from exc
-        m.flags.writeable = False
-        object.__setattr__(self, "_matrix", m)
 
     @property
     def is_identity(self) -> bool:
         return self.kind == "identity"
 
     def matrix(self) -> np.ndarray:
-        """The gate's read-only 2x2 unitary."""
-        return self._matrix
+        """The gate's 2x2 unitary, built on each call; a fixed kind's is shared
+        and read-only."""
+        if self.kind in _FIXED:
+            return _FIXED[self.kind]
+        if self.kind == "raw":
+            return np.array(self.raw, dtype=np.complex128)
+        return np.array(_ROTATIONS[self.kind](radians(self.angle)), dtype=np.complex128)
 
 
 IDENTITY = GateSpec("identity")

@@ -26,14 +26,19 @@ in the verification oracle).  There are two kinds:
   into the child with the bit clear, which keeps the row's C=0 half,
   and the child with the bit set, which keeps its C=1 half.
 
-Every round's gate, and each ``apply_controlled`` call, takes one path,
-``_controlled_update``, which applies its steps in order to one
-rows-last ``(C, S, P, row)`` copy of the residual, so each pair's
-arithmetic runs along the rows, and drops the rows left
-exactly zero.  A round is one such call: it appends M_k in |0> by
-shifting every row label left by one bit, and its five gates
-(controlled-U, memory write, feedback, policy update, steering) run on
-no other slot, so no memory record is ever written twice.
+A round reads its gates only from ``IterationSpec.gates``, its row of
+the scenario's read-only ``(rounds, 8, 2, 2)`` gate array: each pair is a
+``(2, 2, 2)`` view of that row, and a step's broadcast coefficients are
+a view of the pair where C, S or P controls (a memory control gathers
+each row's gate).  A round is one ``_controlled_update`` call, which
+applies its steps in order to one rows-last ``(C, S, P, row)`` copy of
+the residual, so each pair's arithmetic runs along the rows, and drops
+the rows left exactly zero; ``apply_controlled`` stacks its two
+``GateSpec``s' matrices into a pair and makes the same call.  A round
+appends M_k in |0> by shifting every row label left by one bit, and its
+five gates (controlled-U, memory write, feedback, policy update,
+steering) run on no other slot, so no memory record is ever written
+twice.
 ``partial_trace`` groups the rows on the kept memories' bits, so a
 marginal costs the populated rows, never 2**n.
 
@@ -210,7 +215,16 @@ def _dense_view(layout: RegisterLayout, rows: np.ndarray, residual: np.ndarray) 
     return flat
 
 
-@dataclass(frozen=True)
+SLOTS = ("u0", "u1", "f0", "f1", "v0", "v1", "r0", "r1")
+_RAW = (None,) * len(SLOTS)
+
+
+def check_steering(r0, r1) -> None:
+    """Raise unless the r pair is both present or both absent."""
+    if (r0 is None) != (r1 is None):
+        raise ValidationError("r0 and r1 must be both present or both absent")
+
+
 class IterationSpec:
     """Per-iteration gate choices.
 
@@ -218,24 +232,66 @@ class IterationSpec:
     feedback on the system; ``v`` is the memory-controlled policy update.
     The optional ``r`` pair (policy-controlled steering of C) switches the
     iteration into extended mode; both entries must be given together.
+
+    ``gates`` is the round's read-only ``(8, 2, 2)`` array of slots
+    ``SLOTS``, the identity in an omitted slot; a parsed or drawn scenario's
+    rounds are the rows of one ``(rounds, 8, 2, 2)`` array.  It is the only
+    form the engine reads.  ``written`` holds each slot's ``GateSpec`` as
+    written, or None for a raw gate, whose numbers are only in ``gates``,
+    and for an absent r.  ``spec.u0`` ... ``spec.r1`` read a slot back as
+    a ``GateSpec`` (a raw one rebuilt from ``gates``), or None for an
+    absent r.
     """
 
-    u0: GateSpec = IDENTITY
-    u1: GateSpec = IDENTITY
-    f0: GateSpec = IDENTITY
-    f1: GateSpec = IDENTITY
-    v0: GateSpec = IDENTITY
-    v1: GateSpec = IDENTITY
-    r0: GateSpec | None = None
-    r1: GateSpec | None = None
+    __slots__ = ("gates", "written", "extended")
 
-    def __post_init__(self):
-        if (self.r0 is None) != (self.r1 is None):
-            raise ValidationError("r0 and r1 must be both present or both absent")
+    def __init__(self, u0=IDENTITY, u1=IDENTITY, f0=IDENTITY, f1=IDENTITY,
+                 v0=IDENTITY, v1=IDENTITY, r0=None, r1=None):
+        check_steering(r0, r1)
+        given = (u0, u1, f0, f1, v0, v1, r0, r1)
+        gates = np.array([(g or IDENTITY).matrix() for g in given])
+        gates.flags.writeable = False
+        self.gates, self.extended = gates, r0 is not None
+        self.written = tuple(None if g and g.kind == "raw" else g for g in given)
 
-    @property
-    def extended(self) -> bool:
-        return self.r0 is not None
+    @classmethod
+    def of_gates(cls, gates: np.ndarray, extended: bool, written=_RAW) -> "IterationSpec":
+        """A round reading ``gates``, a read-only ``(8, 2, 2)`` array whose raw
+        gates are already checked; every slot is raw unless ``written``."""
+        spec = object.__new__(cls)
+        spec.gates, spec.extended, spec.written = gates, extended, written
+        return spec
+
+    def _gate(self, j: int) -> GateSpec | None:
+        if self.written[j] is not None or (j >= 6 and not self.extended):
+            return self.written[j]
+        (a, b), (c, d) = self.gates[j].tolist()
+        return GateSpec("raw", raw=((a, b), (c, d)))
+
+    u0, u1, f0, f1, v0, v1, r0, r1 = (property(lambda self, j=j: self._gate(j))
+                                      for j in range(len(SLOTS)))
+
+    def pair(self, j: int) -> np.ndarray | None:
+        """Slots j and j + 1 as a ``(2, 2, 2)`` view of ``gates``, or None where
+        both are written identities, a step the engine skips."""
+        w0, w1 = self.written[j], self.written[j + 1]
+        if w0 is not None and w1 is not None and w0.is_identity and w1.is_identity:
+            return None
+        return self.gates[j:j + 2]
+
+    def replace(self, **gates) -> "IterationSpec":
+        """This round with the given slots' gates replaced."""
+        return IterationSpec(**{**{name: getattr(self, name) for name in SLOTS}, **gates})
+
+    def __eq__(self, other):
+        if not isinstance(other, IterationSpec):
+            return NotImplemented
+        return (self.extended == other.extended and self.written == other.written
+                and np.array_equal(self.gates, other.gates))
+
+    def __repr__(self) -> str:
+        slots = ", ".join(f"{name}={getattr(self, name)!r}" for name in SLOTS)
+        return f"IterationSpec({slots})"
 
 
 def _norm_sq(a: complex, b: complex) -> float:
@@ -293,38 +349,45 @@ def _memory_bit(layout: RegisterLayout, memory: str) -> int:
     return 1 << (layout.n_memories - layout.position(memory))
 
 
-# Bit index arrays that broadcast along one axis of the (C, S, P, row) block.
-_BIT = [np.arange(2).reshape([-1 if a == axis else 1 for a in range(4)])
-        for axis in range(3)]
+# The memory write's pair, a CNOT from C: the only gate a memory takes.
+_WRITE = np.array((IDENTITY.matrix(), PAULI_X.matrix()))
+_WRITE.flags.writeable = False
 
 
 def _controlled_update(
     rows: np.ndarray, residual: np.ndarray, layout: RegisterLayout, steps
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply each ``(control, target, g0, g1)`` step in order; skip identities.
+    """Apply each ``(control, target, pair)`` step in order; skip a None pair.
 
-    A step applies g0/g1 to ``target`` where ``control`` reads 0/1, on one
-    rows-last ``(C, S, P, row)`` copy of the residual.  The pair is one
-    broadcast update, ``G[control bit, out, 0] * lo + G[..., 1] * hi``
-    with ``lo``/``hi`` the target bit's halves, written into two buffers
-    that the steps reuse.  A memory takes only its write (see the module
-    docstring); any other memory target raises ``LayoutError``.  Rows
-    left exactly zero are dropped.  The inputs are not modified.
+    A step applies ``pair[0]``/``pair[1]`` to ``target`` where ``control``
+    reads 0/1, on one rows-last ``(C, S, P, row)`` copy of the residual.
+    The pair is one broadcast update, ``pair[control bit, out, 0] * lo +
+    pair[..., 1] * hi`` with ``lo``/``hi`` the target bit's halves, written
+    into two buffers that the steps reuse.  A memory takes only its write,
+    the pair ``_WRITE`` (see the module docstring); any other memory target
+    raises ``LayoutError``.  Rows left exactly zero are dropped.  The inputs
+    are not modified.
     """
-    steps = [s for s in steps if not (s[2].is_identity and s[3].is_identity)]
+    steps = [s for s in steps if s[2] is not None]
     if not steps:
         return rows, residual
     block = residual.transpose(1, 2, 3, 0).copy()  # a copy: never a view of the input
     out = tmp = None
-    for control, target, g0, g1 in steps:
+    for control, target, pair in steps:
         if target in _RESIDUAL_AXIS:
+            # (C, S, P, row, in): the gate of each element's control bit, at
+            # its output row; a view of the pair where C, S or P controls
             t = _RESIDUAL_AXIS[target] - 1
+            shape = [1, 1, 1, 1, 2]
+            shape[t] = 2
             if control in _RESIDUAL_AXIS:
-                bit = _BIT[_RESIDUAL_AXIS[control] - 1]
+                c = _RESIDUAL_AXIS[control] - 1
+                shape[c] = 2
+                coef = (pair if c < t else pair.transpose(1, 0, 2)).reshape(shape)
             else:
+                shape[3] = rows.size
                 bit = ((rows & _memory_bit(layout, control)) != 0).view(np.uint8)
-            # (..., in): the gate of each element's control bit, at its output row
-            coef = np.array((g0.matrix(), g1.matrix()))[bit, _BIT[t]]
+                coef = pair[bit].transpose(1, 0, 2).reshape(shape)
             if out is None:
                 out, tmp = np.empty_like(block), np.empty_like(block)
             half = (slice(None),) * t
@@ -333,10 +396,10 @@ def _controlled_update(
             block, out = np.add(out, tmp, out=out), block
             continue
         bit = _memory_bit(layout, target)
-        if (control, g0, g1) != ("C", IDENTITY, PAULI_X) or (rows & (2 * bit - 1)).any():
+        if control != "C" or pair is not _WRITE or (rows & (2 * bit - 1)).any():
             raise LayoutError(f"memory {target} takes only its write: a CNOT from C "
                               f"before any write to it or to a later slot")
-        out = tmp = None
+        out = tmp = None  # free the buffers before the split allocates
         split = np.zeros((2, 2, 2, rows.size, 2), dtype=np.complex128)
         split[0, ..., 0], split[1, ..., 1] = block[0], block[1]
         rows = (rows[:, None] | np.array([0, bit])).reshape(-1)
@@ -377,8 +440,14 @@ def apply_controlled(
         raise LayoutError(f"control and target are the same register {control!r}")
     state.layout.position(control)
     state.layout.position(target)
+    if g0.is_identity and g1.is_identity:
+        pair = None
+    elif (g0, g1) == (IDENTITY, PAULI_X):
+        pair = _WRITE
+    else:
+        pair = np.array((g0.matrix(), g1.matrix()))
     rows, residual = _controlled_update(
-        state.rows, state.residual, state.layout, [(control, target, g0, g1)]
+        state.rows, state.residual, state.layout, [(control, target, pair)]
     )
     return StateVector(state.layout, rows=rows, residual=residual)
 
@@ -405,10 +474,10 @@ def iterate(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
     m = f"M{k}"
     # Order is load-bearing: feedback must see the policy state *before*
     # this round's policy update.
-    steps = [("C", "S", spec.u0, spec.u1), ("C", m, IDENTITY, PAULI_X),
-             ("P", "S", spec.f0, spec.f1), (m, "P", spec.v0, spec.v1)]
+    steps = [("C", "S", spec.pair(0)), ("C", m, _WRITE),
+             ("P", "S", spec.pair(2)), (m, "P", spec.pair(4))]
     if spec.extended:
-        steps.append(("P", "C", spec.r0, spec.r1))
+        steps.append(("P", "C", spec.pair(6)))
     rows, residual = _controlled_update(rows, state.residual, layout, steps)
     return StateVector(layout, rows=rows, residual=residual)
 

@@ -5,6 +5,17 @@ or as exact strings like "pi/3" or "5*pi/4" (optionally negated), which
 avoids transcription error for the rational-of-pi angles used by the
 built-in scenarios; a gate keeps its angle as written, so it reads back
 equal.  Complex values are numbers or [re, im] pairs; a bool is no number.
+
+A document's round gates go straight into the scenario's one read-only
+``(rounds, 8, 2, 2)`` gate array (see ``machine.IterationSpec``): a raw
+gate as its eight numbers, each taken with one exact type test, and a
+named gate as its library matrix.  All the raw round gates are then
+checked in one pass (``gates.check_unitary``).  Errors keep document
+order across kinds: an error raised while parsing first checks the raw
+gates before it, so an earlier gate's unitarity error (exit 3) wins over
+a later gate's parse error (exit 2), and an earlier parse error wins over
+a later unitarity error.  A raw ``system_init`` is the one gate checked
+on its own, as a ``GateSpec``, before the amplitudes are read.
 """
 
 from __future__ import annotations
@@ -13,17 +24,20 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ParseError, ValidationError
-from .gates import ANGLE_KINDS, GateSpec, IDENTITY, KINDS, radians
-from .machine import InitSpec, IterationSpec, build_layout
+import numpy as np
+
+from .errors import BranchsimError, ParseError, ValidationError
+from .gates import ANGLE_KINDS, GateSpec, IDENTITY, KINDS, check_unitary, radians
+from .machine import SLOTS, InitSpec, IterationSpec, build_layout, check_steering
 
 ANALYSIS_KINDS = ("branches", "marginal", "outcome", "separability", "witness")
 
 # The document's field tables, read by both parse_scenario and emit_scenario.
 _AMPLITUDES = ("alpha", "beta", "gamma", "delta")
-_GATES = ("u0", "u1", "f0", "f1", "v0", "v1", "r0", "r1")
+_GATES = SLOTS
 _REQUIRED_GATES = _GATES[:2]
 _DEFAULT_ROUND = IterationSpec()  # an omitted gate takes this round's value
+_OMITTED = _DEFAULT_ROUND.written
 
 _SEED_MESSAGE = "must be an object with a non-negative integer 'seed'"
 
@@ -75,9 +89,10 @@ def _object(obj, path: str | None, required: tuple, optional: tuple,
     for field in required:
         if field not in obj:
             raise ParseError(f"missing required field {field!r}", path)
-    extras = set(obj).difference(required, optional)
-    if extras:
-        raise ParseError(f"unexpected fields {sorted(extras)}", path)
+    if len(obj) > len(required):  # every required field is in, so an extra one adds length
+        extras = set(obj).difference(required, optional)
+        if extras:
+            raise ParseError(f"unexpected fields {sorted(extras)}", path)
     return obj
 
 
@@ -102,10 +117,17 @@ def parse_angle(value, path: str) -> float | str:
     return value
 
 
-def _parse_complex(value, path: str, field: str = "") -> complex:
-    what = "expected a number or [re, im] pair"
+def _complex_parts(value, path: str, field: str = "") -> tuple[float, float]:
+    """A number or [re, im] pair as its two floats."""
     re, im = value if type(value) is list and len(value) == 2 else (value, 0.0)
-    return complex(_number(re, what, path, field), _number(im, what, path, field))
+    if type(re) is float and type(im) is float:  # already floats: _number's result
+        return re, im
+    what = "expected a number or [re, im] pair"
+    return _number(re, what, path, field), _number(im, what, path, field)
+
+
+def _parse_complex(value, path: str, field: str = "") -> complex:
+    return complex(*_complex_parts(value, path, field))
 
 
 def _build(cls, path: str, **fields):
@@ -116,7 +138,12 @@ def _build(cls, path: str, **fields):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _parse_gate(obj, path: str) -> GateSpec:
+_RAW_FIELDS = (".raw[0][0]", ".raw[0][1]", ".raw[1][0]", ".raw[1][1]")
+
+
+def _parse_gate(obj, path: str) -> GateSpec | list[float]:
+    """A named gate as its ``GateSpec``; a raw gate as its eight floats, the
+    real and imaginary parts of its entries in row order, not yet checked."""
     if not isinstance(obj, dict):
         raise ParseError("gate must be an object", path)
     if "named" in obj and "raw" in obj:
@@ -126,10 +153,10 @@ def _parse_gate(obj, path: str) -> GateSpec:
         if not (type(rows) is list and len(rows) == 2 and type(rows[0]) is list
                 and type(rows[1]) is list and len(rows[0]) == len(rows[1]) == 2):
             raise ParseError("raw gate must be a 2x2 matrix of [re, im] pairs", path)
-        (a, b), (c, d) = rows
-        fields = {"kind": "raw", "raw": (
-            (_parse_complex(a, path, ".raw[0][0]"), _parse_complex(b, path, ".raw[0][1]")),
-            (_parse_complex(c, path, ".raw[1][0]"), _parse_complex(d, path, ".raw[1][1]")))}
+        numbers = []
+        for field, z in zip(_RAW_FIELDS, (*rows[0], *rows[1])):
+            numbers += _complex_parts(z, path, field)
+        return numbers
     elif "named" in obj:
         kind = obj["named"]
         if kind not in KINDS or kind == "raw":
@@ -144,6 +171,55 @@ def _parse_gate(obj, path: str) -> GateSpec:
     else:
         raise ParseError("gate needs a 'named' or 'raw' field", path)
     return _build(GateSpec, path, **fields)
+
+
+def _raw_gates(numbers: list[float], raw_at: list[int]) -> np.ndarray:
+    """The raw round gates' ``(k, 2, 2)`` matrices, checked in one pass; the
+    first that fails raises with its path, found from its flat slot index."""
+    raw = np.array(numbers, dtype=np.float64).view(np.complex128).reshape(-1, 2, 2)
+    n = len(_GATES)
+    check_unitary(raw, lambda i: f"iterations[{raw_at[i] // n}].{_GATES[raw_at[i] % n]}")
+    return raw
+
+
+def _parse_rounds(items: list) -> tuple[IterationSpec, ...]:
+    """Every round of ``iterations``, on one ``(rounds, 8, 2, 2)`` gate array.
+
+    Each raw gate's numbers are parsed in document order, and then all of
+    them are checked in one pass.  An error raised on the way, a later
+    gate's or round's, first checks the raw gates parsed before it, so the
+    document's first error is the one raised, whatever its kind.
+    """
+    written, extended, numbers, raw_at = [], [], [], []
+    try:
+        for i, it in enumerate(items):
+            path = f"iterations[{i}]"
+            _object(it, path, _REQUIRED_GATES, _GATES, "iteration must be an object")
+            slots = list(_OMITTED)
+            for j, g in enumerate(_GATES):
+                if g in it:
+                    gate = _parse_gate(it[g], f"{path}.{g}")
+                    if type(gate) is list:
+                        numbers += gate
+                        raw_at.append(len(_GATES) * i + j)
+                        gate = None
+                    slots[j] = gate
+            _build(check_steering, path, r0=it.get("r0"), r1=it.get("r1"))
+            written.append(tuple(slots))
+            extended.append("r0" in it)
+    except BranchsimError:
+        _raw_gates(numbers, raw_at)  # a raw gate before the error fails first
+        raise
+    gates = np.empty((len(items), len(_GATES), 2, 2), dtype=np.complex128)
+    gates[...] = IDENTITY.matrix()
+    flat = gates.reshape(-1, 2, 2)
+    for i, slots in enumerate(written):
+        for j, gate in enumerate(slots):
+            if gate is not None and not gate.is_identity:
+                flat[len(_GATES) * i + j] = gate.matrix()
+    flat[raw_at] = _raw_gates(numbers, raw_at)
+    gates.flags.writeable = False
+    return tuple(IterationSpec.of_gates(g, x, w) for g, x, w in zip(gates, extended, written))
 
 
 def _parse_analysis(obj, path: str) -> AnalysisRequest:
@@ -195,6 +271,9 @@ def parse_scenario(text: str) -> Scenario:
     system_init = IDENTITY
     if "system_init" in init_doc:
         system_init = _parse_gate(init_doc["system_init"], "init.system_init")
+        if type(system_init) is list:  # one raw gate, checked as it is built
+            a, b, c, d = map(complex, system_init[::2], system_init[1::2])
+            system_init = _build(GateSpec, "init.system_init", kind="raw", raw=((a, b), (c, d)))
     init = _build(
         InitSpec, "init",
         **{a: _parse_complex(init_doc[a], "init.", a) for a in _AMPLITUDES},
@@ -202,14 +281,7 @@ def parse_scenario(text: str) -> Scenario:
         system_init=system_init,
     )
 
-    iterations = []
-    for i, it in enumerate(items):
-        path = f"iterations[{i}]"
-        _object(it, path, _REQUIRED_GATES, _GATES, "iteration must be an object")
-        iterations.append(_build(
-            IterationSpec, path,
-            **{g: _parse_gate(it[g], f"{path}.{g}") for g in _GATES if g in it}
-        ))
+    iterations = _parse_rounds(items)
 
     analyses = [
         _parse_analysis(a, f"analyses[{i}]")
@@ -225,7 +297,7 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(
         name=doc["name"],
         init=init,
-        iterations=tuple(iterations),
+        iterations=iterations,
         analyses=tuple(analyses),
         measure_seed=seed,
     )

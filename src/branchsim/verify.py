@@ -138,13 +138,14 @@ def global_unitary(layout: RegisterLayout, gates) -> np.ndarray:
 
 def round_gates(k: int, spec: IterationSpec):
     """(control, target, g0, g1) of round k's controlled gates, as 2x2
-    matrices, in order: U, CNOT, F, V, then R."""
-    gates = [("C", "S", spec.u0, spec.u1), ("C", f"M{k}", IDENTITY, PAULI_X),
-             ("P", "S", spec.f0, spec.f1), (f"M{k}", "P", spec.v0, spec.v1)]
+    matrices read from the round's gate array, in order: U, CNOT, F, V,
+    then R."""
+    g = spec.gates
+    gates = [("C", "S", g[0], g[1]), ("C", f"M{k}", IDENTITY.matrix(), PAULI_X.matrix()),
+             ("P", "S", g[2], g[3]), (f"M{k}", "P", g[4], g[5])]
     if spec.extended:
-        gates.append(("P", "C", spec.r0, spec.r1))
-    return [(control, target, g0.matrix(), g1.matrix())
-            for control, target, g0, g1 in gates]
+        gates.append(("P", "C", g[6], g[7]))
+    return gates
 
 
 def initial_vector(init: InitSpec, n_memories: int) -> np.ndarray:
@@ -231,10 +232,6 @@ def random_unitaries(rng: np.random.Generator, k: int, dim: int = 2) -> np.ndarr
     return q * (d / np.abs(d))[:, None, :]
 
 
-def random_gates(rng: np.random.Generator, k: int) -> list[GateSpec]:
-    return [GateSpec("raw", raw=tuple(map(tuple, u))) for u in random_unitaries(rng, k).tolist()]
-
-
 def random_amplitude_pair(rng: np.random.Generator) -> tuple[complex, complex]:
     """Normalized (a, b) with |a|^2 bounded away from 0 and 1."""
     w = rng.uniform(_MIN_WEIGHT, 1.0 - _MIN_WEIGHT)
@@ -253,33 +250,38 @@ def random_init(rng: np.random.Generator, mode: str | None = None) -> InitSpec:
         gamma, delta = 1.0 + 0j, 0j
     else:
         gamma, delta = random_amplitude_pair(rng)
+    (a, b), (c, d) = random_unitaries(rng, 1)[0].tolist()
     return InitSpec(
         alpha=alpha, beta=beta, gamma=gamma, delta=delta, mode=mode,
-        system_init=random_gates(rng, 1)[0],
+        system_init=GateSpec("raw", raw=((a, b), (c, d))),
     )
+
+
+def _random_scenario(rng: np.random.Generator, n_iterations: int, mode: str | None,
+                     extended: bool) -> Scenario:
+    """Haar-random u, f and v pairs in every round, then the init, then an r
+    pair per round if ``extended``, drawn straight into the scenario's gate
+    array; a drawn unitary is not checked again."""
+    gates = np.empty((n_iterations, 8, 2, 2), dtype=np.complex128)
+    gates[:, :6] = random_unitaries(rng, 6 * n_iterations).reshape(n_iterations, 6, 2, 2)
+    init = random_init(rng, mode)
+    gates[:, 6:] = (random_unitaries(rng, 2 * n_iterations).reshape(n_iterations, 2, 2, 2)
+                    if extended else IDENTITY.matrix())
+    gates.flags.writeable = False
+    return Scenario(name="random-canonical", init=init,
+                    iterations=tuple(IterationSpec.of_gates(g, extended) for g in gates))
 
 
 def random_canonical_scenario(
     rng: np.random.Generator, n_iterations: int, mode: str | None = None
 ) -> Scenario:
-    gates = random_gates(rng, 6 * n_iterations)
-    iterations = tuple(
-        IterationSpec(*gates[6 * i:6 * i + 6]) for i in range(n_iterations)
-    )
-    return Scenario(name="random-canonical", init=random_init(rng, mode),
-                    iterations=iterations)
+    return _random_scenario(rng, n_iterations, mode, extended=False)
 
 
 def random_extended_scenario(
     rng: np.random.Generator, n_iterations: int, mode: str | None = None
 ) -> Scenario:
-    base = random_canonical_scenario(rng, n_iterations, mode)
-    gates = random_gates(rng, 2 * n_iterations)
-    iterations = tuple(
-        replace(it, r0=r0, r1=r1)
-        for it, r0, r1 in zip(base.iterations, gates[::2], gates[1::2])
-    )
-    return replace(base, iterations=iterations)
+    return _random_scenario(rng, n_iterations, mode, extended=True)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +468,12 @@ def _check_extended_identity(rng, draw):
     scenario = random_canonical_scenario(rng, 1)
     spec = scenario.iterations[0]
     if draw % 2:  # a drawn R pair, against the extended round's closed form
-        r0, r1 = random_gates(rng, 2)
-        spec = steered = replace(spec, r0=r0, r1=r1)
+        gates = spec.gates.copy()
+        gates[6:] = random_unitaries(rng, 2)
+        gates.flags.writeable = False
+        spec = steered = IterationSpec.of_gates(gates, True)
     else:  # an identity R pair, against the canonical round's closed form
-        steered = replace(spec, r0=IDENTITY, r1=IDENTITY)
+        steered = IterationSpec.of_gates(spec.gates, True, (None,) * 6 + (IDENTITY, IDENTITY))
     state = iterate_extended(initialize(scenario.init, build_layout(0)), 1, steered)
     return _table_deviation(state, closed_form(scenario.init, [spec]))
 

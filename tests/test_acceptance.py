@@ -89,7 +89,7 @@ def test_criterion_4_reinforcement_golden():
     for _ in range(20):
         alpha, beta = random_amplitude_pair(rng)
         theta = float(rng.uniform(0, 2 * math.pi))
-        steered = replace(base.iterations[0], r1=GateSpec("real_rotation", angle=theta))
+        steered = base.iterations[0].replace(r1=GateSpec("real_rotation", angle=theta))
         scenario = replace(base, init=InitSpec(alpha=alpha, beta=beta),
                            iterations=(steered, base.iterations[1]))
         got = branch_decompose(run(scenario)).probabilities()

@@ -110,7 +110,7 @@ def test_branch_reconstruction_reproduces_global_state():
 def test_branch_entries_below_prune_threshold_are_dropped():
     theta = 1e-8  # sin^2 ~ 1e-16 < prune threshold
     base = builtin_scenario("reinforce-two-step")
-    steered = replace(base.iterations[0], r1=GateSpec("real_rotation", angle=theta))
+    steered = base.iterations[0].replace(r1=GateSpec("real_rotation", angle=theta))
     table = branch_decompose(run(replace(base, iterations=(steered, base.iterations[1]))))
     assert set(table.entries) == {"00", "11"}
     assert PRUNE_THRESHOLD == 1e-12

@@ -457,6 +457,50 @@ def test_bad_complex_entry_exits_2_with_its_path(tmp_path, form, slot):
     assert err.getvalue() == f"parse error: {slot}: {message}\n"
 
 
+# A raw gate just past the unitarity tolerance, one whose entry is no number,
+# and the first with an infinite entry: errors of either exit code, 3 and 2
+_NONU = {"raw": [[[1, 0], [0, 0]], [[0, 0], [1 + 5.1e-10, 0]]]}
+_BOOL = {"raw": [[[1, 0], [0, 0]], [True, [1, 0]]]}
+_INF = {"raw": [[[1, 0], [0, 0]], [[0, 0], [math.inf, 0]]]}
+_NONU_LINE = "validation error: iterations[{}].{}: raw gate is not unitary (deviation 1.020e-09)"
+_BOOL_LINE = "parse error: iterations[{}].{}.raw[1][0]: expected a number or [re, im] pair"
+_ORDER_CASES = {
+    "unitarity-before-a-later-parse-error": (
+        [((0, "u1"), _NONU), ((2, "f0"), _BOOL)], EXIT_VALIDATION, _NONU_LINE.format(0, "u1")),
+    "parse-error-before-a-later-unitarity-error": (
+        [((0, "u1"), _BOOL), ((2, "f0"), _NONU)], EXIT_PARSE, _BOOL_LINE.format(0, "u1")),
+    "unitarity-before-a-later-unknown-kind": (
+        [((1, "u0"), _NONU), ((2, "v1"), {"named": "bogus"})], EXIT_VALIDATION,
+        _NONU_LINE.format(1, "u0")),
+    "unitarity-before-a-later-bad-angle": (
+        [((0, "v1"), _NONU), ((1, "u0"), {"named": "rx", "angle": "tau"})], EXIT_VALIDATION,
+        _NONU_LINE.format(0, "v1")),
+    "parse-error-in-an-earlier-slot-of-the-round": (
+        [((0, "u0"), _BOOL), ((0, "u1"), _NONU)], EXIT_PARSE, _BOOL_LINE.format(0, "u0")),
+    "unpaired-steering-before-a-later-round": (
+        [((0, "r0"), {"named": "identity"}), ((1, "u1"), _NONU)], EXIT_VALIDATION,
+        "validation error: iterations[0]: r0 and r1 must be both present or both absent"),
+    "non-finite-before-a-later-unitarity-error": (
+        [((0, "v1"), _INF), ((1, "u1"), _NONU)], EXIT_VALIDATION,
+        "validation error: iterations[0].v1: matrix contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", _ORDER_CASES)
+def test_the_first_error_in_document_order_wins_whatever_its_kind(tmp_path, case):
+    # every raw gate is checked in one pass after the parse; an error raised
+    # on the way must still lose to an earlier gate's unitarity error
+    edits, exit_code, line = _ORDER_CASES[case]
+    doc = json.loads(emit_scenario(builtin_scenario("pauli-flips")))
+    for (i, slot), gate in edits:
+        doc["iterations"][i][slot] = gate
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = main(["run", "--scenario", str(path)], stdout=out, stderr=err)
+    assert (code, out.getvalue(), err.getvalue()) == (exit_code, "", line + "\n")
+
+
 def test_run_seed_flag_overrides_measure_seed(tmp_path, capsys):
     scenario = replace(builtin_scenario("pauli-flips"), measure_seed=3)
     path = tmp_path / "measured.json"

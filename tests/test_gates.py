@@ -1,6 +1,6 @@
+import json
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ from branchsim.gates import (
     unitarity_deviation_2x2,
 )
 from branchsim.linalg import UNITARITY_TOL, unitarity_deviation
-from branchsim.machine import IterationSpec
-from branchsim.scenario import Scenario
+from branchsim.machine import SLOTS, IterationSpec
+from branchsim.scenario import Scenario, parse_scenario
 from oracles import raw_gate
 from test_cli import _OVERFLOWING_RAW, _TINY_RAW
 
@@ -133,13 +133,36 @@ def test_closed_form_deviation_agrees_with_numpy_on_either_side_of_the_tolerance
     sign = rng.choice([-1.0, 1.0], size=(2000, 1, 1))
     eps = sign * rng.uniform(4.9e-10, 5.1e-10, size=(2000, 1, 1))
     noise = 1e-12 * (rng.normal(size=haar.shape) + 1j * rng.normal(size=haar.shape))
+    matrices = [*haar, *((1 + eps) * haar + noise)]
     verdicts = set()
-    for m in [*haar, *((1 + eps) * haar + noise)]:
+    for m in matrices:
         closed, numpy_dev = unitarity_deviation_2x2(*_entries(m)), unitarity_deviation(m)
         assert abs(closed - numpy_dev) <= 1e-15
         assert (closed <= UNITARITY_TOL) == (numpy_dev <= UNITARITY_TOL)
         verdicts.add(closed <= UNITARITY_TOL)
     assert verdicts == {True, False}
+    # the same matrices as documents, six raw gates a round: the one-pass
+    # check of a document's gates fails exactly where the closed form does,
+    # at the first such gate, with its value
+    init = {"alpha": 1, "beta": 0, "gamma": 1, "delta": 0, "mode": "uncorrelated"}
+    outcomes = set()
+    for start in range(0, len(matrices), 6):
+        gates = dict(zip(SLOTS, matrices[start:start + 6]))
+        doc = {"name": "boundary", "init": init, "iterations": [
+            {slot: {"raw": [[[z.real, z.imag] for z in row] for row in m.tolist()]}
+             for slot, m in gates.items()}]}
+        failing = [(slot, dev) for slot, m in gates.items()
+                   if (dev := unitarity_deviation_2x2(*_entries(m))) > UNITARITY_TOL]
+        outcomes.add(len(failing) > 0)
+        if not failing:
+            parse_scenario(json.dumps(doc))
+            continue
+        slot, dev = failing[0]
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert str(err.value) == (
+            f"iterations[0].{slot}: raw gate is not unitary (deviation {dev:.3e})")
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("raw", _OVERFLOWING_RAW)
@@ -180,7 +203,7 @@ def test_batched_haar_draw_equals_successive_single_draws(k):
 
 
 @pytest.mark.parametrize("extended", [False, True], ids=["canonical", "extended"])
-def test_random_scenarios_equal_a_per_gate_draw(monkeypatch, extended):
+def test_random_scenarios_equal_a_per_gate_draw(extended):
     def gate(rng):
         return raw_gate(_single_haar_draw(rng))
 
@@ -189,9 +212,7 @@ def test_random_scenarios_equal_a_per_gate_draw(monkeypatch, extended):
              else verify.random_canonical_scenario)(np.random.default_rng(7), n)
     rng = np.random.default_rng(7)
     iterations = [IterationSpec(*(gate(rng) for _ in range(6))) for _ in range(n)]
-    # random_init's system_init, one gate drawn alone
-    monkeypatch.setattr(verify, "random_gates", lambda rng, k: [gate(rng) for _ in range(k)])
-    init = verify.random_init(rng)
+    init = verify.random_init(rng)  # its system_init is one gate drawn alone
     if extended:
-        iterations = [replace(it, r0=gate(rng), r1=gate(rng)) for it in iterations]
+        iterations = [it.replace(r0=gate(rng), r1=gate(rng)) for it in iterations]
     assert drawn == Scenario(name="random-canonical", init=init, iterations=iterations)

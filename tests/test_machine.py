@@ -410,7 +410,7 @@ def test_iterate_extended_with_identity_r_equals_iterate():
     state = initialize(scenario.init, build_layout(0))
     spec = scenario.iterations[0]
     plain = iterate(state, 1, spec)
-    wrapped = iterate_extended(state, 1, replace(spec, r0=IDENTITY, r1=IDENTITY))
+    wrapped = iterate_extended(state, 1, spec.replace(r0=IDENTITY, r1=IDENTITY))
     np.testing.assert_allclose(wrapped.amplitudes, plain.amplitudes, atol=1e-12)
 
 
@@ -554,8 +554,8 @@ def test_structure_checks_catch_swapped_steering(monkeypatch):
     def swapped(rows, residual, layout, steps):
         steps = list(steps)
         if len(steps) == 5:  # an extended round: U, CNOT, F, V, R
-            control, target, g0, g1 = steps[4]
-            steps[4] = (control, target, g1, g0)
+            control, target, pair = steps[4]
+            steps[4] = (control, target, pair if pair is None else pair[::-1])
         return original(rows, residual, layout, steps)
 
     monkeypatch.setattr(machine, "_controlled_update", swapped)
@@ -672,7 +672,7 @@ def _fold_scenarios(draw):
     rounds = []
     for spec in scenario.iterations:
         skipped = draw(st.lists(st.sampled_from(fields), unique=True))
-        rounds.append(replace(spec, **{f: IDENTITY for f in skipped}))
+        rounds.append(spec.replace(**{f: IDENTITY for f in skipped}))
     return replace(scenario, iterations=tuple(rounds))
 
 
@@ -710,7 +710,8 @@ def test_engine_never_writes_its_input():
     for control, target in pairs:
         apply_controlled(state, control, target, g0, g1)
     machine._controlled_update(state.rows, state.residual, state.layout,
-                               [(c, t, g0, g1) for c, t in pairs])
+                               [(c, t, np.array((g0.matrix(), g1.matrix())))
+                                for c, t in pairs])
     iterate(state, 1, IterationSpec(g0, g1, g1, g0, g0, g1, g1, g0))
     assert state.rows.tobytes() == rows and state.residual.tobytes() == residual
     assert not (state.rows.flags.writeable or state.residual.flags.writeable)

@@ -109,7 +109,7 @@ def test_measurement_probabilities_sum_to_one(pair, seed):
 @given(st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False))
 def test_reinforcement_weights_follow_closed_form(theta):
     base = builtin_scenario("reinforce-two-step")
-    steered = replace(base.iterations[0], r1=GateSpec("real_rotation", angle=theta))
+    steered = base.iterations[0].replace(r1=GateSpec("real_rotation", angle=theta))
     state = run(replace(base, iterations=(steered, base.iterations[1])))
     probs = branch_decompose(state).probabilities()
     assert abs(probs.get("00", 0.0) - 0.5) <= 1e-10

@@ -21,7 +21,8 @@ from branchsim.scenario import (
     parse_angle,
     parse_scenario,
 )
-from branchsim.verify import random_extended_scenario, random_gates
+from branchsim.verify import random_extended_scenario, random_unitaries
+from oracles import raw_gate
 
 
 def _document(**overrides):
@@ -271,7 +272,7 @@ def test_scenario_round_trip_with_raw_gate_and_measure():
         init=InitSpec(alpha=0.6, beta=0.8j, gamma=0.8, delta=0.6,
                       mode="correlated_c_to_p"),
         iterations=(
-            IterationSpec(*random_gates(rng, 2)),
+            IterationSpec(*map(raw_gate, random_unitaries(rng, 2))),
         ),
         analyses=(
             AnalysisRequest("branches"),

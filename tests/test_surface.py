@@ -2,6 +2,7 @@
 examples, the names ``branchsim`` exports, and the module names the
 benchmark's tracer wraps."""
 
+import io
 import re
 import shlex
 import sys
@@ -97,3 +98,30 @@ def test_benchmark_replay_equals_the_engine_exactly(monkeypatch):
     for scenario in scenarios:
         state = machine.run(scenario)
         assert tracing.replay(tracing.Tracer(), scenario, state), scenario.name
+
+
+def test_traced_run_still_runs_and_checks_rounds_one_by_one(monkeypatch):
+    # the tracer times each round by the name run calls it under, and counts
+    # each state's check; the gate array must not take a path around either
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+
+    tracer = tracing.Tracer().install()
+    try:
+        for name in ("reinforce-two-step", "pauli-flips"):
+            tracer.op = name
+            argv = ["run", "--example", name]
+            assert cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    finally:
+        tracer.uninstall()
+
+    def rounds(op):
+        return [sum(span[0] == f"machine.{kind}" and span[4] == op for span in tracer.spans)
+                for kind in ("iterate_extended", "iterate")]
+
+    assert rounds("reinforce-two-step") == [1, 1]
+    assert rounds("pauli-flips") == [0, 3]
+    # one check per round, plus initialize's
+    assert tracer.counts["reinforce-two-step"]["statevector_checks"] == 3
+    assert tracer.counts["pauli-flips"]["statevector_checks"] == 4
