@@ -30,11 +30,13 @@ A round reads its gates only from ``IterationSpec.gates``, its row of
 the scenario's read-only ``(rounds, 8, 2, 2)`` gate array: each pair is a
 ``(2, 2, 2)`` view of that row, and a step's broadcast coefficients are
 a view of the pair where C, S or P controls (a memory control gathers
-each row's gate).  A round is one ``_controlled_update`` call, which
-applies its steps in order to one rows-last ``(C, S, P, row)`` copy of
-the residual, so each pair's arithmetic runs along the rows, and drops
-the rows left exactly zero; ``apply_controlled`` stacks its two
-``GateSpec``s' matrices into a pair and makes the same call.  A round
+each row's gate).  Every pair is applied, identities included, so a
+state depends only on the gate matrices, never on how a gate was
+written.  A round is one ``_controlled_update`` call, which applies its
+steps in order to one rows-last ``(C, S, P, row)`` copy of the residual,
+so each pair's arithmetic runs along the rows, and drops the rows left
+exactly zero; ``apply_controlled`` stacks its two ``GateSpec``s'
+matrices into a pair and makes the same call.  A round
 appends M_k in |0> by shifting every row label left by one bit, and its
 five gates (controlled-U, memory write, feedback, policy update,
 steering) run on no other slot, so no memory record is ever written
@@ -238,9 +240,10 @@ class IterationSpec:
     rounds are the rows of one ``(rounds, 8, 2, 2)`` array.  It is the only
     form the engine reads.  ``written`` holds each slot's ``GateSpec`` as
     written, or None for a raw gate, whose numbers are only in ``gates``,
-    and for an absent r.  ``spec.u0`` ... ``spec.r1`` read a slot back as
-    a ``GateSpec`` (a raw one rebuilt from ``gates``), or None for an
-    absent r.
+    and for an absent r; it serves only emission, equality and the
+    read-back: ``spec.u0`` ... ``spec.r1`` read a slot back as a
+    ``GateSpec`` (a raw one rebuilt from ``gates``), or None for an absent
+    r.
     """
 
     __slots__ = ("gates", "written", "extended")
@@ -270,14 +273,6 @@ class IterationSpec:
 
     u0, u1, f0, f1, v0, v1, r0, r1 = (property(lambda self, j=j: self._gate(j))
                                       for j in range(len(SLOTS)))
-
-    def pair(self, j: int) -> np.ndarray | None:
-        """Slots j and j + 1 as a ``(2, 2, 2)`` view of ``gates``, or None where
-        both are written identities, a step the engine skips."""
-        w0, w1 = self.written[j], self.written[j + 1]
-        if w0 is not None and w1 is not None and w0.is_identity and w1.is_identity:
-            return None
-        return self.gates[j:j + 2]
 
     def replace(self, **gates) -> "IterationSpec":
         """This round with the given slots' gates replaced."""
@@ -357,20 +352,18 @@ _WRITE.flags.writeable = False
 def _controlled_update(
     rows: np.ndarray, residual: np.ndarray, layout: RegisterLayout, steps
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply each ``(control, target, pair)`` step in order; skip a None pair.
+    """Apply each ``(control, target, pair)`` step in order.
 
     A step applies ``pair[0]``/``pair[1]`` to ``target`` where ``control``
     reads 0/1, on one rows-last ``(C, S, P, row)`` copy of the residual.
     The pair is one broadcast update, ``pair[control bit, out, 0] * lo +
     pair[..., 1] * hi`` with ``lo``/``hi`` the target bit's halves, written
-    into two buffers that the steps reuse.  A memory takes only its write,
-    the pair ``_WRITE`` (see the module docstring); any other memory target
-    raises ``LayoutError``.  Rows left exactly zero are dropped.  The inputs
-    are not modified.
+    into two buffers that the steps reuse; an identity pair is applied like
+    any other.  A memory takes only its write, the pair ``_WRITE`` (see the
+    module docstring); any other pair onto a memory, an identity pair
+    included, raises ``LayoutError``.  Rows left exactly zero are dropped.
+    The inputs are not modified.
     """
-    steps = [s for s in steps if s[2] is not None]
-    if not steps:
-        return rows, residual
     block = residual.transpose(1, 2, 3, 0).copy()  # a copy: never a view of the input
     out = tmp = None
     for control, target, pair in steps:
@@ -440,12 +433,7 @@ def apply_controlled(
         raise LayoutError(f"control and target are the same register {control!r}")
     state.layout.position(control)
     state.layout.position(target)
-    if g0.is_identity and g1.is_identity:
-        pair = None
-    elif (g0, g1) == (IDENTITY, PAULI_X):
-        pair = _WRITE
-    else:
-        pair = np.array((g0.matrix(), g1.matrix()))
+    pair = _WRITE if (g0, g1) == (IDENTITY, PAULI_X) else np.array((g0.matrix(), g1.matrix()))
     rows, residual = _controlled_update(
         state.rows, state.residual, state.layout, [(control, target, pair)]
     )
@@ -471,13 +459,12 @@ def iterate(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
             f"round {k} on {n} memory slots: only round {n + 1} appends the next slot"
         )
     layout, rows = build_layout(k), state.rows << 1  # M_k in |0>: a new lowest bit
-    m = f"M{k}"
+    m, g = f"M{k}", spec.gates
     # Order is load-bearing: feedback must see the policy state *before*
     # this round's policy update.
-    steps = [("C", "S", spec.pair(0)), ("C", m, _WRITE),
-             ("P", "S", spec.pair(2)), (m, "P", spec.pair(4))]
+    steps = [("C", "S", g[0:2]), ("C", m, _WRITE), ("P", "S", g[2:4]), (m, "P", g[4:6])]
     if spec.extended:
-        steps.append(("P", "C", spec.pair(6)))
+        steps.append(("P", "C", g[6:8]))
     rows, residual = _controlled_update(rows, state.residual, layout, steps)
     return StateVector(layout, rows=rows, residual=residual)
 

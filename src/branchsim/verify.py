@@ -473,7 +473,7 @@ def _check_extended_identity(rng, draw):
         gates.flags.writeable = False
         spec = steered = IterationSpec.of_gates(gates, True)
     else:  # an identity R pair, against the canonical round's closed form
-        steered = IterationSpec.of_gates(spec.gates, True, (None,) * 6 + (IDENTITY, IDENTITY))
+        steered = IterationSpec.of_gates(spec.gates, True)
     state = iterate_extended(initialize(scenario.init, build_layout(0)), 1, steered)
     return _table_deviation(state, closed_form(scenario.init, [spec]))
 

@@ -240,30 +240,42 @@ def test_malformed_input_ends_in_exit_code(tmp_path, capsys, content, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit, line", [
-    pytest.param(lambda d: d["iterations"][1].update(r0={"named": "identity"}),
-                 "iterations[1]: r0 and r1 must be both present or both absent",
+@pytest.mark.parametrize("edit, code, line", [
+    pytest.param(lambda d: d["iterations"][1].update(r0={"named": "identity"}), EXIT_VALIDATION,
+                 "validation error: iterations[1]: r0 and r1 must be both present or both absent",
                  id="unpaired-steering"),
-    pytest.param(lambda d: d["init"].update(mode="bogus"),
-                 "init: unknown init mode 'bogus'", id="unknown-init-mode"),
-    pytest.param(lambda d: d["init"].update(alpha=1.5, beta=1.5),
-                 "init: |alpha|^2 + |beta|^2 = 4.5, expected 1", id="control-norm"),
-    pytest.param(lambda d: d.update(analyses=[{"marginal": "M9"}]),
-                 "analyses[0]: analysis 'marginal' references unknown register 'M9'",
-                 id="unknown-register"),
+    pytest.param(lambda d: d["init"].update(mode="bogus"), EXIT_VALIDATION,
+                 "validation error: init: unknown init mode 'bogus'", id="unknown-init-mode"),
+    pytest.param(lambda d: d["init"].update(alpha=1.5, beta=1.5), EXIT_VALIDATION,
+                 "validation error: init: |alpha|^2 + |beta|^2 = 4.5, expected 1",
+                 id="control-norm"),
+    pytest.param(lambda d: d.update(analyses=[{"marginal": "M9"}]), EXIT_VALIDATION,
+                 "validation error: analyses[0]: analysis 'marginal' references unknown "
+                 "register 'M9'", id="unknown-register"),
     pytest.param(lambda d: d.update(analyses=["branches", {"witness": ["C", "C"]}]),
-                 "analyses[1]: witness needs two distinct registers",
-                 id="witness-on-one-register"),
+                 EXIT_VALIDATION, "validation error: analyses[1]: witness needs two distinct "
+                 "registers", id="witness-on-one-register"),
+    pytest.param(lambda d: d.update(analyses=[{"witness": "C"}]), EXIT_PARSE,
+                 "parse error: analyses[0]: witness takes a pair of register ids",
+                 id="witness-of-one-id"),
+    pytest.param(lambda d: d.update(analyses=[{"marginal": ["C"]}]), EXIT_PARSE,
+                 "parse error: analyses[0]: marginal takes a register id",
+                 id="marginal-of-a-list"),
+    pytest.param(lambda d: d.update(analyses=[{"outcome": 1}]), EXIT_PARSE,
+                 "parse error: analyses[0]: outcome takes a register id",
+                 id="outcome-of-a-number"),
+    pytest.param(lambda d: d["init"].update(mode=3), EXIT_PARSE,
+                 "parse error: init.mode: must be a string", id="numeric-init-mode"),
 ])
-def test_document_validation_error_names_its_path(tmp_path, edit, line):
+def test_document_validation_error_names_its_path(tmp_path, edit, code, line):
     doc = json.loads(emit_scenario(builtin_scenario("pauli-flips")))
     edit(doc)
     path = tmp_path / "invalid.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    code = main(["run", "--scenario", str(path)], stdout=out, stderr=err)
-    assert (code, out.getvalue()) == (EXIT_VALIDATION, "")
-    assert err.getvalue() == f"validation error: {line}\n"
+    exit_code = main(["run", "--scenario", str(path)], stdout=out, stderr=err)
+    assert (exit_code, out.getvalue()) == (code, "")
+    assert err.getvalue() == f"{line}\n"
 
 
 @pytest.mark.parametrize("argv", [

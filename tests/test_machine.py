@@ -307,6 +307,8 @@ def test_each_slot_is_written_once_and_in_order():
         lambda: apply_controlled(state, "S", "M1", IDENTITY, PAULI_X),
         lambda: apply_controlled(state, "P", "M1", IDENTITY, PAULI_X),
         lambda: apply_controlled(state, "M2", "M1", IDENTITY, PAULI_X),
+        lambda: apply_controlled(state, "C", "M1", IDENTITY, IDENTITY),
+        lambda: apply_controlled(state, "S", "M1", IDENTITY, IDENTITY),
     ]
     for attempt in attempts:
         with pytest.raises(LayoutError, match="^memory M1 takes only its write"):
@@ -345,6 +347,26 @@ def test_iterate_identity_gates_reduce_to_memory_write():
     via_write = write_memory(initialize(init, build_layout(1)), 1)
     np.testing.assert_allclose(via_iterate.amplitudes, via_write.amplitudes,
                                atol=1e-15)
+
+
+def test_a_round_depends_only_on_its_gate_matrices():
+    # a named and a raw identity are the same matrix, so the engine's
+    # state must be the same bits, exact zeros' signs included
+    raw = GateSpec("raw", raw=((1, 0), (0, 1)))
+    rng = np.random.default_rng(37)
+    for mode in INIT_MODES:
+        for n in range(1, 7):
+            for build, pairs in ((random_canonical_scenario, "ufv"),
+                                 (random_extended_scenario, "ufvr")):
+                scenario = build(rng, n, mode)
+                for p in pairs:
+                    by_name, by_matrix = (
+                        run(replace(scenario, iterations=tuple(
+                            spec.replace(**{f"{p}0": gate, f"{p}1": gate})
+                            for spec in scenario.iterations)))
+                        for gate in (IDENTITY, raw))
+                    assert by_name.rows.tolist() == by_matrix.rows.tolist(), (mode, n, p)
+                    assert by_name.residual.tobytes() == by_matrix.residual.tobytes(), (mode, n, p)
 
 
 def test_iterate_branch_rotations_compose_with_feedback():
@@ -555,7 +577,7 @@ def test_structure_checks_catch_swapped_steering(monkeypatch):
         steps = list(steps)
         if len(steps) == 5:  # an extended round: U, CNOT, F, V, R
             control, target, pair = steps[4]
-            steps[4] = (control, target, pair if pair is None else pair[::-1])
+            steps[4] = (control, target, pair[::-1])
         return original(rows, residual, layout, steps)
 
     monkeypatch.setattr(machine, "_controlled_update", swapped)

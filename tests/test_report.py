@@ -166,17 +166,19 @@ def _report_text(table) -> str:
     return json.dumps(_fixed_report(table).to_document())
 
 
-@pytest.mark.parametrize("text", [
-    "[" * 100_000,
-    "1" + "0" * 5_000,
-    _report_text([]),
-    _report_text({"0": {"probability": True, "substate": []}}),
-    _report_text({"0": {"probability": math.nan, "substate": [[1.0, 0.0]]}}),
-    _report_text({"0": {"probability": 1.0, "substate": [[1.0, 0.0, 0.0]]}}),
+@pytest.mark.parametrize("text, message", [
+    ("[" * 100_000, None),
+    ("1" + "0" * 5_000, None),
+    (_report_text([]), None),
+    (_report_text({"0": {"probability": True, "substate": []}}), None),
+    (_report_text({"0": {"probability": math.nan, "substate": [[1.0, 0.0]]}}), None),
+    (_report_text({"0": {"probability": 1.0, "substate": [[1.0, 0.0, 0.0]]}}), None),
+    ("[]", "report document must be a JSON object"),
+    ("{}", "missing required field 'scenario_name'"),
 ], ids=["deep-nesting", "oversized-integer", "list-table", "bool-probability",
-        "nan-probability", "three-number-pair"])
-def test_parse_report_maps_every_json_failure_to_parse_error(text):
-    with pytest.raises(ParseError):
+        "nan-probability", "three-number-pair", "not-an-object", "missing-field"])
+def test_parse_report_maps_every_json_failure_to_parse_error(text, message):
+    with pytest.raises(ParseError, match=None if message is None else f"^{message}$"):
         parse_report(text)
 
 

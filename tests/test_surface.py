@@ -1,18 +1,22 @@
 """The package's public surface: the README's library sketch and CLI
-examples, the names ``branchsim`` exports, and the module names the
-benchmark's tracer wraps."""
+examples, the names ``branchsim`` exports, the messages its Python API
+raises, and the module names the benchmark's tracer wraps."""
 
 import io
+import math
 import re
 import shlex
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import branchsim
-from branchsim import analysis, cli, machine, verify
-from branchsim.scenario import builtin_scenarios
+from branchsim import analysis, cli, linalg, machine, report, verify
+from branchsim.errors import ValidationError
+from branchsim.gates import GateSpec
+from branchsim.scenario import AnalysisRequest, builtin_scenario, builtin_scenarios
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +51,29 @@ def test_package_exports_exactly_the_sketch_imports():
     imported = re.search(r"^from branchsim import (.+)$", _readme_sketch(), re.M)
     names = sorted(name.strip() for name in imported.group(1).split(","))
     assert sorted(branchsim.__all__) == names
+
+
+def _pauli_flips_state():
+    return machine.run(builtin_scenario("pauli-flips"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GateSpec("raw", raw=((1, 0), (0, 1), (0, 0))), "raw gate must be 2x2, got (3, 2)"),
+    (lambda: linalg.as_matrix([[math.nan, 0], [0, 1]]), "matrix contains non-finite entries"),
+    (lambda: _pauli_flips_state().probability("C", 2), "outcome must be 0 or 1, got 2"),
+    (lambda: machine.measure_control(_pauli_flips_state(), 0, force=2),
+     "forced outcome must be 0 or 1, got 2"),
+    (lambda: AnalysisRequest("bogus"), "unknown analysis kind 'bogus'"),
+    (lambda: AnalysisRequest("witness", ("C",)), "analysis 'witness' takes 2 register(s), got 1"),
+    (lambda: analysis.fidelity(np.eye(2) / 2, np.eye(4) / 4),
+     "fidelity shape mismatch: (2, 2) vs (4, 4)"),
+    (lambda: report._q(math.nan), "report values must be finite"),
+], ids=["raw-gate-shape", "non-finite-matrix", "outcome", "forced-outcome",
+        "analysis-kind", "analysis-arity", "fidelity-shapes", "report-value"])
+def test_python_api_rejects_a_bad_argument_with_its_message(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_benchmark_tracer_finds_and_restores_every_name(monkeypatch):
