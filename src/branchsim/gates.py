@@ -8,13 +8,12 @@ or from ``raw``, on each call.  An angle is kept as written, radians or
 an exact string such as "pi/3" or "-5*pi/4"; ``radians`` is the one
 place that evaluates it.
 
-A raw matrix's numbers are checked by one rule, ``check_raw``: finite
-entries, and ``unitarity_deviation_2x2`` at most ``UNITARITY_TOL``, in
-closed form on the eight floats, not by a numpy product.  A raw
-``GateSpec`` applies it to itself.  ``check_unitary`` applies it to a
-stack of gates, such as a scenario document's raw round gates: one numpy
-pass screens the stack, and the rule decides and words each gate the
-screen flags, first gate first.
+A raw matrix is held to one rule, ``check_unitary``: finite entries, and
+``max |m†m - I|`` (``linalg.unitarity_deviations``) at most
+``UNITARITY_TOL``.  It checks a stack of gates in one numpy pass and
+words the first failure from the same number it compared.  A scenario
+document's raw round gates are one stack, and a raw ``GateSpec`` checks
+itself as a stack of one.
 
 The ``rx``/``ry``/``rz`` kinds follow the half-angle convention, e.g.
 rx(a) = cos(a/2) I - i sin(a/2) X.  ``real_rotation`` is the plain plane
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import UNITARITY_TOL
+from .linalg import UNITARITY_TOL, unitarity_deviations
 
 _FIXED = {  # read-only, shared by every gate of its kind
     "identity": np.eye(2, dtype=np.complex128),
@@ -73,52 +72,17 @@ RawMatrix = tuple[tuple[complex, complex], tuple[complex, complex]]
 _ANGLE_RE = re.compile(r"^(-?)(?:(\d+)\*)?pi(?:/([1-9]\d*))?$")
 
 
-def unitarity_deviation_2x2(a: complex, b: complex, c: complex, d: complex) -> float:
-    """max |m†m - I| of m = ((a, b), (c, d)): how far each column's squared
-    norm is from 1, and the size of the columns' inner product.  A product
-    overflows only where a column norm does, so that term is inf and comes
-    before the overlap's possible nan: the result is inf, never nan."""
-    if not (cmath.isfinite(a) and cmath.isfinite(b)
-            and cmath.isfinite(c) and cmath.isfinite(d)):
-        raise ValidationError("matrix contains non-finite entries")
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    cr, ci, dr, di = c.real, c.imag, d.real, d.imag
-    return max(abs(ar * ar + ai * ai + cr * cr + ci * ci - 1.0),
-               abs(br * br + bi * bi + dr * dr + di * di - 1.0),
-               math.hypot(ar * br + ai * bi + cr * dr + ci * di,
-                          ar * bi - ai * br + cr * di - ci * dr))
-
-
-def check_raw(a: complex, b: complex, c: complex, d: complex) -> None:
-    """Raise ``ValidationError`` unless ((a, b), (c, d)) is a finite unitary
-    to within ``UNITARITY_TOL``: the one rule every raw gate is held to."""
-    dev = unitarity_deviation_2x2(a, b, c, d)
-    if dev > UNITARITY_TOL:
-        raise ValidationError(f"raw gate is not unitary (deviation {dev:.3e})")
-
-
-def check_unitary(matrices: np.ndarray, path) -> None:
-    """Hold each gate of an ``(n, 2, 2)`` complex stack to ``check_raw``, and
-    raise the first failure as ``"{path(i)}: {message}"``.
-
-    One numpy product screens the stack: a gate whose ``|m†m - I|`` is
-    within half the tolerance passes, so rounding (about 1e-16 here) cannot
-    turn a failure into a pass.  ``check_raw`` decides each other gate, a
-    non-finite one too, in order, so every verdict and message is the rule's.
-    """
-    if not len(matrices):
-        return
-    with np.errstate(all="ignore"):  # an overflow or a non-finite entry is flagged
-        dev = np.abs(np.einsum("nji,njk->nik", matrices.conj(), matrices) - _FIXED["identity"])
-        if dev.max() <= UNITARITY_TOL / 2:  # every gate passes; nan fails this too
-            return
-        flagged = np.flatnonzero(~(dev.max(axis=(1, 2)) <= UNITARITY_TOL / 2))
-    for i in flagged.tolist():
-        (a, b), (c, d) = matrices[i].tolist()
-        try:
-            check_raw(a, b, c, d)
-        except ValidationError as exc:
-            raise ValidationError(f"{path(i)}: {exc}") from exc
+def check_unitary(matrices: np.ndarray, path=None) -> None:
+    """Raise ``ValidationError`` for the first gate of an ``(n, 2, 2)`` complex
+    stack that is not a finite unitary within ``UNITARITY_TOL``, as
+    ``"{path(i)}: {message}"`` when ``path`` is given."""
+    dev = unitarity_deviations(matrices)
+    failing = np.flatnonzero(dev > UNITARITY_TOL)
+    if failing.size:
+        i = failing[0]
+        message = (f"raw gate is not unitary (deviation {dev[i]:.3e})"
+                   if np.isfinite(matrices[i]).all() else "matrix contains non-finite entries")
+        raise ValidationError(message if path is None else f"{path(i)}: {message}")
 
 
 def radians(angle: float | str) -> float:
@@ -158,11 +122,12 @@ class GateSpec:
             if rotation and not math.isfinite(radians(self.angle)):
                 raise ValidationError("gate angle must be finite")
             if raw:
-                shape = np.array(self.raw, dtype=np.complex128).shape
-                if shape != (2, 2):
-                    raise ValidationError(f"raw gate must be 2x2, got {shape}")
-                (a, b), (c, d) = self.raw
-                check_raw(a, b, c, d)
+                m = np.array(self.raw)
+                if m.dtype.kind not in "biufc":  # a string, None, or an int too large for numpy
+                    raise TypeError
+                if m.shape != (2, 2):
+                    raise ValidationError(f"raw gate must be 2x2, got {m.shape}")
+                check_unitary(m.astype(np.complex128)[None])
         except (TypeError, ValueError, OverflowError) as exc:  # a wrong type, or too large
             raise ValidationError(
                 "gate angle must be a float or an angle expression" if rotation

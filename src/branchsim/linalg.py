@@ -1,8 +1,9 @@
 """Small dense linear algebra shared by the simulator: the size cap's
 check for matrices, the fixed tolerances, unitarity and density-matrix
-checks, and purity.  ``unitarity_deviation`` serves matrices of any size,
-such as ``verify``'s dilation blocks W_c; a raw one-qubit gate is checked
-in closed form in ``gates``.  A density matrix's eigenvalue floor is
+checks, and purity.  ``unitarity_deviations`` is the one computation of
+``max |m†m - I|``, for a stack of matrices of any size: every raw gate's
+check (``gates.check_unitary``) and ``verify``'s dilation blocks W_c read
+it.  A density matrix's eigenvalue floor is
 checked on its exact spectrum (``eigvalsh``) at every size.  The partial
 trace reads the branch table, so it lives with the table in ``machine``.
 
@@ -14,8 +15,6 @@ global Kronecker products in index form.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -58,13 +57,15 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def unitarity_deviation(m) -> float:
-    """max |m†m - I|, the number compared against the unitarity tolerance;
-    inf, never nan, where the product overflows, so such a matrix fails."""
-    m = as_matrix(m)
+def unitarity_deviations(stack: np.ndarray) -> np.ndarray:
+    """max |m†m - I| of each matrix of an ``(n, d, d)`` complex stack, the
+    number compared against ``UNITARITY_TOL``: inf, never nan, where an
+    entry is not finite or a product overflows, so such a matrix fails."""
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-    return dev if math.isfinite(dev) else math.inf
+        gram = np.einsum("nji,njk->nik", stack.conj(), stack)
+        dev = np.abs(gram - np.eye(stack.shape[-1])).max(axis=(1, 2))
+    dev[~np.isfinite(dev)] = np.inf  # a nan too: max propagates it
+    return dev
 
 
 def purity(rho) -> float:

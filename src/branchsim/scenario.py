@@ -15,7 +15,8 @@ order across kinds: an error raised while parsing first checks the raw
 gates before it, so an earlier gate's unitarity error (exit 3) wins over
 a later gate's parse error (exit 2), and an earlier parse error wins over
 a later unitarity error.  A raw ``system_init`` is the one gate checked
-on its own, as a ``GateSpec``, before the amplitudes are read.
+on its own, as a ``GateSpec`` (a stack of one, under the same rule),
+before the amplitudes are read.
 """
 
 from __future__ import annotations

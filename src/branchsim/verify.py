@@ -38,7 +38,7 @@ import numpy as np
 from . import analysis, machine
 from .errors import BranchsimError, ValidationError
 from .gates import GateSpec, IDENTITY, PAULI_X
-from .linalg import check_capacity, unitarity_deviation, within_capacity
+from .linalg import check_capacity, unitarity_deviations, within_capacity
 from .machine import (
     INIT_MODES,
     InitSpec,
@@ -509,7 +509,7 @@ def _check_dilation_blocks(rng, draw):
     dilation = np.kron(_PROJ[0], w0) + np.kron(_PROJ[1], w1)
     engine = machine.run(scenario).amplitudes
     out = dilation @ initial_vector(scenario.init, n)
-    return max(_bool_dev(off == 0.0), unitarity_deviation(w0), unitarity_deviation(w1),
+    return max(_bool_dev(off == 0.0), float(unitarity_deviations(np.array((w0, w1))).max()),
                float(np.max(np.abs(out - engine))))
 
 

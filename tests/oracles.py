@@ -3,14 +3,18 @@
 ``dense_fold`` is the dense-vector engine that the branch-table layout
 replaced: 2x2 updates on axes of the ``[2] * n`` view, with one memory
 slot appended per round.  It performs the same floating-point operations
-as the engine, so the tests compare the two with ``np.array_equal``.
-Register positions are derived here from the documented convention: C
-owns the most significant bit, then M1..Mn, then S, then P.
+as the engine: it applies every pair of a round's gate array, identities
+included, and each CNOT from C by moving amplitudes, not by arithmetic:
+the init C->P wiring swaps P's halves, and the memory write splits each
+memory string as the engine does.  So the tests compare the two bit for
+bit on the engine's rows, signed zeros included.  Register positions
+are derived here from the documented convention: C owns the most
+significant bit, then M1..Mn, then S, then P.
 """
 
 import numpy as np
 
-from branchsim.gates import IDENTITY, PAULI_X, GateSpec
+from branchsim.gates import GateSpec
 
 
 def raw_gate(matrix) -> GateSpec:
@@ -40,12 +44,31 @@ def _dense_gate(amps, n_qubits, target, gate, control, value):
     psi[lo] = new0
 
 
-def _dense_controlled(amps, n_memories, control, target, g0, g1):
+def _dense_controlled(amps, n_memories, control, target, pair):
+    """``pair[0]``/``pair[1]`` on ``target`` where ``control`` reads 0/1."""
     pos = positions(n_memories)
-    for value, gate in ((0, g0), (1, g1)):
-        if not gate.is_identity:
-            _dense_gate(amps, n_memories + 3, pos[target], gate.matrix(),
-                        pos[control], value)
+    for value in (0, 1):
+        _dense_gate(amps, n_memories + 3, pos[target], pair[value], pos[control], value)
+
+
+def _dense_swap(amps, n_memories, target):
+    """The init's CNOT from C into ``target``: its halves swapped where C reads 1."""
+    n_qubits, t = n_memories + 3, positions(n_memories)[target]
+    psi = amps.reshape([2] * n_qubits)
+    lo, hi = (_axis_slice(n_qubits, {0: 1, t: bit}) for bit in (0, 1))
+    psi[lo], psi[hi] = psi[hi].copy(), psi[lo].copy()
+
+
+def _dense_write(amps, n_memories, target):
+    """The write into the fresh slot ``target``, as the engine's split: where C
+    reads 1 its |0> half moves to |1>, and the halves that the engine's rows
+    do not hold become +0.0 (an update of zeros may have left -0.0 there)."""
+    n_qubits, t = n_memories + 3, positions(n_memories)[target]
+    psi = amps.reshape([2] * n_qubits)
+    c0_hi, c1_lo, c1_hi = (_axis_slice(n_qubits, {0: c, t: bit})
+                           for c, bit in ((0, 1), (1, 0), (1, 1)))
+    psi[c1_hi] = psi[c1_lo]
+    psi[c0_hi] = psi[c1_lo] = 0.0
 
 
 def dense_fold(scenario) -> np.ndarray:
@@ -56,16 +79,16 @@ def dense_fold(scenario) -> np.ndarray:
     vec_p = np.array([init.gamma, init.delta], dtype=np.complex128)
     amps = np.kron(np.kron(vec_c, vec_s), vec_p)
     if init.mode in ("correlated_c_to_p", "copy_c_to_p_from_zero"):
-        _dense_controlled(amps, 0, "C", "P", IDENTITY, PAULI_X)
+        _dense_swap(amps, 0, "P")
     for k, spec in enumerate(scenario.iterations, start=1):
         grown = np.zeros(2 * amps.size, dtype=np.complex128)  # M_k in |0>, before S
         grown.reshape(amps.size // 4, 2, 4)[:, 0, :] = amps.reshape(-1, 4)
         amps = grown
-        for control, target, g0, g1 in (
-            ("C", "S", spec.u0, spec.u1), ("C", f"M{k}", IDENTITY, PAULI_X),
-            ("P", "S", spec.f0, spec.f1), (f"M{k}", "P", spec.v0, spec.v1),
-        ):
-            _dense_controlled(amps, k, control, target, g0, g1)
+        g = spec.gates
+        _dense_controlled(amps, k, "C", "S", g[0:2])
+        _dense_write(amps, k, f"M{k}")
+        _dense_controlled(amps, k, "P", "S", g[2:4])
+        _dense_controlled(amps, k, f"M{k}", "P", g[4:6])
         if spec.extended:
-            _dense_controlled(amps, k, "P", "C", spec.r0, spec.r1)
+            _dense_controlled(amps, k, "P", "C", g[6:8])
     return amps

@@ -1,20 +1,17 @@
+import cmath
 import json
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from branchsim import verify
 from branchsim.errors import ValidationError
-from branchsim.gates import (
-    IDENTITY,
-    PAULI_X,
-    GateSpec,
-    radians,
-    unitarity_deviation_2x2,
-)
-from branchsim.linalg import UNITARITY_TOL, unitarity_deviation
+from branchsim.gates import IDENTITY, PAULI_X, GateSpec, check_unitary, radians
+from branchsim.linalg import UNITARITY_TOL, unitarity_deviations
 from branchsim.machine import SLOTS, IterationSpec
 from branchsim.scenario import Scenario, parse_scenario
 from oracles import raw_gate
@@ -52,7 +49,7 @@ def test_real_rotation_uses_full_angle():
      GateSpec("real_rotation", angle=0.25)],
 )
 def test_all_library_gates_are_unitary(gate: GateSpec):
-    assert unitarity_deviation(gate.matrix()) <= UNITARITY_TOL
+    assert unitarity_deviations(gate.matrix()[None])[0] <= UNITARITY_TOL
 
 
 def test_raw_gate_round_trip():
@@ -96,10 +93,13 @@ def test_gate_spec_rejects_a_field_its_kind_does_not_use(fields, message):
     dict(kind="raw", raw=((None, 0), (0, 1))),
     dict(kind="raw", raw=(("1", "0"), ("0", "1"))),
     dict(kind="raw", raw=((10**200, 0), (0, 1))),
+    dict(kind="raw", raw=((2**64, 0), (0, 1))),
+    dict(kind="raw", raw=((Decimal(1), 0), (0, 1))),
+    dict(kind="raw", raw=((Fraction(1), 0), (0, 1))),
     dict(kind="rx", angle=[1]),
     dict(kind="rx", angle=10**400),
-], ids=["ragged", "string", "none-entry", "string-entries", "huge-int-entry", "list-angle",
-        "huge-int-angle"])
+], ids=["ragged", "string", "none-entry", "string-entries", "huge-int-entry", "int-beyond-64-bits",
+        "decimal-entry", "fraction-entry", "list-angle", "huge-int-angle"])
 def test_gate_spec_of_a_wrong_type_raises_validation_error(fields):
     message = ("gate angle must be a float or an angle expression" if "angle" in fields
                else "raw gate must be a 2x2 matrix of complex numbers")
@@ -121,9 +121,39 @@ def test_gate_spec_keeps_one_angle_as_written():
         GateSpec("rx", angle="9" * 400 + "*pi")
 
 
-def _entries(m):
+def _closed_form_deviation(m) -> float:
+    """max |m†m - I| of a 2x2 ``m``, in closed form on its eight floats: the
+    reference for ``unitarity_deviations``.  Each column's squared norm is
+    inf where a product overflows, and it comes before the overlap's
+    possible nan, so the result is inf, never nan; a non-finite entry reads
+    inf too."""
     (a, b), (c, d) = np.asarray(m, dtype=np.complex128).tolist()
-    return a, b, c, d
+    if not all(map(cmath.isfinite, (a, b, c, d))):
+        return math.inf
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    cr, ci, dr, di = c.real, c.imag, d.real, d.imag
+    return max(abs(ar * ar + ai * ai + cr * cr + ci * ci - 1.0),
+               abs(br * br + bi * bi + dr * dr + di * di - 1.0),
+               math.hypot(ar * br + ai * bi + cr * dr + ci * di,
+                          ar * bi - ai * br + cr * di - ci * dr))
+
+
+def _rows(m) -> tuple:
+    return tuple(map(tuple, np.asarray(m, dtype=np.complex128).tolist()))
+
+
+def _raw(m) -> dict:
+    return {"raw": [[[z.real, z.imag] for z in row] for row in _rows(m)]}
+
+
+def _document(gates: dict, system_init=None) -> str:
+    """A one-round document of raw gates, u0 and u1 the identity unless given."""
+    init = {"alpha": 1, "beta": 0, "gamma": 1, "delta": 0, "mode": "uncorrelated"}
+    if system_init is not None:
+        init["system_init"] = _raw(system_init)
+    gates = {"u0": IDENTITY.matrix(), "u1": IDENTITY.matrix(), **gates}
+    return json.dumps({"name": "boundary", "init": init,
+                       "iterations": [{slot: _raw(m) for slot, m in gates.items()}]})
 
 
 def test_closed_form_deviation_agrees_with_numpy_on_either_side_of_the_tolerance():
@@ -133,33 +163,28 @@ def test_closed_form_deviation_agrees_with_numpy_on_either_side_of_the_tolerance
     sign = rng.choice([-1.0, 1.0], size=(2000, 1, 1))
     eps = sign * rng.uniform(4.9e-10, 5.1e-10, size=(2000, 1, 1))
     noise = 1e-12 * (rng.normal(size=haar.shape) + 1j * rng.normal(size=haar.shape))
-    matrices = [*haar, *((1 + eps) * haar + noise)]
-    verdicts = set()
-    for m in matrices:
-        closed, numpy_dev = unitarity_deviation_2x2(*_entries(m)), unitarity_deviation(m)
-        assert abs(closed - numpy_dev) <= 1e-15
-        assert (closed <= UNITARITY_TOL) == (numpy_dev <= UNITARITY_TOL)
-        verdicts.add(closed <= UNITARITY_TOL)
-    assert verdicts == {True, False}
-    # the same matrices as documents, six raw gates a round: the one-pass
-    # check of a document's gates fails exactly where the closed form does,
-    # at the first such gate, with its value
-    init = {"alpha": 1, "beta": 0, "gamma": 1, "delta": 0, "mode": "uncorrelated"}
+    matrices = np.concatenate([haar, (1 + eps) * haar + noise])
+    devs = unitarity_deviations(matrices)
+    for m, dev in zip(matrices, devs):
+        closed = _closed_form_deviation(m)
+        assert abs(closed - dev) <= 1e-15
+        assert (closed <= UNITARITY_TOL) == (dev <= UNITARITY_TOL)
+    assert set(devs <= UNITARITY_TOL) == {True, False}
+    # the same matrices as documents, six raw gates a round: the check of a
+    # document's gates fails at the first gate past the tolerance, and its
+    # message prints that gate's deviation
     outcomes = set()
     for start in range(0, len(matrices), 6):
         gates = dict(zip(SLOTS, matrices[start:start + 6]))
-        doc = {"name": "boundary", "init": init, "iterations": [
-            {slot: {"raw": [[[z.real, z.imag] for z in row] for row in m.tolist()]}
-             for slot, m in gates.items()}]}
-        failing = [(slot, dev) for slot, m in gates.items()
-                   if (dev := unitarity_deviation_2x2(*_entries(m))) > UNITARITY_TOL]
+        failing = [(slot, dev) for slot, dev in zip(gates, devs[start:start + 6])
+                   if dev > UNITARITY_TOL]
         outcomes.add(len(failing) > 0)
         if not failing:
-            parse_scenario(json.dumps(doc))
+            parse_scenario(_document(gates))
             continue
         slot, dev = failing[0]
         with pytest.raises(ValidationError) as err:
-            parse_scenario(json.dumps(doc))
+            parse_scenario(_document(gates))
         assert str(err.value) == (
             f"iterations[0].{slot}: raw gate is not unitary (deviation {dev:.3e})")
     assert outcomes == {True, False}
@@ -167,23 +192,83 @@ def test_closed_form_deviation_agrees_with_numpy_on_either_side_of_the_tolerance
 
 @pytest.mark.parametrize("raw", _OVERFLOWING_RAW)
 def test_closed_form_deviation_is_inf_where_a_product_overflows(raw):
-    entries = [complex(*z) for row in raw for z in row]
+    m = np.array([[complex(*z) for z in row] for row in raw])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert unitarity_deviation_2x2(*entries) == math.inf
+        assert _closed_form_deviation(m) == unitarity_deviations(m[None])[0] == math.inf
         with pytest.raises(ValidationError, match=r"not unitary \(deviation inf\)"):
-            GateSpec("raw", raw=(tuple(entries[:2]), tuple(entries[2:])))
+            GateSpec("raw", raw=_rows(m))
 
 
 def test_closed_form_accepts_a_gate_unitary_to_rounding():
     gate = GateSpec("raw", raw=tuple(tuple(complex(*z) for z in row) for row in _TINY_RAW))
-    assert unitarity_deviation_2x2(*_entries(gate.matrix())) == 0.0
+    m = gate.matrix()
+    assert _closed_form_deviation(m) == unitarity_deviations(m[None])[0] == 0.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_closed_form_rejects_non_finite_entries(value):
+    raw = ((1, 0), (complex(0, value), 1))
+    assert _closed_form_deviation(raw) == unitarity_deviations(np.array([raw]))[0] == math.inf
     with pytest.raises(ValidationError, match="^matrix contains non-finite entries$"):
-        GateSpec("raw", raw=((1, 0), (complex(0, value), 1)))
+        GateSpec("raw", raw=raw)
+
+
+_PAST = "raw gate is not unitary (deviation 1.020e-09)"
+_NON_FINITE = "matrix contains non-finite entries"
+_ONE_RULE = {  # a gate, and the message that every entry point gives it
+    "unitary": ([[0.6, 0.8j], [0.8j, 0.6]], None),
+    "past-tolerance": ([[1, 0], [0, 1 + 5.1e-10]], _PAST),
+    "overflowing": ([[1e200, 0], [0, 1e-200]], "raw gate is not unitary (deviation inf)"),
+    "non-finite": ([[1, 0], [complex(0, math.inf), 1]], _NON_FINITE),
+    "partly-nan": ([[1, 0], [0, math.nan]], _NON_FINITE),  # max would read nan
+}
+
+
+def _message(build, prefix="") -> str | None:
+    try:
+        build()
+    except ValidationError as exc:
+        assert str(exc).startswith(prefix)
+        return str(exc)[len(prefix):]
+    return None
+
+
+@pytest.mark.parametrize("name", _ONE_RULE)
+def test_one_unitarity_rule_at_every_entry_point(name):
+    m, message = _ONE_RULE[name]
+    m = np.array(m, dtype=np.complex128)
+    haar = verify.random_unitaries(np.random.default_rng(5), 5)
+    round_gates = dict(zip(SLOTS, [*haar[:3], m, *haar[3:]]))  # m in f1, after three
+    messages = {
+        "GateSpec": _message(lambda: GateSpec("raw", raw=_rows(m))),
+        "check_unitary": _message(lambda: check_unitary(m[None])),
+        "round gate": _message(lambda: parse_scenario(_document(round_gates)),
+                               "iterations[0].f1: "),
+        "system_init": _message(lambda: parse_scenario(_document({}, system_init=m)),
+                                "init.system_init: "),
+    }
+    assert messages == dict.fromkeys(messages, message)
+
+
+def test_a_mixed_stack_names_its_first_failing_gate_in_its_own_words():
+    haar = verify.random_unitaries(np.random.default_rng(6), 2)
+    bad = [np.array(m, dtype=np.complex128) for m, message in _ONE_RULE.values() if message]
+    words = [message for _, message in _ONE_RULE.values() if message]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        devs = unitarity_deviations(np.array([haar[0], *bad, haar[1]]))
+    assert devs[0] <= UNITARITY_TOL and devs[-1] <= UNITARITY_TOL
+    assert not np.isnan(devs).any() and np.isinf(devs[2:-1]).all()
+    for first in range(len(bad)):  # each failure first in turn, after a unitary
+        stack = np.array([haar[0], *bad[first:], *bad[:first], haar[1]])
+        with pytest.raises(ValidationError) as err:
+            check_unitary(stack, lambda i: f"gate {i}")
+        assert str(err.value) == f"gate 1: {words[first]}"
+        gates = dict(zip(SLOTS, stack))
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(_document(gates))
+        assert str(err.value) == f"iterations[0].u1: {words[first]}"
 
 
 def _single_haar_draw(rng):

@@ -12,7 +12,7 @@ from branchsim.linalg import (
     UNITARITY_TOL,
     as_matrix,
     purity,
-    unitarity_deviation,
+    unitarity_deviations,
     validate_density_matrix,
 )
 from branchsim.machine import (
@@ -30,16 +30,20 @@ def test_as_matrix_rejects_a_non_square_matrix():
         as_matrix(np.zeros((2, 3)))
 
 
+def _deviation(m) -> float:
+    return unitarity_deviations(np.array([m], dtype=np.complex128))[0]
+
+
 def test_unitarity_deviation_identity():
-    assert unitarity_deviation(np.eye(2)) <= UNITARITY_TOL
+    assert _deviation(np.eye(2)) <= UNITARITY_TOL
 
 
 def test_unitarity_deviation_rotation():
-    assert unitarity_deviation(GateSpec("rx", angle=0.37).matrix()) <= UNITARITY_TOL
+    assert _deviation(GateSpec("rx", angle=0.37).matrix()) <= UNITARITY_TOL
 
 
 def test_unitarity_deviation_rejects_all_half_matrix():
-    assert unitarity_deviation(np.full((4, 4), 0.5)) > UNITARITY_TOL
+    assert _deviation(np.full((4, 4), 0.5)) > UNITARITY_TOL
 
 
 @pytest.mark.parametrize("m", [
@@ -47,7 +51,7 @@ def test_unitarity_deviation_rejects_all_half_matrix():
     [[1e200, 1e200], [1e200, -1e200]],  # inf - inf: nan, which no bound rejects
 ])
 def test_unitarity_deviation_is_inf_when_the_product_overflows(m):
-    assert unitarity_deviation(m) == math.inf
+    assert _deviation(m) == math.inf
 
 
 def _bell_state():
@@ -213,4 +217,4 @@ def test_gate_library_products_stay_unitary():
     prod = np.eye(2)
     for m in mats:
         prod = prod @ m
-        assert unitarity_deviation(prod) <= UNITARITY_TOL
+        assert _deviation(prod) <= UNITARITY_TOL
