@@ -36,11 +36,11 @@ written.  A round is one ``_controlled_update`` call, which applies its
 steps in order to one rows-last ``(C, S, P, row)`` copy of the residual,
 so each pair's arithmetic runs along the rows, and drops the rows left
 exactly zero; ``apply_controlled`` stacks its two ``GateSpec``s'
-matrices into a pair and makes the same call.  A round
-appends M_k in |0> by shifting every row label left by one bit, and its
-five gates (controlled-U, memory write, feedback, policy update,
-steering) run on no other slot, so no memory record is ever written
-twice.
+matrices into a pair for C, S or P and makes the same call, and
+``write_memory`` makes it with the write alone.  A round appends M_k in
+|0> by shifting every row label left by one bit, and its five gates
+(controlled-U, memory write, feedback, policy update, steering) run on
+no other slot, so no memory record is ever written twice.
 ``partial_trace`` groups the rows on the kept memories' bits, so a
 marginal costs the populated rows, never 2**n.
 
@@ -68,7 +68,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .gates import IDENTITY, PAULI_X, GateSpec
+from .gates import IDENTITY, GateSpec
 from .linalg import NORM_TOL, QUBIT_CAP, check_capacity
 
 if TYPE_CHECKING:
@@ -240,10 +240,10 @@ class IterationSpec:
     rounds are the rows of one ``(rounds, 8, 2, 2)`` array.  It is the only
     form the engine reads.  ``written`` holds each slot's ``GateSpec`` as
     written, or None for a raw gate, whose numbers are only in ``gates``,
-    and for an absent r; it serves only emission, equality and the
-    read-back: ``spec.u0`` ... ``spec.r1`` read a slot back as a
-    ``GateSpec`` (a raw one rebuilt from ``gates``), or None for an absent
-    r.
+    and for an absent r; it serves emission and equality.  The read-back
+    ``spec.u0`` ... ``spec.r1`` gives a slot as a ``GateSpec`` (a raw one
+    rebuilt and re-checked from ``gates`` on each read), or None for an
+    absent r; it serves ``replace``, ``repr`` and the benchmark's tracer.
     """
 
     __slots__ = ("gates", "written", "extended")
@@ -344,11 +344,6 @@ def _memory_bit(layout: RegisterLayout, memory: str) -> int:
     return 1 << (layout.n_memories - layout.position(memory))
 
 
-# The memory write's pair, a CNOT from C: the only gate a memory takes.
-_WRITE = np.array((IDENTITY.matrix(), PAULI_X.matrix()))
-_WRITE.flags.writeable = False
-
-
 def _controlled_update(
     rows: np.ndarray, residual: np.ndarray, layout: RegisterLayout, steps
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -359,10 +354,9 @@ def _controlled_update(
     The pair is one broadcast update, ``pair[control bit, out, 0] * lo +
     pair[..., 1] * hi`` with ``lo``/``hi`` the target bit's halves, written
     into two buffers that the steps reuse; an identity pair is applied like
-    any other.  A memory takes only its write, the pair ``_WRITE`` (see the
-    module docstring); any other pair onto a memory, an identity pair
-    included, raises ``LayoutError``.  Rows left exactly zero are dropped.
-    The inputs are not modified.
+    any other.  A memory takes only its write, the step ``("C", memory,
+    None)``, before any write to it or to a later slot (else ``LayoutError``).
+    Rows left exactly zero are dropped.  The inputs are not modified.
     """
     block = residual.transpose(1, 2, 3, 0).copy()  # a copy: never a view of the input
     out = tmp = None
@@ -389,7 +383,7 @@ def _controlled_update(
             block, out = np.add(out, tmp, out=out), block
             continue
         bit = _memory_bit(layout, target)
-        if control != "C" or pair is not _WRITE or (rows & (2 * bit - 1)).any():
+        if (rows & (2 * bit - 1)).any():
             raise LayoutError(f"memory {target} takes only its write: a CNOT from C "
                               f"before any write to it or to a later slot")
         out = tmp = None  # free the buffers before the split allocates
@@ -425,24 +419,26 @@ def apply_controlled(
 ) -> StateVector:
     """Apply g0/g1 to ``target`` on the control-bit-0/1 components.
 
-    A memory takes only its write: a memory target raises ``LayoutError``
-    unless the gate is ``write_memory``'s, on a slot that neither it nor
-    any later slot has taken yet.
+    ``target`` is C, S or P: a memory takes only its write (``write_memory``
+    or its round), so a listed memory target raises ``LayoutError``.
     """
     if control == target:
         raise LayoutError(f"control and target are the same register {control!r}")
     state.layout.position(control)
     state.layout.position(target)
-    pair = _WRITE if (g0, g1) == (IDENTITY, PAULI_X) else np.array((g0.matrix(), g1.matrix()))
-    rows, residual = _controlled_update(
-        state.rows, state.residual, state.layout, [(control, target, pair)]
-    )
+    if target not in _RESIDUAL_AXIS:
+        raise LayoutError(f"memory {target} takes only its write: use write_memory")
+    pair = np.array((g0.matrix(), g1.matrix()))
+    rows, residual = _controlled_update(state.rows, state.residual, state.layout,
+                                        [(control, target, pair)])
     return StateVector(state.layout, rows=rows, residual=residual)
 
 
 def write_memory(state: StateVector, k: int) -> StateVector:
     """CNOT from the control into memory slot k (the coherent branch record)."""
-    return apply_controlled(state, "C", f"M{k}", IDENTITY, PAULI_X)
+    rows, residual = _controlled_update(state.rows, state.residual, state.layout,
+                                        [("C", f"M{k}", None)])
+    return StateVector(state.layout, rows=rows, residual=residual)
 
 
 def iterate(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
@@ -462,7 +458,7 @@ def iterate(state: StateVector, k: int, spec: IterationSpec) -> StateVector:
     m, g = f"M{k}", spec.gates
     # Order is load-bearing: feedback must see the policy state *before*
     # this round's policy update.
-    steps = [("C", "S", g[0:2]), ("C", m, _WRITE), ("P", "S", g[2:4]), (m, "P", g[4:6])]
+    steps = [("C", "S", g[0:2]), ("C", m, None), ("P", "S", g[2:4]), (m, "P", g[4:6])]
     if spec.extended:
         steps.append(("P", "C", g[6:8]))
     rows, residual = _controlled_update(rows, state.residual, layout, steps)

@@ -10,7 +10,8 @@ A document's round gates go straight into the scenario's one read-only
 ``(rounds, 8, 2, 2)`` gate array (see ``machine.IterationSpec``): a raw
 gate as its eight numbers, each taken with one exact type test, and a
 named gate as its library matrix.  All the raw round gates are then
-checked in one pass (``gates.check_unitary``).  Errors keep document
+checked in one pass (``gates.check_unitary``), and emission writes them
+back from that array, a named gate as written.  Errors keep document
 order across kinds: an error raised while parsing first checks the raw
 gates before it, so an earlier gate's unitarity error (exit 3) wins over
 a later gate's parse error (exit 2), and an earlier parse error wins over
@@ -37,8 +38,7 @@ ANALYSIS_KINDS = ("branches", "marginal", "outcome", "separability", "witness")
 _AMPLITUDES = ("alpha", "beta", "gamma", "delta")
 _GATES = SLOTS
 _REQUIRED_GATES = _GATES[:2]
-_DEFAULT_ROUND = IterationSpec()  # an omitted gate takes this round's value
-_OMITTED = _DEFAULT_ROUND.written
+_OMITTED = IterationSpec().written  # each slot's value where a document omits it
 
 _SEED_MESSAGE = "must be an object with a non-negative integer 'seed'"
 
@@ -310,9 +310,13 @@ def _emit_complex(z: complex):
     return [z.real, z.imag]
 
 
+def _emit_raw(rows) -> dict:
+    return {"raw": [[[z.real, z.imag] for z in row] for row in rows]}
+
+
 def _emit_gate(g: GateSpec):
     if g.kind == "raw":
-        return {"raw": [[[z.real, z.imag] for z in row] for row in g.raw]}
+        return _emit_raw(g.raw)
     out: dict = {"named": g.kind}
     if g.angle is not None:
         out["angle"] = g.angle
@@ -334,11 +338,11 @@ def emit_scenario(scenario: Scenario) -> str:
     init_doc["mode"] = init.mode
     if not init.system_init.is_identity:
         init_doc["system_init"] = _emit_gate(init.system_init)
-    iterations = [
-        {g: _emit_gate(getattr(it, g)) for g in _GATES
-         if g in _REQUIRED_GATES or getattr(it, g) != getattr(_DEFAULT_ROUND, g)}
-        for it in scenario.iterations
-    ]
+    # a raw gate from its row; an optional slot at its omitted value is left out
+    iterations = [{g: _emit_raw(it.gates[j].tolist()) if w is None else _emit_gate(w)
+                   for j, (g, w) in enumerate(zip(_GATES, it.written))
+                   if g in _REQUIRED_GATES or w != _OMITTED[j] or (w is None and it.extended)}
+                  for it in scenario.iterations]
     doc: dict = {
         "name": scenario.name,
         "init": init_doc,

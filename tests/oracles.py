@@ -10,16 +10,28 @@ memory string as the engine does.  So the tests compare the two bit for
 bit on the engine's rows, signed zeros included.  Register positions
 are derived here from the documented convention: C owns the most
 significant bit, then M1..Mn, then S, then P.
+
+``inject_round`` puts a faulty round in place of the engine's, through
+the public round entry points only.
 """
 
 import numpy as np
 
+from branchsim import machine, verify
 from branchsim.gates import GateSpec
 
 
 def raw_gate(matrix) -> GateSpec:
     """``GateSpec("raw", ...)`` of an explicit 2x2 matrix, given as an array or rows."""
     return GateSpec("raw", raw=tuple(map(tuple, np.asarray(matrix, np.complex128).tolist())))
+
+
+def inject_round(monkeypatch, round_) -> None:
+    """Make ``round_(state, k, spec)`` every round of ``machine.run`` and of
+    verify's checks: ``iterate`` and ``iterate_extended`` in both modules."""
+    for module in (machine, verify):
+        for name in ("iterate", "iterate_extended"):
+            monkeypatch.setattr(module, name, round_)
 
 
 def positions(n_memories: int) -> dict[str, int]:

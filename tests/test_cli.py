@@ -34,6 +34,8 @@ from branchsim.scenario import (
 )
 from branchsim.verify import random_extended_scenario
 
+from oracles import inject_round
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -591,13 +593,13 @@ def test_verify_tolerance_injection_fails(capsys, monkeypatch):
 def test_verify_fails_every_check_on_an_engine_that_breaks_the_norm(capsys, monkeypatch):
     # each round's residual grows by 1e-6: the state's own check raises in
     # every check's first draw, which fails that check rather than the run
-    update = machine._controlled_update
+    iterate = machine.iterate
 
-    def drifting(*args):
-        rows, residual = update(*args)
-        return rows, residual * (1 + 1e-6)
+    def drifting(state, k, spec):
+        out = iterate(state, k, spec)
+        return machine.StateVector(out.layout, rows=out.rows, residual=out.residual * (1 + 1e-6))
 
-    monkeypatch.setattr(machine, "_controlled_update", drifting)
+    inject_round(monkeypatch, drifting)
     assert main(["verify"]) == EXIT_VERIFY
     captured = capsys.readouterr()
     lines = captured.out.splitlines()

@@ -49,7 +49,7 @@ from branchsim.verify import (
     random_unitaries,
 )
 
-from oracles import dense_fold, positions, raw_gate
+from oracles import dense_fold, inject_round, positions, raw_gate
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -541,7 +541,8 @@ def test_oracle_never_calls_the_engine(monkeypatch):
     engine = [run(scenario) for scenario in scenarios]
     for name in ("initialize", "iterate", "iterate_extended"):
         monkeypatch.setattr(verify, name, None)  # any call raises TypeError
-    for name in ("initialize", "StateVector", "_controlled_update"):
+    for name in ("initialize", "StateVector", "iterate", "iterate_extended", "run",
+                 "apply_controlled", "write_memory"):
         monkeypatch.setattr(machine, name, None)
     for scenario, state in zip(scenarios, engine):
         for compose in (True, False):
@@ -553,16 +554,19 @@ def test_oracle_never_calls_the_engine(monkeypatch):
 
 
 def test_structure_checks_catch_swapped_feedback_and_update(monkeypatch):
-    # inside the engine, each round's policy update now precedes its feedback
-    original = machine._controlled_update
+    # each round's policy update now precedes its feedback: the round is
+    # built gate by gate from the public per-gate entry points
+    def update_first(state, k, spec):
+        state = StateVector(build_layout(k), rows=state.rows << 1, residual=state.residual)
+        state = apply_controlled(state, "C", "S", spec.u0, spec.u1)
+        state = write_memory(state, k)
+        state = apply_controlled(state, f"M{k}", "P", spec.v0, spec.v1)
+        state = apply_controlled(state, "P", "S", spec.f0, spec.f1)
+        if spec.extended:
+            state = apply_controlled(state, "P", "C", spec.r0, spec.r1)
+        return state
 
-    def swapped(rows, residual, layout, steps):
-        steps = list(steps)
-        if len(steps) >= 4:  # a round: U, CNOT, F, V (, R)
-            steps[2], steps[3] = steps[3], steps[2]
-        return original(rows, residual, layout, steps)
-
-    monkeypatch.setattr(machine, "_controlled_update", swapped)
+    inject_round(monkeypatch, update_first)
     for name in ("oracle_equivalence", "property_dilation_blocks",
                  "property_symbolic_expansion"):
         result = verify.CHECKS[name](machine.seeded_generator(1729))
@@ -570,17 +574,12 @@ def test_structure_checks_catch_swapped_feedback_and_update(monkeypatch):
 
 
 def test_structure_checks_catch_swapped_steering(monkeypatch):
-    # inside the engine, each extended round steers C with r1 where P reads 0
-    original = machine._controlled_update
+    # each extended round steers C with r1 where P reads 0
+    def swapped(state, k, spec):
+        return iterate(state, k, IterationSpec.of_gates(spec.gates[[0, 1, 2, 3, 4, 5, 7, 6]],
+                                                        spec.extended))
 
-    def swapped(rows, residual, layout, steps):
-        steps = list(steps)
-        if len(steps) == 5:  # an extended round: U, CNOT, F, V, R
-            control, target, pair = steps[4]
-            steps[4] = (control, target, pair[::-1])
-        return original(rows, residual, layout, steps)
-
-    monkeypatch.setattr(machine, "_controlled_update", swapped)
+    inject_round(monkeypatch, swapped)
     for name in ("oracle_equivalence", "property_extended_identity",
                  "property_symbolic_expansion"):
         result = verify.CHECKS[name](machine.seeded_generator(1729))
@@ -741,9 +740,6 @@ def test_engine_never_writes_its_input():
     pairs = [(c, t) for c in "CSP" for t in "CSP" if c != t]
     for control, target in pairs:
         apply_controlled(state, control, target, g0, g1)
-    machine._controlled_update(state.rows, state.residual, state.layout,
-                               [(c, t, np.array((g0.matrix(), g1.matrix())))
-                                for c, t in pairs])
     iterate(state, 1, IterationSpec(g0, g1, g1, g0, g0, g1, g1, g0))
     assert state.rows.tobytes() == rows and state.residual.tobytes() == residual
     assert not (state.rows.flags.writeable or state.residual.flags.writeable)
@@ -846,6 +842,17 @@ def test_measure_control_seed_reproducibility():
     state = run(builtin_scenario("pauli-flips"))
     outcomes = {measure_control(state, 42)[0] for _ in range(5)}
     assert len(outcomes) == 1
+
+
+@pytest.mark.parametrize("p1", [0.05, 0.3, 0.5, 0.9])
+def test_seeded_measurement_follows_the_born_rule(p1):
+    # over seeds 0..1999 the count of outcome 1 is binomial(2000, p1): it
+    # must lie within 4 standard deviations of its mean, so an outcome that
+    # ignores its seed (always the likelier one, say) fails
+    state = initialize(InitSpec(alpha=math.sqrt(1 - p1), beta=math.sqrt(p1)), build_layout(0))
+    n = 2000
+    ones = sum(measure_control(state, seed)[0] for seed in range(n))
+    assert abs(ones - n * p1) <= 4 * math.sqrt(n * p1 * (1 - p1))
 
 
 def test_measure_control_post_steering_renormalizes():

@@ -284,6 +284,49 @@ def test_scenario_round_trip_with_raw_gate_and_measure():
     assert parse_scenario(emit_scenario(scenario)) == scenario
 
 
+def test_emission_never_reads_a_round_back_as_gate_specs(monkeypatch):
+    # raw u, f and v slots and a raw r pair come from the round's gate row
+    scenario = random_extended_scenario(np.random.default_rng(3), 3)
+
+    def read_back(self, j):
+        raise AssertionError(f"slot {j} read back as a GateSpec")
+
+    monkeypatch.setattr(IterationSpec, "_gate", read_back)
+    assert parse_scenario(emit_scenario(scenario)) == scenario
+
+
+def test_emitted_text_of_raw_named_and_explicit_identity_slots():
+    doc = {"name": "pinned",
+           "init": {"alpha": 0.6, "beta": 0.8, "gamma": 1, "delta": 0, "mode": "uncorrelated"},
+           "iterations": [
+               {"u0": {"named": "rx", "angle": "pi/3"}, "u1": {"raw": [[0, 1], [1, 0]]},
+                "f0": {"named": "identity"}, "f1": {"raw": [[0.6, -0.8], [0.8, 0.6]]},
+                "v1": {"named": "pauli_x"},
+                "r0": {"raw": [[0, [0, -1]], [[0, 1], 0]]}, "r1": {"named": "identity"}},
+               {"u0": {"named": "identity"}, "u1": {"named": "hadamard"}},
+           ]}
+    scenario = parse_scenario(json.dumps(doc))
+    emitted = emit_scenario(scenario)
+    # the explicit identity f0 is left out; the required u0 and the r1 of a
+    # steered round are kept; raw entries come out as [re, im] floats
+    expected = {
+        "name": "pinned",
+        "init": {"alpha": 0.6, "beta": 0.8, "gamma": 1.0, "delta": 0.0, "mode": "uncorrelated"},
+        "iterations": [
+            {"u0": {"named": "rx", "angle": "pi/3"},
+             "u1": {"raw": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+             "f1": {"raw": [[[0.6, 0.0], [-0.8, 0.0]], [[0.8, 0.0], [0.6, 0.0]]]},
+             "v1": {"named": "pauli_x"},
+             "r0": {"raw": [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]},
+             "r1": {"named": "identity"}},
+            {"u0": {"named": "identity"}, "u1": {"named": "hadamard"}},
+        ],
+        "analyses": [],
+    }
+    assert emitted == json.dumps(expected, indent=2)
+    assert parse_scenario(emitted) == scenario
+
+
 def test_scenario_rejects_analysis_on_unknown_register():
     doc = _document()
     doc["analyses"] = [{"marginal": "M5"}]
